@@ -180,7 +180,7 @@ def _basis_payload(system, basis: SteadyStateBasis, opts, forced: bool) -> dict:
             {
                 "alpha": name,
                 "free_block": k,
-                "values": [float(v) for v in vec],
+                "values": vec.tolist(),
                 "residual_inf": nullspace_residual(system, vec),
             }
         )

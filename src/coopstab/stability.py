@@ -6,10 +6,12 @@ between two critical blocks: unstable. Otherwise marginally stable, and the
 non-negative steady states form a family with one free parameter per final
 critical block (a critical block with no critical block downstream).
 
-A basis vector for free block k is zero outside the cone downstream of k,
-carries the block's positive eigenvector on k itself, and is propagated
-through downstream sub-critical blocks by one linear solve each, in
-topological order. The alternating path-sum form of the same propagation is
+A basis vector for free block k is zero outside the cone downstream of k and
+carries the block's positive eigenvector on k itself. All basis vectors are
+propagated together, as the columns of one array, in a single sweep over the
+blocks in topological order: each sub-critical block in some cone is
+factorized once for all free parameters, and singletons are solved by
+division. The alternating path-sum form of the same propagation is
 kept as a cross-validation oracle only; enumerating block paths is
 exponential in the condensation size.
 """
@@ -78,7 +80,8 @@ class StabilityReport:
 
 @dataclass(frozen=True, eq=False)
 class SteadyStateBasis:
-    """Non-negative nullspace basis, one full-length vector per free block.
+    """Non-negative nullspace basis, one full-length vector per free block;
+    the vectors are read-only column views of one n x F array.
 
     The general steady state is sum over k of alpha_k * vectors[k] with free
     parameters named in free_parameters.
@@ -233,18 +236,18 @@ def full_analysis(
     return cond, spectra, verdict(cond, spectra)
 
 
-def _solve_block(
-    lu_cache: dict, cond: Condensation, l: int, rhs: np.ndarray
-) -> np.ndarray:
-    if l not in lu_cache:
-        b = cond.blocks[l].matrix
-        lu, piv = lu_factor(b)
-        if np.min(np.abs(np.diag(lu))) <= TINY_PIVOT_REL * max(
-            1e-300, float(np.max(np.sum(np.abs(b), axis=1)))
-        ):
-            raise SingularSubCriticalSolve(l)
-        lu_cache[l] = (lu, piv)
-    return lu_solve(lu_cache[l], rhs)
+def _solve_block(cond: Condensation, l: int, rhs: np.ndarray) -> np.ndarray:
+    """Solve B_l X = rhs column by column (a multi-column LU solve rounds
+    differently); a singleton divides by its diagonal."""
+    b = cond.blocks[l].matrix
+    if b.shape == (1, 1):
+        return rhs / b[0, 0]
+    lu, piv = lu_factor(b)
+    if np.min(np.abs(np.diag(lu))) <= TINY_PIVOT_REL * max(
+        1e-300, float(np.max(np.sum(np.abs(b), axis=1)))
+    ):
+        raise SingularSubCriticalSolve(l)
+    return np.column_stack([lu_solve((lu, piv), col) for col in rhs.T])
 
 
 def steady_state_basis(
@@ -271,7 +274,6 @@ def steady_state_basis(
         raise NotMarginallyStable(
             "all blocks are sub-critical; the only fixed point is zero"
         )
-    reach = upstream_reachability(cond)
     witness = _shortest_critical_path(cond, critical)
     if witness is not None and not force:
         raise NotMarginallyStable(
@@ -280,7 +282,7 @@ def steady_state_basis(
         )
 
     if roles is None:
-        final = _final_criticals(critical, reach)
+        final = _final_criticals(critical, upstream_reachability(cond))
     else:
         final = [r.block_index for r in roles if r.is_final_critical]
 
@@ -288,37 +290,38 @@ def steady_state_basis(
     for (k, l) in cond.cross_entries:
         sources_of.setdefault(k, []).append(l)
 
-    n = len(cond.node_to_block)
-    lu_cache: dict = {}
-    vectors: list[np.ndarray] = []
-    for k in final:
-        x = np.zeros(n)
-        x[list(cond.blocks[k].nodes)] = spectra[k].phi
-        for l in range(k + 1, cond.h):
-            if classes[l] is not BlockClass.SUB_CRITICAL:
-                continue
-            rhs = np.zeros(cond.blocks[l].size)
-            for src in sources_of.get(l, ()):
-                src_nodes = cond.blocks[src].nodes
-                for li, lj, v in cond.cross_entries[(l, src)]:
-                    rhs[li] += v * x[src_nodes[lj]]
-            if not rhs.any():
-                continue
-            sol = _solve_block(lu_cache, cond, l, -rhs)
-            clamp = 10.0 * residual_tol * max(1.0, float(np.max(np.abs(sol))))
-            neg = sol < 0
-            if np.any(sol < -clamp):
-                worst = int(np.argmin(sol))
-                raise NegativeSteadyStateEntry(
-                    l, cond.blocks[l].nodes[worst], float(sol[worst])
-                )
-            sol[neg] = 0.0
-            x[list(cond.blocks[l].nodes)] = sol
-        x.setflags(write=False)
-        vectors.append(x)
+    # One column per free block; blocks join the cone in topological order.
+    x = np.zeros((len(cond.node_to_block), len(final)), order="F")
+    in_cone = [False] * cond.h
+    for col, k in enumerate(final):
+        x[list(cond.blocks[k].nodes), col] = spectra[k].phi
+        in_cone[k] = True
+    for l in range(cond.h):
+        cone_sources = [s for s in sources_of.get(l, ()) if in_cone[s]]
+        if classes[l] is not BlockClass.SUB_CRITICAL or not cone_sources:
+            continue
+        block = cond.blocks[l]
+        rhs = np.zeros((block.size, len(final)))
+        for src in cone_sources:
+            src_nodes = cond.blocks[src].nodes
+            for li, lj, v in cond.cross_entries[(l, src)]:
+                rhs[li] += v * x[src_nodes[lj]]
+        cols = rhs.any(axis=0).nonzero()[0]
+        if not cols.size:
+            continue
+        sol = _solve_block(cond, l, -rhs[:, cols])
+        too_negative = sol < -10.0 * residual_tol * np.maximum(1.0, abs(sol).max(axis=0))
+        if too_negative.any():
+            col = too_negative.any(axis=0).argmax()
+            worst = int(sol[:, col].argmin())
+            raise NegativeSteadyStateEntry(l, block.nodes[worst], float(sol[worst, col]))
+        sol[sol < 0] = 0.0
+        x[np.array(block.nodes)[:, None], cols] = sol
+        in_cone[l] = True
+    x.setflags(write=False)
 
     return SteadyStateBasis(
-        vectors=tuple(vectors),
+        vectors=tuple(x.T),
         free_blocks=tuple(final),
         free_parameters=tuple(f"alpha_{k}" for k in final),
     )
@@ -326,9 +329,8 @@ def steady_state_basis(
 
 def nullspace_residual(system: CooperativeSystem, vector: np.ndarray) -> float:
     """Infinity norm of A v, the defect of v as a fixed point."""
-    out = np.zeros(system.n)
-    for (i, j), v in system.entries.items():
-        out[i] += v * vector[j]
+    rows, cols, vals = system.coo
+    out = np.bincount(rows, weights=vals * np.asarray(vector)[cols], minlength=system.n)
     return float(np.max(np.abs(out))) if system.n else 0.0
 
 

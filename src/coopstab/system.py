@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -40,10 +41,17 @@ class CooperativeSystem:
     entries: Mapping[Coord, float]
     node_labels: tuple[str, ...]
 
+    @cached_property
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entries as (rows, cols, vals) arrays, in `entries` order."""
+        ij = np.array(list(self.entries), dtype=np.intp).reshape(-1, 2)
+        vals = np.fromiter(self.entries.values(), float, len(self.entries))
+        ij.flags.writeable = vals.flags.writeable = False
+        return ij[:, 0], ij[:, 1], vals
+
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for (i, j), v in self.entries.items():
-            a[i, j] = v
+        a[self.coo[:2]] = self.coo[2]
         return a
 
     def edges(self) -> list[tuple[int, int]]:
@@ -52,10 +60,8 @@ class CooperativeSystem:
 
     def inf_norm(self) -> float:
         """Max absolute row sum, computed without densifying."""
-        row = np.zeros(self.n)
-        for (i, _), v in self.entries.items():
-            row[i] += abs(v)
-        return float(row.max()) if self.n else 0.0
+        rows, _, vals = self.coo
+        return float(np.bincount(rows, np.abs(vals), self.n).max()) if self.n else 0.0
 
 
 def validate(

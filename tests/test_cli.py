@@ -189,6 +189,19 @@ def test_golden_corpus(fixture, capsys):
     assert rc == int((FIXTURES / "golden" / f"{fixture}.exit").read_text())
 
 
+@pytest.mark.parametrize(
+    "fixture, tag, extra",
+    [(p.name, "steady", []) for p in sorted(FIXTURES.iterdir()) if p.is_file()]
+    + [("critical_pair.mtx", "steady-forced", ["--force-nullspace"])],
+)
+def test_steady_state_golden_corpus(fixture, tag, extra, capsys):
+    """steady-state stdout and exit code are byte-identical to the stored golden."""
+    rc = main(["steady-state", str(FIXTURES / fixture), *extra])
+    out = capsys.readouterr().out
+    assert out == (FIXTURES / "golden" / f"{fixture}.{tag}.out").read_text()
+    assert rc == int((FIXTURES / "golden" / f"{fixture}.{tag}.exit").read_text())
+
+
 def test_analyze_json_input(tmp_path, capsys):
     from coopstab import to_edge_list_json
 

@@ -1,9 +1,15 @@
+from types import MappingProxyType
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from coopstab import (
+    BlockClass,
+    CooperativeSystem,
     CriticalPath,
     GeneratorSpec,
+    NegativeSteadyStateEntry,
     NotMarginallyStable,
     SingularSubCriticalSolve,
     SpectralOptions,
@@ -173,6 +179,93 @@ def test_singular_sub_critical_solve_detected():
     with pytest.raises(SingularSubCriticalSolve) as exc:
         steady_state_basis(cond, spectra)
     assert exc.value.block_index == 1
+
+
+def test_singular_sub_critical_solve_shared_by_two_free_blocks():
+    # the same near-singular block sits in the cone of both free blocks
+    eps = 1e-14
+    a = np.zeros((4, 4))
+    a[2, 0] = a[3, 1] = 1.0
+    a[2:, 2:] = [[-1.0 - eps, 1.0], [1.0, -1.0 - eps]]
+    _, cond, spectra = _analyze(a, SpectralOptions(crit_tol_rel=1e-15))
+    assert [s.classification.value for s in spectra] == [
+        "critical", "critical", "sub-critical"
+    ]
+    with pytest.raises(SingularSubCriticalSolve) as exc:
+        steady_state_basis(cond, spectra)
+    assert exc.value.block_index == 2
+
+
+def test_negative_steady_state_entry_names_block_and_node():
+    # validate rejects negative couplings, so build the system directly: node
+    # 2 is a critical source, node 0 a sub-critical sink fed by -1.0
+    system = CooperativeSystem(
+        n=3,
+        entries=MappingProxyType({(0, 0): -2.0, (0, 2): -1.0, (1, 1): -1.0}),
+        node_labels=("a", "b", "c"),
+    )
+    cond = condense(system)
+    spectra = analyze_all_blocks(cond)
+    assert [b.nodes for b in cond.blocks] == [(1,), (2,), (0,)]
+    with pytest.raises(NegativeSteadyStateEntry) as exc:
+        steady_state_basis(cond, spectra)
+    assert (exc.value.block_index, exc.value.node) == (2, 0)
+    assert exc.value.value == -0.5
+
+
+def _basis_one_free_block_at_a_time(cond, spectra, residual_tol=1e-10):
+    """Reference: propagate each free block separately through every later
+    sub-critical block, accumulating and clamping in the same order."""
+    classes = [s.classification for s in spectra]
+    final = list(steady_state_basis(cond, spectra).free_blocks)
+    sources_of = {}
+    for (k, l) in cond.cross_entries:
+        sources_of.setdefault(k, []).append(l)
+    vectors = []
+    for k in final:
+        x = np.zeros(len(cond.node_to_block))
+        x[list(cond.blocks[k].nodes)] = spectra[k].phi
+        for l in range(k + 1, cond.h):
+            if classes[l] is not BlockClass.SUB_CRITICAL:
+                continue
+            rhs = np.zeros(cond.blocks[l].size)
+            for src in sources_of.get(l, ()):
+                for li, lj, v in cond.cross_entries[(l, src)]:
+                    rhs[li] += v * x[cond.blocks[src].nodes[lj]]
+            if rhs.any():
+                lu = scipy.linalg.lu_factor(cond.blocks[l].matrix)
+                sol = scipy.linalg.lu_solve(lu, -rhs)
+                sol[sol < 0] = 0.0
+                x[list(cond.blocks[l].nodes)] = sol
+        vectors.append(x)
+    return vectors
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sweep_matches_per_free_block_reference_bitwise(seed):
+    spec = GeneratorSpec(
+        num_blocks=(6, 12), block_size=(1, 4), edge_density=0.6, seed=900 + seed
+    )
+    system = generate_marginally_stable(spec)
+    cond = condense(system)
+    spectra = analyze_all_blocks(cond)
+    basis = steady_state_basis(cond, spectra)
+    expected = _basis_one_free_block_at_a_time(cond, spectra)
+    assert len(basis.vectors) == len(expected)
+    for got, want in zip(basis.vectors, expected):
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_nullspace_residual_matches_entry_loop_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    system = generate(GeneratorSpec(num_blocks=(3, 8), block_size=(1, 4), seed=seed))
+    vector = rng.normal(size=system.n)
+    out = np.zeros(system.n)
+    for (i, j), v in system.entries.items():
+        out[i] += v * vector[j]
+    assert nullspace_residual(system, vector) == float(np.max(np.abs(out)))
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,24 @@ def test_graph_matrix_duality(system):
     assert system.edges() == expected
 
 
+@given(small_systems())
+@settings(max_examples=60, deadline=None)
+def test_coo_arrays_match_entry_loops_bitwise(system):
+    rows, cols, vals = system.coo
+    assert list(zip(rows.tolist(), cols.tolist(), vals.tolist())) == [
+        (i, j, v) for (i, j), v in system.entries.items()
+    ]
+    assert system.coo is system.coo
+    assert not (rows.flags.writeable or cols.flags.writeable or vals.flags.writeable)
+    dense = np.zeros((system.n, system.n))
+    row_sums = np.zeros(system.n)
+    for (i, j), v in system.entries.items():
+        dense[i, j] = v
+        row_sums[i] += abs(v)
+    assert system.to_dense().tobytes() == dense.tobytes()
+    assert system.inf_norm() == float(row_sums.max())
+
+
 def test_labels_survive_edge_list_round_trip():
     s = validate({(1, 0): 2.0}, 2, node_labels=("source", "sink"))
     again = load_edge_list_json(to_edge_list_json(s))

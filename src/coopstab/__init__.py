@@ -11,7 +11,6 @@ from .condensation import (
     condense,
     extract_coupling,
     to_dot,
-    upstream_reachability,
 )
 from .errors import (
     BadBlockOrder,
@@ -23,6 +22,7 @@ from .errors import (
     NegativeOffDiagonal,
     NegativeSteadyStateEntry,
     NoConvergence,
+    NonFiniteResult,
     NonSquare,
     NotMarginallyStable,
     ParseError,
@@ -52,10 +52,8 @@ from .oracle import (
 from .spectral import (
     BlockClass,
     BlockSpectrum,
-    ClassIndexSets,
     SpectralOptions,
     analyze_all_blocks,
-    class_index_sets,
     classify,
     dominant_eigenpair,
 )

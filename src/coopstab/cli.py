@@ -20,6 +20,7 @@ from . import __version__
 from .condensation import condense, to_dot
 from .errors import (
     CoopStabError,
+    NonFiniteResult,
     NotMarginallyStable,
     ParseError,
     SuperCriticalPresent,
@@ -34,7 +35,7 @@ from .oracle import (
     generate_marginally_stable,
     simulate,
 )
-from .spectral import SpectralOptions
+from .spectral import DEFAULT_OPTIONS, SpectralOptions
 from .stability import (
     SteadyStateBasis,
     SuperCriticalBlock,
@@ -88,6 +89,14 @@ def _tolerances_dict(opts: SpectralOptions) -> dict:
     }
 
 
+def _dumps(payload: dict) -> str:
+    """Strict JSON: a NaN or infinite number in the payload is a numeric failure."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NonFiniteResult("output contains a value that is not finite") from None
+
+
 def _reason_dict(reason) -> dict | None:
     if reason is None:
         return None
@@ -121,7 +130,7 @@ def _report_payload(system, cond, spectra, report, opts) -> dict:
                 "class": spectra[k].classification.value,
                 "criticality_tolerance": spectra[k].tolerance_used,
                 "trivial": report.roles[k].is_trivial,
-                "free": report.roles[k].is_free,
+                "free": report.roles[k].is_final_critical,
             }
             for k in range(cond.h)
         ],
@@ -169,7 +178,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.pretty:
         _print_report_pretty(payload, sys.stdout)
     else:
-        print(json.dumps(payload, sort_keys=True))
+        print(_dumps(payload))
     return EXIT_BY_VERDICT[report.verdict]
 
 
@@ -208,7 +217,7 @@ def cmd_steady_state(args: argparse.Namespace) -> int:
         basis = steady_state_basis(
             cond,
             spectra,
-            report.roles,
+            report,
             force=args.force_nullspace,
             residual_tol=opts.residual_tol,
         )
@@ -226,7 +235,7 @@ def cmd_steady_state(args: argparse.Namespace) -> int:
             for label, value in zip(payload["labels"], vec["values"]):
                 print(f"  {label}: {value:.12g}")
     else:
-        print(json.dumps(payload, sort_keys=True))
+        print(_dumps(payload))
     return 0
 
 
@@ -262,23 +271,23 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.oracle_cmd == "dense-verdict":
         system = _load_system(args.input, args.format)
         dv = dense_verdict(system)
-        print(json.dumps({
+        print(_dumps({
             "dominant_real": dv.dominant_real,
             "algebraic_multiplicity_zero": dv.algebraic_multiplicity_zero,
             "geometric_multiplicity_zero": dv.geometric_multiplicity_zero,
             "verdict": dv.verdict.value,
-        }, sort_keys=True))
+        }))
         return 0
     if args.oracle_cmd == "limit-check":
         system = _load_system(args.input, args.format)
         cond = condense(system)
         result = expm_limit_check(cond.blocks[args.block])
-        print(json.dumps({
+        print(_dumps({
             "block": args.block,
             "residual": result.residual,
             "certified_to_t": result.t_big,
             "gap": result.gap if np.isfinite(result.gap) else None,
-        }, sort_keys=True))
+        }))
         return 0
     # generate
     if args.config:
@@ -332,14 +341,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("input", help="path to the system file")
     parser.add_argument("--format", choices=("auto", "mm", "json"), default="auto",
                         help="input format: Matrix Market or edge-list JSON (default: by extension)")
-    parser.add_argument("--crit-tol-rel", type=float, default=1e-9, dest="crit_tol_rel",
+    parser.add_argument("--crit-tol-rel", type=float, default=DEFAULT_OPTIONS.crit_tol_rel,
+                        dest="crit_tol_rel",
                         help="relative criticality tolerance on block dominant eigenvalues")
-    parser.add_argument("--eig-tol", type=float, default=1e-12, dest="eig_tol",
+    parser.add_argument("--eig-tol", type=float, default=DEFAULT_OPTIONS.eig_tol, dest="eig_tol",
                         help="relative eigenpair residual target")
-    parser.add_argument("--residual-tol", type=float, default=1e-10, dest="residual_tol",
-                        help="steady-state residual scale")
-    parser.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
-    parser.add_argument("--dense-cutoff", type=int, default=64, dest="dense_cutoff")
+    parser.add_argument("--residual-tol", type=float, default=DEFAULT_OPTIONS.residual_tol,
+                        dest="residual_tol", help="steady-state residual scale")
+    parser.add_argument("--max-iter", type=int, default=DEFAULT_OPTIONS.max_iter,
+                        dest="max_iter")
+    parser.add_argument("--dense-cutoff", type=int, default=DEFAULT_OPTIONS.dense_cutoff,
+                        dest="dense_cutoff")
     parser.add_argument("--pretty", action="store_true", help="human-readable output")
 
 

@@ -58,12 +58,6 @@ class Condensation:
     permutation: tuple[int, ...]
     cross_entries: Mapping[tuple[int, int], tuple[tuple[int, int, float], ...]]
 
-    def successors(self, l: int) -> list[int]:
-        return sorted(k for (a, k) in self.dag_edges if a == l)
-
-    def predecessors(self, k: int) -> list[int]:
-        return sorted(l for (l, b) in self.dag_edges if b == k)
-
 
 def _tarjan(n: int, adj: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Iterative Tarjan SCC. Explicit stack, no recursion, so graphs with very
@@ -196,21 +190,6 @@ def condense(system: CooperativeSystem) -> Condensation:
         permutation=permutation,
         cross_entries=cross_frozen,
     )
-
-
-def upstream_reachability(cond: Condensation) -> np.ndarray:
-    """Boolean h x h relation: reachable[l, k] is True iff a directed path of
-    dag edges runs from block l to block k. A block is not upstream of itself."""
-    h = cond.h
-    succ: list[list[int]] = [[] for _ in range(h)]
-    for l, k in cond.dag_edges:
-        succ[l].append(k)
-    reach = np.zeros((h, h), dtype=bool)
-    for l in reversed(range(h)):
-        for k in succ[l]:
-            reach[l, k] = True
-            reach[l] |= reach[k]
-    return reach
 
 
 def extract_coupling(cond: Condensation, k: int, l: int) -> Coupling:

@@ -113,6 +113,10 @@ class NegativeSteadyStateEntry(CoopStabError):
         )
 
 
+class NonFiniteResult(CoopStabError):
+    """A computed quantity overflowed or became NaN."""
+
+
 class TooManyBlocks(CoopStabError):
     def __init__(self, h: int, limit: int):
         self.h = h

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .condensation import Block, Condensation
-from .errors import NoConvergence
+from .errors import NoConvergence, NonFiniteResult
 
 
 class BlockClass(enum.Enum):
@@ -124,6 +123,8 @@ def dominant_eigenpair(block: Block, opts: SpectralOptions | None = None) -> tup
     shift = float(np.max(np.abs(np.diag(b)))) + 1.0
     m = b + shift * np.eye(d)
     tol = opts.eig_tol * max(1.0, _inf_norm(m))
+    if not np.isfinite(tol):
+        raise NonFiniteResult(f"block {block.index}: shifted matrix overflows")
 
     iters = 0
     if d > opts.dense_cutoff:
@@ -153,11 +154,13 @@ def analyze_all_blocks(cond: Condensation, opts: SpectralOptions | None = None) 
     opts = opts or DEFAULT_OPTIONS
     out: list[BlockSpectrum] = []
     for block in cond.blocks:
+        scale = _inf_norm(block.matrix)
+        if not np.isfinite(scale):
+            raise NonFiniteResult(f"block {block.index}: absolute row sum overflows")
         try:
             mu, phi = dominant_eigenpair(block, opts)
         except NoConvergence as exc:
             raise NoConvergence(exc.iterations, exc.last_residual, block_index=block.index) from None
-        scale = _inf_norm(block.matrix)
         cls = classify(mu, scale, opts)
         phi = phi.copy()
         phi.setflags(write=False)
@@ -171,21 +174,3 @@ def analyze_all_blocks(cond: Condensation, opts: SpectralOptions | None = None) 
             )
         )
     return out
-
-
-@dataclass(frozen=True)
-class ClassIndexSets:
-    critical: tuple[int, ...]
-    sub_critical: tuple[int, ...]
-    super_critical: tuple[int, ...]
-
-
-def class_index_sets(spectra: Sequence[BlockSpectrum]) -> ClassIndexSets:
-    by = {BlockClass.CRITICAL: [], BlockClass.SUB_CRITICAL: [], BlockClass.SUPER_CRITICAL: []}
-    for k, spec in enumerate(spectra):
-        by[spec.classification].append(k)
-    return ClassIndexSets(
-        critical=tuple(by[BlockClass.CRITICAL]),
-        sub_critical=tuple(by[BlockClass.SUB_CRITICAL]),
-        super_critical=tuple(by[BlockClass.SUPER_CRITICAL]),
-    )

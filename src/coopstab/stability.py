@@ -4,7 +4,9 @@ The verdict is a trichotomy. All blocks sub-critical: asymptotically stable,
 only the zero fixed point. Any super-critical block, or any directed path
 between two critical blocks: unstable. Otherwise marginally stable, and the
 non-negative steady states form a family with one free parameter per final
-critical block (a critical block with no critical block downstream).
+critical block (a critical block with no critical block downstream). Roles,
+multiplicities and the witness path all come from one forward and one
+backward sweep over the block DAG.
 
 A basis vector for free block k is zero outside the cone downstream of k and
 carries the block's positive eigenvector on k itself. All basis vectors are
@@ -18,17 +20,17 @@ exponential in the condensation size.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .condensation import Condensation, extract_coupling, upstream_reachability
+from .condensation import Condensation, extract_coupling
 from .errors import (
     BadBlockOrder,
     NegativeSteadyStateEntry,
+    NonFiniteResult,
     NotMarginallyStable,
     SingularSubCriticalSolve,
     SuperCriticalPresent,
@@ -64,10 +66,6 @@ class BlockRole:
     is_trivial: bool
     is_final_critical: bool
 
-    @property
-    def is_free(self) -> bool:
-        return self.is_final_critical
-
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -96,72 +94,48 @@ def _classes(spectra: Sequence[BlockSpectrum]) -> list[BlockClass]:
     return [s.classification for s in spectra]
 
 
-def _final_criticals(critical: list[int], reach: np.ndarray) -> list[int]:
-    crit_set = set(critical)
-    return [
-        k for k in critical
-        if not any(reach[k, c] for c in crit_set if c != k)
-    ]
+def _block_dag(
+    cond: Condensation, classes: Sequence[BlockClass]
+) -> tuple[list[bool], list[int], list[int]]:
+    """Two sweeps over the block DAG (edges point from lower to higher index).
+
+    up[k]: some critical block is strictly upstream of k.
+    near[k]: length of the shortest path from k to a critical block strictly
+    downstream, 0 if there is none; hop[k] is the smallest successor on such a
+    path, so following hop traces the lexicographically smallest of them.
+    """
+    h = cond.h
+    succ: list[list[int]] = [[] for _ in range(h)]
+    for l, k in sorted(cond.dag_edges):
+        succ[l].append(k)
+    crit = [c is BlockClass.CRITICAL for c in classes]
+    up = [False] * h
+    for l in range(h):
+        if crit[l] or up[l]:
+            for k in succ[l]:
+                up[k] = True
+    near = [0] * h
+    hop = [-1] * h
+    for l in reversed(range(h)):
+        for k in succ[l]:
+            d = 1 if crit[k] else (near[k] + 1 if near[k] else 0)
+            if d and (not near[l] or d < near[l]):
+                near[l], hop[l] = d, k
+    return up, near, hop
 
 
-def _trivial_set(classes: list[BlockClass], reach: np.ndarray) -> set[int]:
-    """Topological characterization: a block is trivial iff it is upstream of a
-    critical block, or it is sub-critical and not downstream of any critical
-    block. Only meaningful when no super-critical block exists."""
-    h = len(classes)
-    critical = [k for k in range(h) if classes[k] is BlockClass.CRITICAL]
-    out: set[int] = set()
-    for k in range(h):
-        upstream_of_crit = any(reach[k, c] for c in critical if c != k)
-        downstream_of_crit = any(reach[c, k] for c in critical if c != k)
-        if upstream_of_crit:
-            out.add(k)
-        elif classes[k] is BlockClass.SUB_CRITICAL and not downstream_of_crit:
-            out.add(k)
-    return out
+def _refuse_super_critical(report: StabilityReport) -> None:
+    if isinstance(report.unstable_reason, SuperCriticalBlock):
+        raise SuperCriticalPresent(
+            f"block {report.unstable_reason.block_index} is super-critical"
+        )
 
 
 def trivial_blocks(cond: Condensation, spectra: Sequence[BlockSpectrum]) -> set[int]:
     """Blocks whose sub-vector is zero in every non-negative stable fixed point."""
-    classes = _classes(spectra)
-    if any(c is BlockClass.SUPER_CRITICAL for c in classes):
-        bad = next(k for k, c in enumerate(classes) if c is BlockClass.SUPER_CRITICAL)
-        raise SuperCriticalPresent(f"block {bad} is super-critical")
-    return _trivial_set(classes, upstream_reachability(cond))
-
-
-def _shortest_critical_path(cond: Condensation, critical: list[int]) -> CriticalPath | None:
-    """Shortest directed block path connecting two critical blocks (BFS),
-    ties broken towards smaller block indices for deterministic reports."""
-    succ: list[list[int]] = [[] for _ in range(cond.h)]
-    for l, k in sorted(cond.dag_edges):
-        succ[l].append(k)
-    crit_set = set(critical)
-    best: tuple[int, int, int, tuple[int, ...]] | None = None
-    for src in sorted(critical):
-        parent = {src: -1}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for w in succ[v]:
-                if w in parent:
-                    continue
-                parent[w] = v
-                if w in crit_set:
-                    path = [w]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    cand = (len(path), src, w, tuple(path))
-                    if best is None or cand < best:
-                        best = cand
-                    queue.clear()
-                    break
-                queue.append(w)
-    if best is None:
-        return None
-    _, src, dst, path = best
-    return CriticalPath(upstream_block=src, downstream_block=dst, path=path)
+    report = verdict(cond, spectra)
+    _refuse_super_critical(report)
+    return {r.block_index for r in report.roles if r.is_trivial}
 
 
 def verdict(cond: Condensation, spectra: Sequence[BlockSpectrum]) -> StabilityReport:
@@ -169,58 +143,46 @@ def verdict(cond: Condensation, spectra: Sequence[BlockSpectrum]) -> StabilityRe
 
     Algebraic multiplicity of eigenvalue zero is the number of critical
     blocks; geometric multiplicity is the number of final critical blocks.
-    Trivial flags are computed only in the no-super-critical regime where the
-    characterization holds; with a super-critical block present they are all
-    False.
+    A block is trivial when it is upstream of a critical block, or
+    sub-critical and not downstream of one; the characterization holds only
+    without super-critical blocks, so with one present all flags are False.
+    The witness of a critical-critical path is the shortest one, from the
+    smallest upstream block, with the lexicographically smallest block
+    sequence.
     """
     classes = _classes(spectra)
-    reach = upstream_reachability(cond)
+    up, near, hop = _block_dag(cond, classes)
     critical = [k for k, c in enumerate(classes) if c is BlockClass.CRITICAL]
     supers = [k for k, c in enumerate(classes) if c is BlockClass.SUPER_CRITICAL]
-    final = _final_criticals(critical, reach)
-    final_set = set(final)
-
-    if supers:
-        roles = tuple(
-            BlockRole(k, False, k in final_set) for k in range(cond.h)
-        )
-        return StabilityReport(
-            verdict=Verdict.UNSTABLE,
-            unstable_reason=SuperCriticalBlock(min(supers)),
-            algebraic_multiplicity_zero=len(critical),
-            geometric_multiplicity_zero=len(final),
-            roles=roles,
-        )
-
-    trivial = _trivial_set(classes, reach)
+    connected = [k for k in critical if near[k]]
     roles = tuple(
-        BlockRole(k, k in trivial, k in final_set) for k in range(cond.h)
+        BlockRole(
+            k,
+            not supers and (near[k] > 0 or (c is BlockClass.SUB_CRITICAL and not up[k])),
+            c is BlockClass.CRITICAL and not near[k],
+        )
+        for k, c in enumerate(classes)
     )
-
-    if not critical:
-        return StabilityReport(
-            verdict=Verdict.ASYMPTOTICALLY_STABLE,
-            unstable_reason=None,
-            algebraic_multiplicity_zero=0,
-            geometric_multiplicity_zero=0,
-            roles=roles,
-        )
-
-    witness = _shortest_critical_path(cond, critical)
-    if witness is not None:
-        return StabilityReport(
-            verdict=Verdict.UNSTABLE,
-            unstable_reason=witness,
-            algebraic_multiplicity_zero=len(critical),
-            geometric_multiplicity_zero=len(final),
-            roles=roles,
-        )
-
+    reason: SuperCriticalBlock | CriticalPath | None = None
+    if supers:
+        reason = SuperCriticalBlock(min(supers))
+    elif connected:
+        src = min(connected, key=lambda k: (near[k], k))
+        path = [src, hop[src]]
+        while classes[path[-1]] is not BlockClass.CRITICAL:
+            path.append(hop[path[-1]])
+        reason = CriticalPath(src, path[-1], tuple(path))
+    if reason is not None:
+        result = Verdict.UNSTABLE
+    elif critical:
+        result = Verdict.MARGINALLY_STABLE
+    else:
+        result = Verdict.ASYMPTOTICALLY_STABLE
     return StabilityReport(
-        verdict=Verdict.MARGINALLY_STABLE,
-        unstable_reason=None,
+        verdict=result,
+        unstable_reason=reason,
         algebraic_multiplicity_zero=len(critical),
-        geometric_multiplicity_zero=len(final),
+        geometric_multiplicity_zero=len(critical) - len(connected),
         roles=roles,
     )
 
@@ -253,38 +215,35 @@ def _solve_block(cond: Condensation, l: int, rhs: np.ndarray) -> np.ndarray:
 def steady_state_basis(
     cond: Condensation,
     spectra: Sequence[BlockSpectrum],
-    roles: Sequence[BlockRole] | None = None,
+    report: StabilityReport | None = None,
     *,
     force: bool = False,
     residual_tol: float = 1e-10,
 ) -> SteadyStateBasis:
     """Construct one non-negative nullspace basis vector per free block.
 
-    Refuses to run unless the system is marginally stable; `force` computes
-    the (still well-defined) zero-eigenvectors for a system that is unstable
-    only through a critical-critical path. Super-critical blocks always
-    refuse: the construction is not defined for them.
+    `report` is the verdict for the same condensation and spectra; it is
+    computed when omitted. Refuses to run unless the system is marginally
+    stable; `force` computes the (still well-defined) zero-eigenvectors for a
+    system that is unstable only through a critical-critical path.
+    Super-critical blocks always refuse: the construction is not defined for
+    them.
     """
     classes = _classes(spectra)
-    if any(c is BlockClass.SUPER_CRITICAL for c in classes):
-        bad = next(k for k, c in enumerate(classes) if c is BlockClass.SUPER_CRITICAL)
-        raise SuperCriticalPresent(f"block {bad} is super-critical")
-    critical = [k for k, c in enumerate(classes) if c is BlockClass.CRITICAL]
-    if not critical:
+    if report is None:
+        report = verdict(cond, spectra)
+    _refuse_super_critical(report)
+    if report.verdict is Verdict.ASYMPTOTICALLY_STABLE:
         raise NotMarginallyStable(
             "all blocks are sub-critical; the only fixed point is zero"
         )
-    witness = _shortest_critical_path(cond, critical)
+    witness = report.unstable_reason
     if witness is not None and not force:
         raise NotMarginallyStable(
             f"critical blocks {witness.upstream_block} and {witness.downstream_block} "
             f"are connected by a path"
         )
-
-    if roles is None:
-        final = _final_criticals(critical, upstream_reachability(cond))
-    else:
-        final = [r.block_index for r in roles if r.is_final_critical]
+    final = [r.block_index for r in report.roles if r.is_final_critical]
 
     sources_of: dict[int, list[int]] = {}
     for (k, l) in cond.cross_entries:
@@ -318,6 +277,13 @@ def steady_state_basis(
         sol[sol < 0] = 0.0
         x[np.array(block.nodes)[:, None], cols] = sol
         in_cone[l] = True
+    overflow = ~np.isfinite(x).all(axis=1)
+    if overflow.any():
+        node = int(overflow.argmax())
+        raise NonFiniteResult(
+            f"steady-state entry for node {node} (block {cond.node_to_block[node]}) "
+            f"is not finite"
+        )
     x.setflags(write=False)
 
     return SteadyStateBasis(

@@ -9,6 +9,7 @@ implied graph coincide exactly off the diagonal.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -98,6 +99,8 @@ def validate(
             raise DuplicateEntry(i, j)
         seen.add((i, j))
         v = float(v)
+        if not math.isfinite(v):
+            raise ValidationError(f"entry ({i},{j}) = {v} is not finite")
         if i != j and v < 0:
             raise NegativeOffDiagonal(i, j, v)
         if v != 0.0:
@@ -280,7 +283,7 @@ def to_edge_list_json(system: CooperativeSystem) -> str:
         "edges": edges,
         "self": selfs,
     }
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def _require_list(value, what: str) -> list:

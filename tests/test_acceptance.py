@@ -93,7 +93,7 @@ def test_criterion_3_steady_state_residuals_and_dimension():
     worst_rel = 0.0
     for system in _marginal_fixture(200, base_seed=300):
         cond, spectra, report = full_analysis(system)
-        basis = steady_state_basis(cond, spectra, report.roles)
+        basis = steady_state_basis(cond, spectra, report)
         a = system.to_dense()
         scale = max(1.0, float(np.abs(a).sum(axis=1).max()))
         for vec in basis.vectors:
@@ -123,7 +123,7 @@ def test_criterion_4_path_sum_equals_recursion():
         system = generate_marginally_stable(spec)
         cond, spectra, report = full_analysis(system)
         assert cond.h <= 8
-        basis = steady_state_basis(cond, spectra, report.roles)
+        basis = steady_state_basis(cond, spectra, report)
         for k, vec in zip(basis.free_blocks, basis.vectors):
             ps = steady_state_by_path_sum(cond, spectra, k)
             err = float(np.max(np.abs(ps - vec)))
@@ -138,7 +138,7 @@ def test_criterion_5_trivial_blocks_match_basis_support():
     for system in _marginal_fixture(200, base_seed=900):
         cond, spectra, report = full_analysis(system)
         predicted = trivial_blocks(cond, spectra)
-        basis = steady_state_basis(cond, spectra, report.roles)
+        basis = steady_state_basis(cond, spectra, report)
         support_zero = set()
         for k in range(cond.h):
             nodes = list(cond.blocks[k].nodes)
@@ -159,7 +159,7 @@ def test_criterion_6_dynamics_consistency():
             skipped += 1
             continue
         cond, spectra, report = full_analysis(system)
-        basis = steady_state_basis(cond, spectra, report.roles)
+        basis = steady_state_basis(cond, spectra, report)
         rng = np.random.default_rng(i)
         m0 = rng.uniform(0.1, 1.0, size=system.n)
         projected = nullspace_projector(a, basis.vectors) @ m0
@@ -227,7 +227,7 @@ def test_criterion_8_compartmental_trap():
         assert len(find_traps(cond, spectra)) == 1
         assert report.verdict is Verdict.MARGINALLY_STABLE
         assert report.geometric_multiplicity_zero == 1
-        basis = steady_state_basis(cond, spectra, report.roles)
+        basis = steady_state_basis(cond, spectra, report)
         assert len(basis.vectors) == 1
         assert np.all(basis.vectors[0] >= 0) and basis.vectors[0].max() > 0
     print("\n[criterion 8] PASS: 100 compartmental systems, single trap each")

@@ -72,6 +72,64 @@ def test_parse_error_exit_64(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, text, command",
+    [
+        ("nan.mtx", f"{MM_HEADER}\n1 1 1\n1 1 nan\n", "analyze"),
+        ("inf.mtx", f"{MM_HEADER}\n2 2 1\n2 1 inf\n", "steady-state"),
+        ("nan.json", '{"n": 1, "self": [{"node": 0, "weight": NaN}]}', "analyze"),
+    ],
+)
+def test_non_finite_input_exit_64(tmp_path, capsys, name, text, command):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([command, str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
+def test_overflowing_steady_state_exit_70(tmp_path, capsys):
+    # finite weights whose propagation overflows: 1 -> 1e300 -> 1e600
+    path = tmp_path / "overflow.mtx"
+    path.write_text(f"{MM_HEADER}\n3 3 4\n2 1 1e300\n2 2 -1\n3 2 1e300\n3 3 -1\n")
+    assert main(["analyze", str(path)]) == 0
+    # parse_constant sees only NaN, Infinity and -Infinity
+    json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    with np.errstate(over="ignore"):
+        assert main(["steady-state", str(path)]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "block 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        "1 2 1e308\n2 1 1e308\n1 1 -1e308",  # absolute row sum overflows
+        "1 2 1\n2 1 1\n1 1 1e308",  # diagonal shift overflows
+    ],
+)
+def test_overflowing_block_norm_exit_70(tmp_path, capsys, entries):
+    path = tmp_path / "huge.mtx"
+    path.write_text(f"{MM_HEADER}\n2 2 3\n{entries}\n")
+    with np.errstate(over="ignore"):
+        assert main(["analyze", str(path)]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "block 0" in captured.err
+
+
+def test_steady_state_decides_the_verdict_once(monkeypatch, marginal, capsys):
+    import coopstab.stability as stability
+
+    calls = []
+    original = stability.verdict
+    monkeypatch.setattr(stability, "verdict", lambda *a: calls.append(a) or original(*a))
+    assert main(["steady-state", marginal]) == 0
+    assert len(calls) == 1
+
+
 def test_missing_file_exit_64(capsys):
     assert main(["analyze", "/nonexistent/file.mtx"]) == 64
 

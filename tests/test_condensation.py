@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import strongly_connected
+from conftest import strongly_connected, upstream_reachability
 from coopstab import (
     BadBlockOrder,
     condense,
@@ -10,7 +10,6 @@ from coopstab import (
     full_analysis,
     random_metzler,
     to_dot,
-    upstream_reachability,
     validate,
 )
 

@@ -80,7 +80,7 @@ def test_nilpotent_linear_growth():
 def test_marginal_trajectory_reaches_nullspace_projection():
     system = from_dense([[0, 0, 0], [0, 0, 0], [1, 2, -1]])
     cond, spectra, report = full_analysis(system)
-    basis = steady_state_basis(cond, spectra, report.roles)
+    basis = steady_state_basis(cond, spectra, report)
     p = nullspace_projector(system.to_dense(), basis.vectors)
     m0 = np.array([0.3, 1.1, 0.2])
     traj = simulate(system, m0, [100.0])

@@ -8,7 +8,6 @@ from coopstab import (
     NoConvergence,
     SpectralOptions,
     analyze_all_blocks,
-    class_index_sets,
     classify,
     condense,
     dominant_eigenpair,
@@ -74,8 +73,6 @@ def test_analyze_all_blocks_classes():
         BlockClass.SUB_CRITICAL,
         BlockClass.CRITICAL,
     ]
-    sets = class_index_sets(spectra)
-    assert sets.sub_critical == (0,) and sets.critical == (1,) and sets.super_critical == ()
 
 
 def test_spectrum_union_random_ten_by_ten():

@@ -1,9 +1,11 @@
-from types import MappingProxyType
+import tracemalloc
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import reference_verdict
 from coopstab import (
     BlockClass,
     CooperativeSystem,
@@ -93,7 +95,7 @@ def test_two_free_criticals_are_marginally_stable():
     assert report.verdict is Verdict.MARGINALLY_STABLE
     assert report.algebraic_multiplicity_zero == 2
     assert report.geometric_multiplicity_zero == 2
-    assert [r.is_free for r in report.roles] == [True, True, False]
+    assert [r.is_final_critical for r in report.roles] == [True, True, False]
 
 
 def test_super_critical_block_forces_instability():
@@ -115,6 +117,55 @@ def test_critical_path_witness_is_shortest():
     _, cond, spectra = _analyze(a)
     report = verdict(cond, spectra)
     assert report.unstable_reason.path == (0, 3)
+
+
+def _bare_condensation(h, edges, critical=(), super_critical=()):
+    """What `verdict` reads of a condensation and its spectra, and no more."""
+    cond = SimpleNamespace(h=h, dag_edges=frozenset(edges))
+    spectra = [
+        SimpleNamespace(classification=BlockClass.CRITICAL if k in critical
+                        else BlockClass.SUPER_CRITICAL if k in super_critical
+                        else BlockClass.SUB_CRITICAL)
+        for k in range(h)
+    ]
+    return cond, spectra
+
+
+def test_witness_follows_smallest_successor_not_nearest_target():
+    # two shortest routes from B0: via B1 to B5 and via B2 to B3
+    cond, spectra = _bare_condensation(
+        6, [(0, 1), (1, 5), (0, 2), (2, 3)], critical={0, 3, 5}
+    )
+    assert verdict(cond, spectra).unstable_reason == CriticalPath(0, 5, (0, 1, 5))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_verdict_matches_reachability_reference(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        h = int(rng.integers(1, 15))
+        density = rng.uniform(0.0, 0.9)
+        edges = [(l, k) for l in range(h) for k in range(l + 1, h) if rng.random() < density]
+        critical = set(np.flatnonzero(rng.random(h) < rng.uniform(0.1, 0.7)).tolist())
+        supers = set(np.flatnonzero(rng.random(h) < 0.1).tolist()) if rng.random() < 0.2 else set()
+        cond, spectra = _bare_condensation(h, edges, critical, supers - critical)
+        assert verdict(cond, spectra) == reference_verdict(cond, spectra)
+
+
+def test_verdict_on_long_chain_stays_linear_in_memory():
+    h = 20_000
+    cond, spectra = _bare_condensation(
+        h, [(k, k + 1) for k in range(h - 1)], critical={0, h - 1}
+    )
+    tracemalloc.start()
+    try:
+        report = verdict(cond, spectra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.unstable_reason == CriticalPath(0, h - 1, tuple(range(h)))
+    assert report.geometric_multiplicity_zero == 1
+    assert peak < 20 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +361,7 @@ def test_path_sum_equals_recursion_random(seed):
     spec = GeneratorSpec(topology="random-dag", num_blocks=(2, 6), block_size=(1, 2), seed=seed)
     system = generate_marginally_stable(spec)
     cond, spectra, report = full_analysis(system)
-    basis = steady_state_basis(cond, spectra, report.roles)
+    basis = steady_state_basis(cond, spectra, report)
     for k, vec in zip(basis.free_blocks, basis.vectors):
         ps = steady_state_by_path_sum(cond, spectra, k)
         np.testing.assert_allclose(ps, vec, rtol=0, atol=1e-10 * max(1.0, vec.max()))
@@ -325,7 +376,7 @@ def test_nullspace_dimension_and_residuals(seed):
     system = generate_marginally_stable(GeneratorSpec(seed=seed))
     cond, spectra, report = full_analysis(system)
     assert report.verdict is Verdict.MARGINALLY_STABLE
-    basis = steady_state_basis(cond, spectra, report.roles)
+    basis = steady_state_basis(cond, spectra, report)
     a = system.to_dense()
     scale = max(1.0, np.abs(a).sum(axis=1).max())
     for k, vec in zip(basis.free_blocks, basis.vectors):
@@ -346,7 +397,7 @@ def test_sub_critical_zero_iff_all_immediate_sources_zero(seed):
         GeneratorSpec(topology="random-dag", num_blocks=(2, 5), seed=seed)
     )
     cond, spectra, report = full_analysis(system)
-    basis = steady_state_basis(cond, spectra, report.roles)
+    basis = steady_state_basis(cond, spectra, report)
     combined = np.sum(basis.vectors, axis=0)
 
     def block_zero(k):

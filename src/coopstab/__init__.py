@@ -14,6 +14,7 @@ from .condensation import (
 )
 from .errors import (
     BadBlockOrder,
+    CondensationError,
     CoopStabError,
     DuplicateEntry,
     GapTooSmall,

@@ -281,6 +281,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.oracle_cmd == "limit-check":
         system = _load_system(args.input, args.format)
         cond = condense(system)
+        if not 0 <= args.block < cond.h:
+            raise ValidationError(f"--block {args.block} outside [0,{cond.h})")
         result = expm_limit_check(cond.blocks[args.block])
         print(_dumps({
             "block": args.block,

@@ -5,7 +5,8 @@ The dependence graph has an edge j -> i for every off-diagonal entry a_ij.
 Blocks are numbered 0..h-1 so that every cross-block entry couples a block l
 into a block k with l < k; permuting the node axis accordingly makes the
 matrix block lower-triangular. Block matrices are stored dense (SCCs are
-assumed small relative to n); cross-block couplings are kept sparse.
+assumed small relative to n), as views of one flat buffer; cross-block
+couplings are kept sparse. Everything is built from the system's coo arrays.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadBlockOrder
+from .errors import BadBlockOrder, CondensationError
 from .system import CooperativeSystem
 
 
@@ -59,36 +60,39 @@ class Condensation:
     cross_entries: Mapping[tuple[int, int], tuple[tuple[int, int, float], ...]]
 
 
-def _tarjan(n: int, adj: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Iterative Tarjan SCC. Explicit stack, no recursion, so graphs with very
-    long paths (n ~ 1e6) do not overflow the interpreter stack."""
+def _tarjan(n: int, indptr: np.ndarray, indices: np.ndarray) -> list[int]:
+    """Iterative Tarjan SCC over an out-neighbour CSR; returns the component
+    of every node. Explicit stack, no recursion, so graphs with very long
+    paths (n ~ 1e6) do not overflow the interpreter stack."""
+    ptr, nbrs = indptr.tolist(), indices.tolist()
     order = [-1] * n
     low = [0] * n
     on_stack = bytearray(n)
     stack: list[int] = []
     comp_of = [-1] * n
-    comps: list[list[int]] = []
+    comps = 0
     counter = 0
 
     for root in range(n):
         if order[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, -1)]
         while work:
-            v, ci = work[-1]
-            if ci == 0:
+            v, e = work[-1]
+            if e < 0:
                 order[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = 1
+                e = ptr[v]
             descended = False
-            nbrs = adj[v]
-            while ci < len(nbrs):
-                w = nbrs[ci]
-                ci += 1
+            end = ptr[v + 1]
+            while e < end:
+                w = nbrs[e]
+                e += 1
                 if order[w] == -1:
-                    work[-1] = (v, ci)
-                    work.append((w, 0))
+                    work[-1] = (v, e)
+                    work.append((w, -1))
                     descended = True
                     break
                 if on_stack[w] and order[w] < low[v]:
@@ -101,94 +105,111 @@ def _tarjan(n: int, adj: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
                 if low[v] < low[u]:
                     low[u] = low[v]
             if low[v] == order[v]:
-                comp = []
                 while True:
                     w = stack.pop()
                     on_stack[w] = 0
-                    comp_of[w] = len(comps)
-                    comp.append(w)
+                    comp_of[w] = comps
                     if w == v:
                         break
-                comps.append(comp)
-    return comps, comp_of
+                comps += 1
+    return comp_of
+
+
+def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Out-neighbour CSR of the edges src -> dst, neighbours ascending."""
+    order = np.lexsort((dst, src))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return indptr, dst[order]
+
+
+def _topological_order(min_node: np.ndarray, src: np.ndarray, dst: np.ndarray) -> list[int]:
+    """Kahn's algorithm on the component DAG, always taking the ready
+    component with the smallest node."""
+    c = len(min_node)
+    indptr, succ = (a.tolist() for a in _csr(src, dst, c))
+    indeg = np.bincount(dst, minlength=c).tolist()
+    key = min_node.tolist()
+    heap = [(key[a], a) for a in range(c) if indeg[a] == 0]
+    heapq.heapify(heap)
+    topo: list[int] = []
+    while heap:
+        _, a = heapq.heappop(heap)
+        topo.append(a)
+        for b in succ[indptr[a]:indptr[a + 1]]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                heapq.heappush(heap, (key[b], b))
+    if len(topo) != c:
+        raise CondensationError("the component graph has a cycle")
+    return topo
 
 
 def condense(system: CooperativeSystem) -> Condensation:
     """Decompose the dependence graph into SCCs in a deterministic topological
     order (ties broken by smallest original node index in the block)."""
     n = system.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in system.entries:
-        if i != j:
-            adj[j].append(i)
-    for lst in adj:
-        lst.sort()
+    rows, cols, vals = system.coo
+    off = rows != cols
+    comp_of = np.array(_tarjan(n, *_csr(cols[off], rows[off], n)), dtype=np.intp)
+    _, min_node = np.unique(comp_of, return_index=True)
+    c = len(min_node)
 
-    comps, comp_of = _tarjan(n, adj)
-    c = len(comps)
-    min_node = [min(comp) for comp in comps]
+    # Component DAG edges, once each, then blocks numbered in topological order.
+    ca, cb = comp_of[cols[off]], comp_of[rows[off]]
+    between = ca != cb
+    codes = np.unique(ca[between] * c + cb[between])
+    new_of = np.empty(c, dtype=np.intp)
+    new_of[_topological_order(min_node, codes // c, codes % c)] = np.arange(c)
+    node_block = new_of[comp_of]
 
-    succ: list[set[int]] = [set() for _ in range(c)]
-    for i, j in system.entries:
-        if i != j and comp_of[j] != comp_of[i]:
-            succ[comp_of[j]].add(comp_of[i])
+    # Nodes grouped by block, ascending within each; local position in block.
+    permutation = np.argsort(node_block, kind="stable")
+    size = np.bincount(node_block, minlength=c)
+    start = np.cumsum(size) - size
+    local = np.empty(n, dtype=np.intp)
+    local[permutation] = np.arange(n) - np.repeat(start, size)
 
-    indeg = [0] * c
-    for a in range(c):
-        for b in succ[a]:
-            indeg[b] += 1
-    heap = [(min_node[a], a) for a in range(c) if indeg[a] == 0]
-    heapq.heapify(heap)
-    topo: list[int] = []
-    while heap:
-        _, a = heapq.heappop(heap)
-        topo.append(a)
-        for b in succ[a]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(heap, (min_node[b], b))
-    assert len(topo) == c, "condensation of a directed graph must be acyclic"
-
-    new_of = [0] * c
-    for k, a in enumerate(topo):
-        new_of[a] = k
-
-    block_nodes = [sorted(comps[a]) for a in topo]
-    local_pos = [0] * n
-    for nodes in block_nodes:
-        for pos, node in enumerate(nodes):
-            local_pos[node] = pos
-
-    mats = [np.zeros((len(nodes), len(nodes))) for nodes in block_nodes]
-    cross: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
-    for (i, j), v in system.entries.items():
-        k = new_of[comp_of[i]]
-        l = new_of[comp_of[j]]
-        if k == l:
-            mats[k][local_pos[i], local_pos[j]] = v
-        else:
-            assert l < k, "topological order violated"
-            cross.setdefault((k, l), []).append((local_pos[i], local_pos[j], v))
-
-    blocks = []
-    for k, nodes in enumerate(block_nodes):
-        mats[k].setflags(write=False)
-        blocks.append(Block(index=k, nodes=tuple(nodes), matrix=mats[k]))
-
-    permutation = tuple(node for nodes in block_nodes for node in nodes)
-    node_to_block = tuple(new_of[comp_of[i]] for i in range(n))
-    cross_frozen = MappingProxyType(
-        {key: tuple(sorted(cells)) for key, cells in cross.items()}
+    # All block matrices live in one flat buffer, block k at offset[k].
+    k, l = node_block[rows], node_block[cols]
+    li, lj = local[rows], local[cols]
+    inner = k == l
+    offset = np.cumsum(size * size) - size * size
+    buf = np.zeros(int((size * size).sum()))
+    buf[offset[k[inner]] + li[inner] * size[k[inner]] + lj[inner]] = vals[inner]
+    buf.flags.writeable = False
+    nodes = permutation.tolist()
+    bounds = zip(start.tolist(), size.tolist(), offset.tolist())
+    blocks = tuple(
+        Block(index=b, nodes=tuple(nodes[s:s + d]), matrix=buf[o:o + d * d].reshape(d, d))
+        for b, (s, d, o) in enumerate(bounds)
     )
-    dag_edges = frozenset((l, k) for (k, l) in cross_frozen)
+
+    # Couplings grouped by (k, l) in order of first appearance, cells sorted.
+    cross = ~inner
+    k, l, li, lj, v = k[cross], l[cross], li[cross], lj[cross], vals[cross]
+    if np.any(l >= k):
+        raise CondensationError("a coupling runs against the topological order")
+    keys, first, group = np.unique(k * c + l, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(keys))
+    group = rank[group]
+    order = np.lexsort((lj, li, group))
+    cells = list(zip(li[order].tolist(), lj[order].tolist(), v[order].tolist()))
+    ends = np.cumsum(np.bincount(group, minlength=len(keys))).tolist()
+    keys = keys[by_first]
+    key_pairs = list(zip((keys // c).tolist(), (keys % c).tolist()))
+    cross_entries = {
+        key: tuple(cells[lo:hi]) for key, lo, hi in zip(key_pairs, [0] + ends, ends)
+    }
 
     return Condensation(
         h=c,
-        blocks=tuple(blocks),
-        dag_edges=dag_edges,
-        node_to_block=node_to_block,
-        permutation=permutation,
-        cross_entries=cross_frozen,
+        blocks=blocks,
+        dag_edges=frozenset((l, k) for k, l in key_pairs),
+        node_to_block=tuple(node_block.tolist()),
+        permutation=tuple(nodes),
+        cross_entries=MappingProxyType(cross_entries),
     )
 
 

@@ -72,6 +72,11 @@ class BadBlockOrder(CoopStabError):
     """Coupling requested with source block not strictly upstream of target."""
 
 
+class CondensationError(CoopStabError):
+    """The computed condensation breaks an invariant of its construction: a
+    defect in the program, not in the input."""
+
+
 class NoConvergence(CoopStabError):
     def __init__(self, iterations: int, last_residual: float, block_index: int | None = None):
         self.iterations = iterations

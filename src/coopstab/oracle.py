@@ -8,6 +8,7 @@ the decomposition must recover.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,6 +83,8 @@ def simulate(
         raise TooLargeForDense(system.n, DENSE_LIMIT)
     m0 = state_vector(m0, system.n, nonnegative=True)
     ts = [float(t) for t in times]
+    if not all(map(math.isfinite, ts)):
+        raise ValidationError(f"times must be finite, got {ts}")
     if any(t1 >= t2 for t1, t2 in zip(ts, ts[1:])):
         raise ValidationError("times must be strictly increasing")
     if not ts:
@@ -442,7 +445,8 @@ def spectrum_match_error(system: CooperativeSystem, cond=None) -> float:
     parts: list[complex] = []
     for block in cond.blocks:
         parts.extend(np.linalg.eigvals(block.matrix))
-    assert len(whole) == len(parts)
+    if len(whole) != len(parts):
+        raise ValidationError(f"condensation has {len(parts)} nodes, system has {len(whole)}")
     worst = 0.0
     pool = parts[:]
     for lam in sorted(whole, key=lambda z: (z.real, z.imag)):

@@ -10,6 +10,7 @@ slow.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,14 @@ class BlockSpectrum:
 
 
 def _inf_norm(m: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(m), axis=1))) if m.size else 0.0
+    """Max absolute row sum; inf when it overflows, which callers reject."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.sum(np.abs(m), axis=1))) if m.size else 0.0
+
+
+# The eigenvector of every singleton block, shared and read-only.
+_SINGLETON_PHI = np.ones(1)
+_SINGLETON_PHI.flags.writeable = False
 
 
 def _power_iteration(m: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray, float, int]:
@@ -121,7 +129,8 @@ def dominant_eigenpair(block: Block, opts: SpectralOptions | None = None) -> tup
         return float(b[0, 0]), np.ones(1)
 
     shift = float(np.max(np.abs(np.diag(b)))) + 1.0
-    m = b + shift * np.eye(d)
+    with np.errstate(over="ignore"):
+        m = b + shift * np.eye(d)
     tol = opts.eig_tol * max(1.0, _inf_norm(m))
     if not np.isfinite(tol):
         raise NonFiniteResult(f"block {block.index}: shifted matrix overflows")
@@ -150,26 +159,33 @@ def classify(mu: float, scale: float, opts: SpectralOptions | None = None) -> Bl
 
 def analyze_all_blocks(cond: Condensation, opts: SpectralOptions | None = None) -> list[BlockSpectrum]:
     """One BlockSpectrum per block, in topological order. Blocks are spectrally
-    independent, so failures are tagged with the offending block index."""
+    independent, so failures are tagged with the offending block index. A
+    singleton's pair is (a_ii, [1]) and its absolute row sum |a_ii|, read
+    directly with no eigensolve."""
     opts = opts or DEFAULT_OPTIONS
     out: list[BlockSpectrum] = []
     for block in cond.blocks:
-        scale = _inf_norm(block.matrix)
-        if not np.isfinite(scale):
+        singleton = block.size == 1
+        if singleton:
+            mu = float(block.matrix[0, 0])
+            scale, phi = abs(mu), _SINGLETON_PHI
+        else:
+            scale = _inf_norm(block.matrix)
+        if not math.isfinite(scale):
             raise NonFiniteResult(f"block {block.index}: absolute row sum overflows")
-        try:
-            mu, phi = dominant_eigenpair(block, opts)
-        except NoConvergence as exc:
-            raise NoConvergence(exc.iterations, exc.last_residual, block_index=block.index) from None
-        cls = classify(mu, scale, opts)
-        phi = phi.copy()
-        phi.setflags(write=False)
+        if not singleton:
+            try:
+                mu, phi = dominant_eigenpair(block, opts)
+            except NoConvergence as exc:
+                raise NoConvergence(exc.iterations, exc.last_residual, block_index=block.index) from None
+            phi = phi.copy()
+            phi.setflags(write=False)
         out.append(
             BlockSpectrum(
                 block_index=block.index,
                 mu=mu,
                 phi=phi,
-                classification=cls,
+                classification=classify(mu, scale, opts),
                 tolerance_used=opts.crit_tol_rel * max(1.0, scale),
             )
         )

@@ -261,10 +261,12 @@ def steady_state_basis(
             continue
         block = cond.blocks[l]
         rhs = np.zeros((block.size, len(final)))
-        for src in cone_sources:
-            src_nodes = cond.blocks[src].nodes
-            for li, lj, v in cond.cross_entries[(l, src)]:
-                rhs[li] += v * x[src_nodes[lj]]
+        # An overflow here is reported by the finiteness check on the result.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for src in cone_sources:
+                src_nodes = cond.blocks[src].nodes
+                for li, lj, v in cond.cross_entries[(l, src)]:
+                    rhs[li] += v * x[src_nodes[lj]]
         cols = rhs.any(axis=0).nonzero()[0]
         if not cols.size:
             continue

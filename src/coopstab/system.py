@@ -9,12 +9,11 @@ implied graph coincide exactly off the diagonal.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,21 +33,23 @@ Coord = tuple[int, int]
 EDGE_LIST_FIELDS = ("n", "labels", "edges", "self")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CooperativeSystem:
-    """Validated Metzler matrix; immutable and safe to share across threads."""
+    """Validated Metzler matrix; immutable and safe to share across threads.
+
+    `coo` is the stored form: read-only (rows, cols, vals) arrays in input
+    order, explicit zeros dropped, each coordinate at most once.
+    """
 
     n: int
-    entries: Mapping[Coord, float]
+    coo: tuple[np.ndarray, np.ndarray, np.ndarray]
     node_labels: tuple[str, ...]
 
     @cached_property
-    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Entries as (rows, cols, vals) arrays, in `entries` order."""
-        ij = np.array(list(self.entries), dtype=np.intp).reshape(-1, 2)
-        vals = np.fromiter(self.entries.values(), float, len(self.entries))
-        ij.flags.writeable = vals.flags.writeable = False
-        return ij[:, 0], ij[:, 1], vals
+    def entries(self) -> Mapping[Coord, float]:
+        """Read-only {(i, j): a_ij} view of `coo`, in the same order."""
+        rows, cols, vals = self.coo
+        return MappingProxyType(dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist())))
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -57,7 +58,9 @@ class CooperativeSystem:
 
     def edges(self) -> list[tuple[int, int]]:
         """Graph edges as (src, dst) pairs: entry a_ij yields edge j -> i."""
-        return sorted((j, i) for (i, j) in self.entries if i != j)
+        rows, cols, _ = self.coo
+        off = rows != cols
+        return sorted(zip(cols[off].tolist(), rows[off].tolist()))
 
     def inf_norm(self) -> float:
         """Max absolute row sum, computed without densifying."""
@@ -74,40 +77,116 @@ def validate(
 
     `raw_entries` is either a {(i, j): value} mapping or an iterable of
     (i, j, value) triples; the triple form can carry duplicates, which are a
-    hard error. Explicit zero entries are dropped.
+    hard error. Explicit zero entries are dropped. The first offending triple
+    in input order is reported, checked in this order: index type, index
+    range, duplicate coordinate, value conversion, finiteness, sign.
     """
     if not isinstance(n, int) or n < 1:
         raise ValidationError(f"system dimension must be a positive integer, got {n!r}")
 
     if isinstance(raw_entries, Mapping):
-        triples: Iterator[tuple[int, int, float]] = (
-            (i, j, v) for (i, j), v in raw_entries.items()
-        )
+        triples = [(i, j, v) for (i, j), v in raw_entries.items()]
     else:
-        triples = iter(raw_entries)
+        triples = list(raw_entries)
+    # Unpacking in place allocates nothing per triple; zip(*triples) makes an
+    # iterator per triple, enough to set off a full garbage collection.
+    raw_rows = [i for i, _, _ in triples]
+    raw_cols = [j for _, j, _ in triples]
+    raw_vals = [v for _, _, v in triples]
 
-    seen: set[Coord] = set()
-    entries: dict[Coord, float] = {}
-    for i, j, v in triples:
-        try:
-            i, j = operator.index(i), operator.index(j)
-        except TypeError:
-            raise IndexOutOfRange(i, j, n) from None
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRange(i, j, n)
-        if (i, j) in seen:
-            raise DuplicateEntry(i, j)
-        seen.add((i, j))
-        v = float(v)
-        if not math.isfinite(v):
-            raise ValidationError(f"entry ({i},{j}) = {v} is not finite")
-        if i != j and v < 0:
-            raise NegativeOffDiagonal(i, j, v)
-        if v != 0.0:
-            entries[(i, j)] = v
+    rows, bad_row = _index_column(raw_rows, n)
+    cols, bad_col = _index_column(raw_cols, n)
+    vals, not_float = _value_column(raw_vals)
+    not_index = bad_row | bad_col
+    in_range = (rows >= 0) & (cols >= 0)
+    order = np.lexsort((cols, rows))  # stable: a coordinate's first triple is not marked
+    repeat = (rows[order[1:]] == rows[order[:-1]]) & (cols[order[1:]] == cols[order[:-1]])
+    duplicate = np.zeros(len(triples), dtype=bool)
+    duplicate[order[1:][repeat]] = True
+    checks = (
+        not_index,
+        ~in_range & ~not_index,
+        duplicate & in_range,
+        not_float,
+        ~np.isfinite(vals),
+        (rows != cols) & (vals < 0),
+    )
+    failed = np.logical_or.reduce(checks)
+    if failed.any():
+        t = int(failed.argmax())
+        _raise_for(triples[t], [bool(c[t]) for c in checks], n)
 
+    keep = vals != 0.0
+    coo = (rows[keep], cols[keep], vals[keep])
+    for a in coo:
+        a.flags.writeable = False
     labels = _checked_labels(node_labels, n)
-    return CooperativeSystem(n=n, entries=MappingProxyType(entries), node_labels=labels)
+    return CooperativeSystem(n=n, coo=coo, node_labels=labels)
+
+
+def _array_of_kind(raw: Sequence, kinds: str) -> np.ndarray | None:
+    """`raw` as an array when NumPy reads it with a dtype kind in `kinds`."""
+    try:
+        arr = np.asarray(raw)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    return arr if arr.dtype.kind in kinds else None
+
+
+def _index_column(raw: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices as an intp array holding -1 where an index is out of [0, n) or
+    not an integer, and a mask of those `operator.index` rejects. Columns that
+    NumPy does not read as integers are checked one value at a time."""
+    arr = _array_of_kind(raw, "iu")
+    if arr is not None:
+        idx = arr.astype(np.intp)
+        idx[(arr < 0) | (arr >= n)] = -1
+        return idx, np.zeros(len(raw), dtype=bool)
+    idx = np.full(len(raw), -1, dtype=np.intp)
+    not_index = np.zeros(len(raw), dtype=bool)
+    for t, x in enumerate(raw):
+        try:
+            x = operator.index(x)
+        except TypeError:
+            not_index[t] = True
+            continue
+        if 0 <= x < n:
+            idx[t] = x
+    return idx, not_index
+
+
+def _value_column(raw: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Values as a float array holding 0.0 where `float` rejects a value, and
+    a mask of those. Columns that NumPy does not read as numbers are
+    converted one value at a time."""
+    arr = _array_of_kind(raw, "biuf")
+    if arr is not None:
+        return arr.astype(float), np.zeros(len(raw), dtype=bool)
+    vals = np.zeros(len(raw))
+    not_float = np.zeros(len(raw), dtype=bool)
+    for t, x in enumerate(raw):
+        try:
+            vals[t] = float(x)
+        except (TypeError, ValueError, OverflowError):
+            not_float[t] = True
+    return vals, not_float
+
+
+def _raise_for(triple: tuple, failed: list[bool], n: int) -> None:
+    """Raise the error for the first of `validate`'s checks the triple fails."""
+    not_index, out_of_range, duplicate, _, not_finite, _ = failed
+    i, j, v = triple
+    if not_index:
+        raise IndexOutOfRange(i, j, n)
+    i, j = operator.index(i), operator.index(j)
+    if out_of_range:
+        raise IndexOutOfRange(i, j, n)
+    if duplicate:
+        raise DuplicateEntry(i, j)
+    v = float(v)
+    if not_finite:
+        raise ValidationError(f"entry ({i},{j}) = {v} is not finite")
+    raise NegativeOffDiagonal(i, j, v)
 
 
 def from_dense(matrix: np.ndarray | list, node_labels: Iterable[str] | None = None) -> CooperativeSystem:
@@ -127,6 +206,10 @@ def state_vector(values: Iterable[float], n: int | None = None, *, nonnegative: 
         raise ValidationError(f"state vector must be one-dimensional, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValidationError(f"state vector has length {v.shape[0]}, system has {n} nodes")
+    finite = np.isfinite(v)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValidationError(f"state vector entry {bad} is not finite ({v[bad]})")
     if nonnegative and np.any(v < 0):
         bad = int(np.argmin(v))
         raise ValidationError(f"state vector entry {bad} is negative ({v[bad]})")
@@ -312,9 +395,7 @@ def _require_number(value, what: str) -> float:
 def is_compartmental(system: CooperativeSystem, tol_rel: float = 1e-12) -> bool:
     """True when every column sum is non-positive (a conserved quantity with
     possible external leaks)."""
-    col = np.zeros(system.n)
-    scale = 0.0
-    for (_, j), v in system.entries.items():
-        col[j] += v
-        scale = max(scale, abs(v))
+    _, cols, vals = system.coo
+    col = np.bincount(cols, vals, system.n)
+    scale = float(np.abs(vals).max(initial=0.0))
     return bool(np.all(col <= tol_rel * max(1.0, scale)))

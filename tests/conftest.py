@@ -1,7 +1,10 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import math
+import operator
 from collections import deque
+from typing import Mapping
 
 import numpy as np
 from scipy.linalg import null_space
@@ -10,10 +13,44 @@ from coopstab import (
     BlockClass,
     BlockRole,
     CriticalPath,
+    DuplicateEntry,
+    IndexOutOfRange,
+    NegativeOffDiagonal,
     StabilityReport,
     SuperCriticalBlock,
+    ValidationError,
     Verdict,
 )
+
+
+def reference_entries(raw_entries, n: int) -> dict:
+    """The per-triple validation loop `validate` replaced by array checks:
+    the accepted {(i, j): value} entries in input order, or the error of the
+    first offending triple."""
+    if isinstance(raw_entries, Mapping):
+        triples = ((i, j, v) for (i, j), v in raw_entries.items())
+    else:
+        triples = iter(raw_entries)
+    seen = set()
+    entries = {}
+    for i, j, v in triples:
+        try:
+            i, j = operator.index(i), operator.index(j)
+        except TypeError:
+            raise IndexOutOfRange(i, j, n) from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexOutOfRange(i, j, n)
+        if (i, j) in seen:
+            raise DuplicateEntry(i, j)
+        seen.add((i, j))
+        v = float(v)
+        if not math.isfinite(v):
+            raise ValidationError(f"entry ({i},{j}) = {v} is not finite")
+        if i != j and v < 0:
+            raise NegativeOffDiagonal(i, j, v)
+        if v != 0.0:
+            entries[(i, j)] = v
+    return entries
 
 
 def bfs_reachable(adj: list[list[int]], start: int) -> set[int]:

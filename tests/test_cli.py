@@ -1,8 +1,12 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopstab import from_dense, load_matrix_market, to_matrix_market
 from coopstab.cli import main
@@ -89,6 +93,13 @@ def test_non_finite_input_exit_64(tmp_path, capsys, name, text, command):
     assert "not finite" in captured.err
 
 
+def _only_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+# A RuntimeWarning raised as an error shows any overflow warning the CLI
+# would print before its error line.
+@pytest.mark.filterwarnings("error")
 def test_overflowing_steady_state_exit_70(tmp_path, capsys):
     # finite weights whose propagation overflows: 1 -> 1e300 -> 1e600
     path = tmp_path / "overflow.mtx"
@@ -96,11 +107,11 @@ def test_overflowing_steady_state_exit_70(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 0
     # parse_constant sees only NaN, Infinity and -Infinity
     json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
-    with np.errstate(over="ignore"):
-        assert main(["steady-state", str(path)]) == 70
+    assert main(["steady-state", str(path)]) == 70
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "block 2" in captured.err
+    assert _only_error_line(captured.err)
 
 
 @pytest.mark.parametrize(
@@ -110,14 +121,15 @@ def test_overflowing_steady_state_exit_70(tmp_path, capsys):
         "1 2 1\n2 1 1\n1 1 1e308",  # diagonal shift overflows
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_overflowing_block_norm_exit_70(tmp_path, capsys, entries):
     path = tmp_path / "huge.mtx"
     path.write_text(f"{MM_HEADER}\n2 2 3\n{entries}\n")
-    with np.errstate(over="ignore"):
-        assert main(["analyze", str(path)]) == 70
+    assert main(["analyze", str(path)]) == 70
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "block 0" in captured.err
+    assert _only_error_line(captured.err)
 
 
 def test_steady_state_decides_the_verdict_once(monkeypatch, marginal, capsys):
@@ -201,6 +213,19 @@ def test_simulate_initial_file(tmp_path, capsys):
     np.testing.assert_allclose([float(x) for x in row], [10.0, 1.0, 10.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("times, initial", [("nan,inf", None), ("1,inf", None), ("1", "1 nan")])
+def test_simulate_rejects_non_finite_input(tmp_path, capsys, times, initial):
+    path = _write(tmp_path, "decay.mtx", [[-1.0, 0.0], [1.0, -1.0]])
+    args = ["simulate", path, "--times", times]
+    if initial is not None:
+        (tmp_path / "init.txt").write_text(initial)
+        args += ["--initial", str(tmp_path / "init.txt")]
+    assert main(args) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_oracle_dense_verdict(unstable, capsys):
     assert main(["oracle", "dense-verdict", unstable]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -215,6 +240,15 @@ def test_oracle_limit_check(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["residual"] < 1e-8
     assert payload["certified_to_t"] == 25.0
+
+
+@pytest.mark.parametrize("block", ["2", "9", "-1"])
+def test_oracle_limit_check_rejects_block_out_of_range(capsys, block):
+    path = str(FIXTURES / "feed.mtx")  # two blocks
+    assert main(["oracle", "limit-check", path, "--block", block]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--block {block} outside [0,2)" in captured.err
 
 
 def test_oracle_generate_round_trips(capsys):
@@ -284,3 +318,62 @@ def test_oracle_generate_config_file(tmp_path, capsys):
     assert main(["oracle", "generate", "--config", str(config)]) == 0
     system = load_matrix_market(capsys.readouterr().out)
     assert system.n == 3
+
+
+# ---------------------------------------------------------------------------
+# The analyze contract on arbitrary Matrix Market text
+# ---------------------------------------------------------------------------
+
+MM_FAULTS = (
+    "out of range", "repeat", "negative", "nan", "inf", "short line", "long line",
+    "not a number", "count", "size line", "banner",
+)
+
+
+@st.composite
+def matrix_market_text(draw):
+    """Valid files, some with huge weights, with up to two faults planted:
+    an entry out of range, repeated, negative, non-finite or malformed, a
+    wrong entry count, a bad size line or a bad banner."""
+    n = draw(st.integers(1, 4))
+    cell = st.tuples(st.integers(1, n), st.integers(1, n))
+    weight = st.sampled_from(["1", "0", "-0", "2.5", "1e300", "1e-320"])
+    self_weight = weight | st.sampled_from(["-1", "-1e308"])
+    lines = [
+        f"{i} {j} {draw(self_weight if i == j else weight)}"
+        for i, j in draw(st.lists(cell, max_size=8, unique=True))
+    ]
+    banner, size, extra = MM_HEADER, None, 0
+    for fault in draw(st.lists(st.sampled_from(MM_FAULTS), max_size=2)):
+        i, j = draw(cell)
+        line = {
+            "out of range": f"{draw(st.sampled_from([0, n + 1]))} {j} 1",
+            "repeat": draw(st.sampled_from(lines)) if lines else None,
+            "negative": f"{i} {j} -2",
+            "nan": f"{i} {j} nan",
+            "inf": f"{i} {j} {draw(st.sampled_from(['inf', '-inf']))}",
+            "short line": f"{i} {j}",
+            "long line": f"{i} {j} 1 1",
+            "not a number": f"{i} {j} x",
+        }.get(fault)
+        if line is not None:
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        extra += fault == "count"
+        size = "x y z" if fault == "size line" else size
+        banner = banner.replace("real", "complex") if fault == "banner" else banner
+    size = size or f"{n} {n} {len(lines) + extra}"
+    return "\n".join([banner, size, *lines]) + "\n"
+
+
+@given(matrix_market_text())
+@settings(max_examples=300, deadline=None)
+def test_analyze_contract_on_arbitrary_matrix_market(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "system.mtx"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["analyze", str(path)])  # an uncaught exception fails here
+    assert code in {0, 1, 2, 64, 70}
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=pytest.fail)

@@ -198,6 +198,23 @@ def test_reachability_matches_floyd_warshall(seed):
     np.testing.assert_array_equal(reach, closure)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_cross_entries_keep_input_order_with_sorted_cells(seed):
+    dense = random_metzler(14, density=0.3, seed=200 + seed).to_dense()
+    triples = [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))]
+    order = np.random.default_rng(seed).permutation(len(triples))
+    system = validate([triples[t] for t in order], 14)
+    cond = condense(system)
+    pos = {node: p for b in cond.blocks for p, node in enumerate(b.nodes)}
+    expected = {}
+    for (i, j), v in system.entries.items():
+        k, l = cond.node_to_block[i], cond.node_to_block[j]
+        if k != l:
+            expected.setdefault((k, l), []).append((pos[i], pos[j], v))
+    assert list(cond.cross_entries) == list(expected)
+    assert dict(cond.cross_entries) == {key: tuple(sorted(c)) for key, c in expected.items()}
+
+
 def test_condense_deterministic():
     system = random_metzler(10, density=0.3, seed=7)
     c1, c2 = condense(system), condense(system)

@@ -1,5 +1,5 @@
 import tracemalloc
-from types import MappingProxyType, SimpleNamespace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,7 +252,7 @@ def test_negative_steady_state_entry_names_block_and_node():
     # 2 is a critical source, node 0 a sub-critical sink fed by -1.0
     system = CooperativeSystem(
         n=3,
-        entries=MappingProxyType({(0, 0): -2.0, (0, 2): -1.0, (1, 1): -1.0}),
+        coo=(np.array([0, 0, 1]), np.array([0, 2, 1]), np.array([-2.0, -1.0, -1.0])),
         node_labels=("a", "b", "c"),
     )
     cond = condense(system)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_entries
 from coopstab import (
     DuplicateEntry,
     IndexOutOfRange,
@@ -244,3 +247,71 @@ def test_from_dense_matches_validate():
 def test_is_compartmental():
     assert is_compartmental(from_dense([[-1.0, 0.0], [1.0, 0.0]]))
     assert not is_compartmental(from_dense([[-1.0, 0.0], [2.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# validate against the per-triple reference loop
+# ---------------------------------------------------------------------------
+
+ODD_INDICES = st.sampled_from([True, 1.0, 2.5, "1", None, np.int64(1), np.uint8(2), 2**70])
+ODD_VALUES = st.sampled_from([10**400, "2.5", "x", None, 1j, np.float32(0.5), True, 2**64])
+
+
+@st.composite
+def raw_triples(draw):
+    """Valid triples with up to three faults planted: a bad or oddly typed
+    index, a negative, non-finite or oddly typed value, or a repeated
+    coordinate."""
+    n = draw(st.integers(1, 5))
+    cell = st.integers(0, n - 1)
+    value = st.one_of(st.floats(0, 3), st.integers(0, 3), st.just(-0.0))
+    unique = st.lists(st.tuples(cell, cell, value), max_size=10, unique_by=lambda t: t[:2])
+    triples = [list(t) for t in draw(unique)]
+    bad_index = st.one_of(st.sampled_from([-1, n, -(2**70)]), ODD_INDICES)
+    bad_value = st.one_of(
+        st.floats(max_value=-1e-300, allow_infinity=False),
+        st.integers(-3, -1),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        ODD_VALUES,
+    )
+    for _ in range(draw(st.integers(0, 3)) if triples else 0):
+        t = draw(st.integers(0, len(triples) - 1))
+        kind = draw(st.sampled_from(("row", "col", "value", "duplicate")))
+        if kind == "duplicate":
+            triples[t][:2] = triples[draw(st.integers(0, len(triples) - 1))][:2]
+            triples[t][2] = draw(value | bad_value)
+        elif kind == "value":
+            triples[t][2] = draw(bad_value)
+        else:
+            triples[t][kind == "col"] = draw(bad_index)
+    return [tuple(t) for t in triples], n
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+@given(raw_triples(), st.booleans())
+@example(([(1.5, 9, 1.0)], 2), False)  # index type before range
+@example(([(0, 1, 1.0), (0, 1, "x")], 2), False)  # duplicate before conversion
+@example(([(0, 1, 1.0), (0, 1, math.nan)], 2), False)  # duplicate before finiteness
+@example(([(0, 1, -math.inf)], 2), False)  # finiteness before sign
+@example(([(0, 1, -1.0), (5, 5, 1.0)], 2), True)  # input order before check order
+@settings(max_examples=400, deadline=None)
+def test_validate_matches_reference_loop(case, as_mapping):
+    triples, n = case
+    raw = {(i, j): v for i, j, v in triples} if as_mapping else triples
+
+    def accepted():
+        rows, cols, vals = validate(raw, n).coo
+        assert rows.dtype == cols.dtype == np.intp and vals.dtype == np.float64
+        assert not (rows.flags.writeable or cols.flags.writeable or vals.flags.writeable)
+        return list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
+
+    def expected():
+        return [(i, j, v) for (i, j), v in reference_entries(raw, n).items()]
+
+    assert _outcome(accepted) == _outcome(expected)

@@ -9,6 +9,7 @@ output; --pretty prints a human table.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -227,15 +228,25 @@ def cmd_steady_state(args: argparse.Namespace) -> int:
     if forced:
         print("WARNING: system is not marginally stable; vectors are not stable equilibria",
               file=sys.stderr)
-    payload = _basis_payload(system, basis, opts, forced)
-    if args.pretty:
-        for vec in payload["vectors"]:
-            print(f"{vec['alpha']} (free block B{vec['free_block']}, "
-                  f"residual {vec['residual_inf']:.3e}):")
-            for label, value in zip(payload["labels"], vec["values"]):
-                print(f"  {label}: {value:.12g}")
-    else:
-        print(_dumps(payload))
+    # The payload is F lists of n floats without cycles; a collection that
+    # falls while it is alive walks every float (about 5 ms at n*F = 5e5),
+    # so it is built, printed and freed with the collector paused.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        payload = _basis_payload(system, basis, opts, forced)
+        if args.pretty:
+            for vec in payload["vectors"]:
+                print(f"{vec['alpha']} (free block B{vec['free_block']}, "
+                      f"residual {vec['residual_inf']:.3e}):")
+                for label, value in zip(payload["labels"], vec["values"]):
+                    print(f"  {label}: {value:.12g}")
+        else:
+            print(_dumps(payload))
+        del payload
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 
@@ -251,11 +262,19 @@ def cmd_condense(args: argparse.Namespace) -> int:
     return 0
 
 
+def _numbers(tokens: list[str], source: str) -> list[float]:
+    """Parse number tokens; a malformed one is an input error naming it."""
+    try:
+        return [float(token) for token in tokens]
+    except ValueError as exc:
+        raise ValidationError(f"{source}: {exc}") from None
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     system = _load_system(args.input, args.format)
-    times = [float(t) for t in args.times.split(",") if t.strip()]
+    times = _numbers([t for t in args.times.split(",") if t.strip()], "--times")
     if args.initial:
-        values = [float(x) for x in Path(args.initial).read_text().split()]
+        values = _numbers(Path(args.initial).read_text().split(), f"--initial {args.initial}")
         m0 = state_vector(values, system.n, nonnegative=True)
     else:
         m0 = np.ones(system.n)
@@ -427,6 +446,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     except CoopStabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC_ERROR
+    except (ArithmeticError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
+        print(f"error: numeric failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
 
 

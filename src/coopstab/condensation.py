@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -48,8 +49,10 @@ class Condensation:
     """Blocks in topological order plus the sparse cross-block structure.
 
     dag_edges holds (l, k) pairs, l < k, meaning at least one matrix entry
-    couples block l into block k. cross_entries maps (k, l) to the nonzero
-    coupling cells as (local_row, local_col, value) triples.
+    couples block l into block k. `cross` is the stored form of the couplings:
+    read-only (target block, target node, source node, value) arrays, one
+    cell per nonzero cross-block entry, grouped by (k, l) in order of first
+    appearance in the input, cells sorted within a group.
     """
 
     h: int
@@ -57,7 +60,17 @@ class Condensation:
     dag_edges: frozenset[tuple[int, int]]
     node_to_block: tuple[int, ...]
     permutation: tuple[int, ...]
-    cross_entries: Mapping[tuple[int, int], tuple[tuple[int, int, float], ...]]
+    cross: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+    @cached_property
+    def cross_entries(self) -> Mapping[tuple[int, int], tuple[tuple[int, int, float], ...]]:
+        """Read-only {(k, l): ((local_row, local_col, value), ...)} view of
+        `cross`, in the same order."""
+        pos = {node: p for b in self.blocks for p, node in enumerate(b.nodes)}
+        groups: dict[tuple[int, int], list] = {}
+        for k, i, j, v in zip(*(a.tolist() for a in self.cross)):
+            groups.setdefault((k, self.node_to_block[j]), []).append((pos[i], pos[j], v))
+        return MappingProxyType({key: tuple(cells) for key, cells in groups.items()})
 
 
 def _tarjan(n: int, indptr: np.ndarray, indices: np.ndarray) -> list[int]:
@@ -186,30 +199,24 @@ def condense(system: CooperativeSystem) -> Condensation:
 
     # Couplings grouped by (k, l) in order of first appearance, cells sorted.
     cross = ~inner
-    k, l, li, lj, v = k[cross], l[cross], li[cross], lj[cross], vals[cross]
+    k, l, li, lj = k[cross], l[cross], li[cross], lj[cross]
     if np.any(l >= k):
         raise CondensationError("a coupling runs against the topological order")
     keys, first, group = np.unique(k * c + l, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(keys))
-    group = rank[group]
-    order = np.lexsort((lj, li, group))
-    cells = list(zip(li[order].tolist(), lj[order].tolist(), v[order].tolist()))
-    ends = np.cumsum(np.bincount(group, minlength=len(keys))).tolist()
-    keys = keys[by_first]
-    key_pairs = list(zip((keys // c).tolist(), (keys % c).tolist()))
-    cross_entries = {
-        key: tuple(cells[lo:hi]) for key, lo, hi in zip(key_pairs, [0] + ends, ends)
-    }
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(keys))
+    order = np.lexsort((lj, li, rank[group]))
+    arrays = (k[order], rows[cross][order], cols[cross][order], vals[cross][order])
+    for a in arrays:
+        a.flags.writeable = False
 
     return Condensation(
         h=c,
         blocks=blocks,
-        dag_edges=frozenset((l, k) for k, l in key_pairs),
+        dag_edges=frozenset(zip((keys % c).tolist(), (keys // c).tolist())),
         node_to_block=tuple(node_block.tolist()),
         permutation=tuple(nodes),
-        cross_entries=MappingProxyType(cross_entries),
+        cross=arrays,
     )
 
 

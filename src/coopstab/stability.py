@@ -10,10 +10,11 @@ backward sweep over the block DAG.
 
 A basis vector for free block k is zero outside the cone downstream of k and
 carries the block's positive eigenvector on k itself. All basis vectors are
-propagated together, as the columns of one array, in a single sweep over the
-blocks in topological order: each sub-critical block in some cone is
-factorized once for all free parameters, and singletons are solved by
-division. The alternating path-sum form of the same propagation is
+propagated together, as the columns of one array, one DAG level at a time:
+the blocks of a level depend on lower levels only, so all their couplings
+are gathered in one step and all their singletons solved by one division;
+each multi-node block in some cone is factorized once for all free
+parameters. The alternating path-sum form of the same propagation is
 kept as a cross-validation oracle only; enumerating block paths is
 exponential in the condensation size.
 """
@@ -200,16 +201,41 @@ def full_analysis(
 
 def _solve_block(cond: Condensation, l: int, rhs: np.ndarray) -> np.ndarray:
     """Solve B_l X = rhs column by column (a multi-column LU solve rounds
-    differently); a singleton divides by its diagonal."""
+    differently); a column that is not finite has no finite solution."""
     b = cond.blocks[l].matrix
-    if b.shape == (1, 1):
-        return rhs / b[0, 0]
     lu, piv = lu_factor(b)
     if np.min(np.abs(np.diag(lu))) <= TINY_PIVOT_REL * max(
         1e-300, float(np.max(np.sum(np.abs(b), axis=1)))
     ):
         raise SingularSubCriticalSolve(l)
-    return np.column_stack([lu_solve((lu, piv), col) for col in rhs.T])
+    return np.column_stack([
+        lu_solve((lu, piv), col) if np.isfinite(col).all() else np.full(len(col), np.inf)
+        for col in rhs.T
+    ])
+
+
+def _levels(cond: Condensation, sub: np.ndarray):
+    """Yield the couplings into sub-critical blocks as (rows, cols, vals) and
+    the blocks they feed, one level at a time. A block lies one level below
+    its deepest source, so it depends on lower levels only. Stable sorts keep
+    the order of `cond.cross` within every row and ascending block indices
+    within every level."""
+    target, rows, cols, vals = (a[sub[cond.cross[0]]] for a in cond.cross)
+    edges = np.unique(target * cond.h + np.asarray(cond.node_to_block)[cols])  # by target
+    depth = [0] * cond.h
+    for k, l in zip((edges // cond.h).tolist(), (edges % cond.h).tolist()):
+        if depth[k] <= depth[l]:
+            depth[k] = depth[l] + 1
+    depth = np.array(depth)
+    top = int(depth.max(initial=0))
+
+    def by_level(level: np.ndarray) -> list[np.ndarray]:
+        ends = np.cumsum(np.bincount(level, minlength=top + 1))[:-1]
+        return np.split(np.argsort(level, kind="stable"), ends)
+
+    cells, blocks = by_level(depth[target]), by_level(depth)
+    for d in range(1, top + 1):
+        yield rows[cells[d]], cols[cells[d]], vals[cells[d]], blocks[d]
 
 
 def steady_state_basis(
@@ -228,6 +254,10 @@ def steady_state_basis(
     system that is unstable only through a critical-critical path.
     Super-critical blocks always refuse: the construction is not defined for
     them.
+
+    Each level's right-hand sides are summed in one step in the order of
+    `cond.cross`, so they round exactly as block by block; when several
+    blocks fail, the lowest-indexed one raises, as in a sweep in block order.
     """
     classes = _classes(spectra)
     if report is None:
@@ -245,40 +275,53 @@ def steady_state_basis(
         )
     final = [r.block_index for r in report.roles if r.is_final_critical]
 
-    sources_of: dict[int, list[int]] = {}
-    for (k, l) in cond.cross_entries:
-        sources_of.setdefault(k, []).append(l)
+    size = np.bincount(cond.node_to_block, minlength=cond.h)
+    first_node = np.asarray(cond.permutation)[np.cumsum(size) - size]
+    diag = np.array([s.mu for s in spectra])  # a singleton's mu is its diagonal entry
+    sub = np.array([c is BlockClass.SUB_CRITICAL for c in classes])
 
-    # One column per free block; blocks join the cone in topological order.
+    # One column per free block.
     x = np.zeros((len(cond.node_to_block), len(final)), order="F")
-    in_cone = [False] * cond.h
     for col, k in enumerate(final):
         x[list(cond.blocks[k].nodes), col] = spectra[k].phi
-        in_cone[k] = True
-    for l in range(cond.h):
-        cone_sources = [s for s in sources_of.get(l, ()) if in_cone[s]]
-        if classes[l] is not BlockClass.SUB_CRITICAL or not cone_sources:
-            continue
-        block = cond.blocks[l]
-        rhs = np.zeros((block.size, len(final)))
-        # An overflow here is reported by the finiteness check on the result.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for src in cone_sources:
-                src_nodes = cond.blocks[src].nodes
-                for li, lj, v in cond.cross_entries[(l, src)]:
-                    rhs[li] += v * x[src_nodes[lj]]
-        cols = rhs.any(axis=0).nonzero()[0]
-        if not cols.size:
-            continue
-        sol = _solve_block(cond, l, -rhs[:, cols])
-        too_negative = sol < -10.0 * residual_tol * np.maximum(1.0, abs(sol).max(axis=0))
-        if too_negative.any():
-            col = too_negative.any(axis=0).argmax()
-            worst = int(sol[:, col].argmin())
-            raise NegativeSteadyStateEntry(l, block.nodes[worst], float(sol[worst, col]))
-        sol[sol < 0] = 0.0
-        x[np.array(block.nodes)[:, None], cols] = sol
-        in_cone[l] = True
+    failures: dict[int, Exception] = {}
+    # An overflow here is reported by the finiteness check on the result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, cols, vals, level in _levels(cond, sub):
+            np.add.at(x, rows, vals[:, None] * x[cols])
+
+            single = level[size[level] == 1]
+            nodes = first_node[single]
+            sol = -x[nodes] / diag[single, None]
+            bad = sol < -10.0 * residual_tol * np.maximum(1.0, abs(sol))
+            if bad.any():
+                t = int(bad.any(axis=1).argmax())
+                failures[int(single[t])] = NegativeSteadyStateEntry(
+                    int(single[t]), int(nodes[t]), float(sol[t, bad[t].argmax()])
+                )
+            sol[sol < 0] = 0.0
+            x[nodes] = sol
+
+            for l in level[size[level] > 1].tolist():
+                nodes = cond.blocks[l].nodes
+                rhs = x[list(nodes)]
+                solved = rhs.any(axis=0).nonzero()[0]
+                if not solved.size:
+                    continue
+                try:
+                    sol = _solve_block(cond, l, -rhs[:, solved])
+                except SingularSubCriticalSolve as exc:
+                    failures[l] = exc
+                    continue
+                bad = sol < -10.0 * residual_tol * np.maximum(1.0, abs(sol).max(axis=0))
+                if bad.any():
+                    col = bad.any(axis=0).argmax()
+                    worst = int(sol[:, col].argmin())
+                    failures[l] = NegativeSteadyStateEntry(l, nodes[worst], float(sol[worst, col]))
+                sol[sol < 0] = 0.0
+                x[np.array(nodes)[:, None], solved] = sol
+    if failures:
+        raise failures[min(failures)]
     overflow = ~np.isfinite(x).all(axis=1)
     if overflow.any():
         node = int(overflow.argmax())

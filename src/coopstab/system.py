@@ -389,7 +389,10 @@ def _require_keys(obj, required: tuple[str, ...], what: str, optional: tuple[str
 def _require_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(0, f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(0, f"{what} is not finite as a float") from None
 
 
 def is_compartmental(system: CooperativeSystem, tol_rel: float = 1e-12) -> bool:

@@ -7,7 +7,7 @@ from collections import deque
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import lu_factor, lu_solve, null_space
 
 from coopstab import (
     BlockClass,
@@ -16,11 +16,18 @@ from coopstab import (
     DuplicateEntry,
     IndexOutOfRange,
     NegativeOffDiagonal,
+    NegativeSteadyStateEntry,
+    NonFiniteResult,
+    NotMarginallyStable,
+    SingularSubCriticalSolve,
     StabilityReport,
+    SteadyStateBasis,
     SuperCriticalBlock,
     ValidationError,
     Verdict,
+    verdict,
 )
+from coopstab.stability import TINY_PIVOT_REL, _refuse_super_critical
 
 
 def reference_entries(raw_entries, n: int) -> dict:
@@ -179,4 +186,99 @@ def reference_verdict(cond, spectra) -> StabilityReport:
         algebraic_multiplicity_zero=len(critical),
         geometric_multiplicity_zero=len(final),
         roles=tuple(BlockRole(k, k in trivial, k in final) for k in range(cond.h)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference steady-state basis: one sequential sweep over the blocks in
+# index order, against which the level-scheduled sweep is checked bitwise.
+# ---------------------------------------------------------------------------
+
+def _reference_solve_block(cond, l: int, rhs: np.ndarray) -> np.ndarray:
+    """Solve B_l X = rhs column by column (a multi-column LU solve rounds
+    differently); a singleton divides by its diagonal. A column that is not
+    finite gets an infinite solution, where lu_solve would raise."""
+    b = cond.blocks[l].matrix
+    if b.shape == (1, 1):
+        return rhs / b[0, 0]
+    lu, piv = lu_factor(b)
+    if np.min(np.abs(np.diag(lu))) <= TINY_PIVOT_REL * max(
+        1e-300, float(np.max(np.sum(np.abs(b), axis=1)))
+    ):
+        raise SingularSubCriticalSolve(l)
+    return np.column_stack([
+        lu_solve((lu, piv), col) if np.isfinite(col).all() else np.full(len(col), np.inf)
+        for col in rhs.T
+    ])
+
+
+def reference_steady_state_basis(
+    cond, spectra, report=None, *, force=False, residual_tol=1e-10
+) -> SteadyStateBasis:
+    """The block-by-block sweep: every sub-critical block with a source in
+    some cone is solved in index order from `cross_entries`, and the first
+    failing block raises. Unlike the sweep it stood for, a non-finite column
+    of a multi-node block gets an infinite solution (lu_solve raised a
+    ValueError) and the solve runs under `np.errstate` too."""
+    classes = [s.classification for s in spectra]
+    if report is None:
+        report = verdict(cond, spectra)
+    _refuse_super_critical(report)
+    if report.verdict is Verdict.ASYMPTOTICALLY_STABLE:
+        raise NotMarginallyStable(
+            "all blocks are sub-critical; the only fixed point is zero"
+        )
+    witness = report.unstable_reason
+    if witness is not None and not force:
+        raise NotMarginallyStable(
+            f"critical blocks {witness.upstream_block} and {witness.downstream_block} "
+            f"are connected by a path"
+        )
+    final = [r.block_index for r in report.roles if r.is_final_critical]
+
+    sources_of: dict[int, list[int]] = {}
+    for (k, l) in cond.cross_entries:
+        sources_of.setdefault(k, []).append(l)
+
+    x = np.zeros((len(cond.node_to_block), len(final)), order="F")
+    in_cone = [False] * cond.h
+    for col, k in enumerate(final):
+        x[list(cond.blocks[k].nodes), col] = spectra[k].phi
+        in_cone[k] = True
+    for l in range(cond.h):
+        cone_sources = [s for s in sources_of.get(l, ()) if in_cone[s]]
+        if classes[l] is not BlockClass.SUB_CRITICAL or not cone_sources:
+            continue
+        block = cond.blocks[l]
+        rhs = np.zeros((block.size, len(final)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for src in cone_sources:
+                src_nodes = cond.blocks[src].nodes
+                for li, lj, v in cond.cross_entries[(l, src)]:
+                    rhs[li] += v * x[src_nodes[lj]]
+        cols = rhs.any(axis=0).nonzero()[0]
+        if not cols.size:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = _reference_solve_block(cond, l, -rhs[:, cols])
+        too_negative = sol < -10.0 * residual_tol * np.maximum(1.0, abs(sol).max(axis=0))
+        if too_negative.any():
+            col = too_negative.any(axis=0).argmax()
+            worst = int(sol[:, col].argmin())
+            raise NegativeSteadyStateEntry(l, block.nodes[worst], float(sol[worst, col]))
+        sol[sol < 0] = 0.0
+        x[np.array(block.nodes)[:, None], cols] = sol
+        in_cone[l] = True
+    overflow = ~np.isfinite(x).all(axis=1)
+    if overflow.any():
+        node = int(overflow.argmax())
+        raise NonFiniteResult(
+            f"steady-state entry for node {node} (block {cond.node_to_block[node]}) "
+            f"is not finite"
+        )
+    x.setflags(write=False)
+    return SteadyStateBasis(
+        vectors=tuple(x.T),
+        free_blocks=tuple(final),
+        free_parameters=tuple(f"alpha_{k}" for k in final),
     )

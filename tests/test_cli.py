@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -82,6 +83,7 @@ def test_parse_error_exit_64(tmp_path, capsys):
         ("nan.mtx", f"{MM_HEADER}\n1 1 1\n1 1 nan\n", "analyze"),
         ("inf.mtx", f"{MM_HEADER}\n2 2 1\n2 1 inf\n", "steady-state"),
         ("nan.json", '{"n": 1, "self": [{"node": 0, "weight": NaN}]}', "analyze"),
+        ("huge.json", '{"n": 1, "self": [{"node": 0, "weight": 1%s}]}' % ("0" * 400), "analyze"),
     ],
 )
 def test_non_finite_input_exit_64(tmp_path, capsys, name, text, command):
@@ -130,6 +132,51 @@ def test_overflowing_block_norm_exit_70(tmp_path, capsys, entries):
     assert captured.out == ""
     assert "block 0" in captured.err
     assert _only_error_line(captured.err)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_into_multi_node_block_exit_70(tmp_path, capsys):
+    # 1 -> 2e300 in a singleton, then an infinite right-hand side for the
+    # two-node block {3, 4}; lu_solve would reject it with a ValueError
+    path = tmp_path / "overflow.mtx"
+    path.write_text(
+        f"{MM_HEADER}\n4 4 7\n2 1 1e300\n2 2 -0.5\n3 2 1e300\n3 3 -2\n"
+        "3 4 1\n4 3 1\n4 4 -2\n"
+    )
+    assert main(["steady-state", str(path)]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: steady-state entry for node 2 (block 2) is not finite\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_steady_state_restores_the_garbage_collector(marginal, capsys, enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["steady-state", marginal]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert json.loads(capsys.readouterr().out)["vectors"][0]["values"] == [1.0]
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [ArithmeticError("boom"), ZeroDivisionError("boom"), np.linalg.LinAlgError("boom"),
+     ValueError("boom")],
+    ids=type,
+)
+@pytest.mark.parametrize("command", ["analyze", "steady-state"])
+def test_uncaught_numeric_failure_exit_70(monkeypatch, marginal, capsys, exc, command):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("coopstab.cli.full_analysis", fail)
+    assert main([command, marginal]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _only_error_line(captured.err)
+    assert f"({type(exc).__name__}): boom" in captured.err
 
 
 def test_steady_state_decides_the_verdict_once(monkeypatch, marginal, capsys):
@@ -224,6 +271,24 @@ def test_simulate_rejects_non_finite_input(tmp_path, capsys, times, initial):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "times, initial, token",
+    [("abc", None, "'abc'"), ("1,,2x", None, "'2x'"), ("1", "1 0x1", "'0x1'")],
+)
+def test_simulate_rejects_malformed_numbers(tmp_path, capsys, times, initial, token):
+    path = _write(tmp_path, "growth.mtx", [[0, 0], [1, 0]])
+    args = ["simulate", path, "--times", times]
+    if initial is not None:
+        (tmp_path / "init.txt").write_text(initial)
+        args += ["--initial", str(tmp_path / "init.txt")]
+    assert main(args) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _only_error_line(captured.err)
+    assert f"could not convert string to float: {token}" in captured.err
+    assert ("--initial" if initial else "--times") in captured.err
 
 
 def test_oracle_dense_verdict(unstable, capsys):
@@ -330,6 +395,16 @@ MM_FAULTS = (
 )
 
 
+def _assert_analyze_contract(path) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["analyze", str(path)])  # an uncaught exception fails here
+    assert code in {0, 1, 2, 64, 70}
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=pytest.fail)
+
+
 @st.composite
 def matrix_market_text(draw):
     """Valid files, some with huge weights, with up to two faults planted:
@@ -370,10 +445,99 @@ def matrix_market_text(draw):
 def test_analyze_contract_on_arbitrary_matrix_market(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "system.mtx"
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["analyze", str(path)])  # an uncaught exception fails here
-    assert code in {0, 1, 2, 64, 70}
-    assert "Traceback" not in err.getvalue()
-    if out.getvalue():
-        json.loads(out.getvalue(), parse_constant=pytest.fail)
+    _assert_analyze_contract(path)
+
+
+# ---------------------------------------------------------------------------
+# The analyze contract on arbitrary edge-list JSON text
+# ---------------------------------------------------------------------------
+
+EDGE_FAULTS = (
+    "unknown field", "no n", "bad n", "bad labels", "unknown label", "missing key",
+    "extra key", "bad weight", "zero weight", "negative", "non-finite", "huge int",
+    "out of range", "repeat", "edge not object", "edges not list", "not object",
+    "truncated",
+)
+
+
+@st.composite
+def edge_list_text(draw):
+    """Valid edge lists, with indices or labels and some huge weights, with
+    up to two faults planted: a bad field, key, label, index or weight, a
+    repeated edge, a wrong shape, or text cut short."""
+    n = draw(st.integers(1, 4))
+    labels = [f"v{i}" for i in range(n)] if draw(st.booleans()) else None
+
+    def node():
+        i = draw(st.integers(0, n - 1))
+        return labels[i] if labels and draw(st.booleans()) else i
+
+    weight = st.sampled_from([1, 2.5, 1e300, 1e-320])
+    edges = [
+        {"from": src, "to": dst, "weight": draw(weight)}
+        for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                      .filter(lambda e: e[0] != e[1]),
+                                      max_size=8, unique=True))
+    ]
+    selfs = [
+        {"node": i, "weight": draw(weight | st.sampled_from([-1, -1e308, 0]))}
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    ]
+    data = {"n": n, "edges": list(edges), "self": selfs}
+    if labels:
+        data["labels"] = labels
+    text_faults = []
+    for fault in draw(st.lists(st.sampled_from(EDGE_FAULTS), max_size=2)):
+        edge = {"from": node(), "to": node(), "weight": 1}
+        if fault == "unknown field":
+            data["extra"] = 1
+        elif fault == "no n":
+            data.pop("n", None)
+        elif fault == "bad n":
+            data["n"] = draw(st.sampled_from([0, -1, 2.5, "3", None]))
+        elif fault == "bad labels":
+            data["labels"] = draw(st.sampled_from(["v0", [1, 2], ["a", "a", "b", "c"], []]))
+        elif fault == "unknown label":
+            edge["from"] = "nope"
+        elif fault == "missing key":
+            del edge["weight"]
+        elif fault == "extra key":
+            edge["w"] = 1
+        elif fault == "bad weight":
+            edge["weight"] = draw(st.sampled_from(["1", None, True, [1]]))
+        elif fault == "zero weight":
+            edge["weight"] = 0
+        elif fault == "negative":
+            edge["weight"] = -2
+        elif fault == "non-finite":
+            edge["weight"] = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+        elif fault == "huge int":
+            edge["weight"] = 10**400
+        elif fault == "out of range":
+            edge["to"] = draw(st.sampled_from([-1, n, 1.5]))
+        elif fault == "repeat" and edges:
+            edge = dict(draw(st.sampled_from(edges)))
+        elif fault == "edge not object":
+            edge = [0, 1, 1]
+        elif fault == "edges not list":
+            data["edges"] = {}
+            continue
+        else:
+            text_faults.append(fault)
+            continue
+        if isinstance(data.get("edges"), list):
+            data["edges"].insert(draw(st.integers(0, len(data["edges"]))), edge)
+    text = json.dumps(data)
+    if "not object" in text_faults:
+        text = json.dumps([data])
+    if "truncated" in text_faults:
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@given(edge_list_text())
+@settings(max_examples=300, deadline=None)
+def test_analyze_contract_on_arbitrary_edge_list_json(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "system.json"
+    path.write_text(text)
+    _assert_analyze_contract(path)

@@ -213,6 +213,7 @@ def test_cross_entries_keep_input_order_with_sorted_cells(seed):
             expected.setdefault((k, l), []).append((pos[i], pos[j], v))
     assert list(cond.cross_entries) == list(expected)
     assert dict(cond.cross_entries) == {key: tuple(sorted(c)) for key, c in expected.items()}
+    assert not any(a.flags.writeable for a in cond.cross)
 
 
 def test_condense_deterministic():

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import reference_verdict
+from conftest import reference_steady_state_basis, reference_verdict
 from coopstab import (
     BlockClass,
     CooperativeSystem,
     CriticalPath,
     GeneratorSpec,
     NegativeSteadyStateEntry,
+    NonFiniteResult,
     NotMarginallyStable,
     SingularSubCriticalSolve,
     SpectralOptions,
@@ -440,3 +441,126 @@ def test_find_traps():
     assert find_traps(cond, spectra) == ()
     _, cond, spectra = _analyze([[-1, 0], [1, 0]])
     assert find_traps(cond, spectra) == (1,)
+
+
+# ---------------------------------------------------------------------------
+# level-scheduled sweep against the block-by-block reference
+# ---------------------------------------------------------------------------
+
+PLANTS = ("none", "negative", "singular", "overflow")
+
+
+def _planted_system(seed: int, plant: str) -> CooperativeSystem:
+    """A random block DAG mixing long singleton chains with multi-node
+    blocks, critical singletons (diagonal 0) anywhere, so some lie downstream
+    of others, and failures planted at random levels: negative couplings
+    (the system is not validated; tiny ones leave entries to clamp),
+    near-singular sub-critical blocks, or couplings of 1e300 whose products
+    overflow."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 16))
+    sizes = np.where(rng.random(m) < 0.6, 1, rng.integers(2, 5, m))
+    sizes[0] = 1
+    critical = (sizes == 1) & (rng.random(m) < 0.2)
+    critical[0] = True
+    start = np.cumsum(sizes) - sizes
+    n = int(sizes.sum())
+    cells = {}
+    for b in range(m):
+        s, d = int(start[b]), int(sizes[b])
+        if d == 1:
+            if not critical[b]:
+                cells[s, s] = -rng.uniform(0.2, 2.0)
+            continue
+        mat = np.zeros((d, d))
+        for t in range(d):
+            mat[(t + 1) % d, t] = rng.uniform(0.5, 1.5)
+        extra = (rng.random((d, d)) < 0.3) & ~np.eye(d, dtype=bool)
+        mat[extra] = rng.uniform(0.5, 1.5, extra.sum())
+        near_singular = plant == "singular" and rng.random() < 0.5
+        mat[np.diag_indices(d)] = -mat.sum(axis=0) - (3e-14 if near_singular else rng.uniform(0.2, 1))
+        for i, j in zip(*np.nonzero(mat)):
+            cells[s + i, s + j] = mat[i, j]
+    cross = []
+    for b in range(1, m):
+        for a in range(b):
+            if (a == b - 1 and rng.random() < 0.7) or rng.random() < 0.25:
+                for _ in range(int(rng.integers(1, 4))):
+                    i = int(start[b] + rng.integers(sizes[b]))
+                    j = int(start[a] + rng.integers(sizes[a]))
+                    cells[i, j] = rng.uniform(0.1, 3.0)
+                    cross.append((i, j))
+    if cross and plant in ("negative", "overflow"):
+        for t in rng.choice(len(cross), size=min(len(cross), int(rng.integers(1, 4))), replace=False):
+            if plant == "overflow":
+                cells[cross[t]] = 1e300
+            else:  # a tiny negative is clamped to zero, a large one raises
+                cells[cross[t]] = -rng.uniform(1, 5) * (1e-12 if rng.random() < 0.5 else 1.0)
+    perm = rng.permutation(n)
+    keys = list(cells)
+    rng.shuffle(keys)
+    return CooperativeSystem(
+        n=n,
+        coo=(perm[[i for i, _ in keys]], perm[[j for _, j in keys]],
+             np.array([cells[key] for key in keys])),
+        node_labels=tuple(str(i) for i in range(n)),
+    )
+
+
+def _outcome(build, *args, **kwargs):
+    """Vectors as bytes, or the exception's type, message and fields."""
+    try:
+        basis = build(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc), vars(exc)
+    assert all(not v.flags.writeable for v in basis.vectors)
+    return basis.free_blocks, [v.tobytes() for v in basis.vectors]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("plant", PLANTS)
+def test_level_sweep_matches_block_by_block_reference(plant):
+    opts = SpectralOptions(crit_tol_rel=1e-15)
+    seen = set()
+    for seed in range(150):
+        system = _planted_system(7000 + seed, plant)
+        cond = condense(system)
+        spectra = analyze_all_blocks(cond, opts)
+        report = verdict(cond, spectra)
+        for force in (False, True):
+            got = _outcome(steady_state_basis, cond, spectra, report, force=force)
+            want = _outcome(reference_steady_state_basis, cond, spectra, report, force=force)
+            assert got == want, (seed, force)
+            seen.add(got[0] if isinstance(got[0], type) else "vectors")
+    expected = {"vectors", NotMarginallyStable, {
+        "none": "vectors", "negative": NegativeSteadyStateEntry,
+        "singular": SingularSubCriticalSolve, "overflow": NonFiniteResult,
+    }[plant]}
+    assert expected <= seen
+
+
+def test_verdict_and_basis_read_the_coupling_arrays_only():
+    system = generate_marginally_stable(GeneratorSpec(num_blocks=(6, 10), seed=3))
+    cond, spectra, report = full_analysis(system)
+    steady_state_basis(cond, spectra, report)
+    assert "cross_entries" not in vars(cond)  # the cached mapping was never built
+
+
+def test_level_sweep_raises_for_lowest_block_at_a_later_level():
+    # n0 critical feeds n1 and n3; n1 feeds n2. Blocks are n0, n1, n2, n3 in
+    # that order, so B2 (level 2) and B3 (level 1) both get a negative entry
+    system = CooperativeSystem(
+        n=4,
+        coo=(np.array([1, 1, 2, 2, 3, 3]), np.array([0, 1, 1, 2, 0, 3]),
+             np.array([1.0, -1.0, -2.0, -1.0, -3.0, -1.0])),
+        node_labels=("a", "b", "c", "d"),
+    )
+    cond = condense(system)
+    spectra = analyze_all_blocks(cond)
+    assert [b.nodes for b in cond.blocks] == [(0,), (1,), (2,), (3,)]
+    with pytest.raises(NegativeSteadyStateEntry) as exc:
+        steady_state_basis(cond, spectra)
+    assert (exc.value.block_index, exc.value.node, exc.value.value) == (2, 2, -2.0)
+    with pytest.raises(NegativeSteadyStateEntry) as ref:
+        reference_steady_state_basis(cond, spectra)
+    assert vars(ref.value) == vars(exc.value)

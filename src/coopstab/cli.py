@@ -9,10 +9,10 @@ output; --pretty prints a human table.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +63,22 @@ EXIT_INPUT_ERROR = 64
 EXIT_NUMERIC_ERROR = 70
 
 
+def _read_text(path: str) -> str:
+    """The file as UTF-8 text with universal newlines; a byte that is not
+    UTF-8 is a parse error on its line, whatever the locale."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+    if "\r" in text:  # a scan for it is 100 times cheaper than the replaces
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _load_system(path: str, fmt: str) -> CooperativeSystem:
-    text = Path(path).read_text()
+    text = _read_text(path)
     if fmt == "auto":
         fmt = "json" if path.endswith(".json") else "mm"
     return load_edge_list_json(text) if fmt == "json" else load_matrix_market(text)
@@ -174,7 +188,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     payload = _report_payload(system, cond, spectra, report, opts)
     if args.dot:
         Path(args.dot).write_text(
-            to_dot(cond, spectra, report.roles, verdict_name=report.verdict.value)
+            to_dot(cond, spectra, report.roles, verdict_name=report.verdict.value),
+            encoding="utf-8",
         )
     if args.pretty:
         _print_report_pretty(payload, sys.stdout)
@@ -183,30 +198,39 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_BY_VERDICT[report.verdict]
 
 
-def _basis_payload(system, basis: SteadyStateBasis, opts, forced: bool) -> dict:
-    vectors = []
-    for name, k, vec in zip(basis.free_parameters, basis.free_blocks, basis.vectors):
-        vectors.append(
-            {
-                "alpha": name,
-                "free_block": k,
-                "values": vec.tolist(),
-                "residual_inf": nullspace_residual(system, vec),
-            }
-        )
-    payload = {
-        "version": __version__,
-        "tolerances": _tolerances_dict(opts),
-        "n": system.n,
-        "labels": list(system.node_labels),
-        "vectors": vectors,
-    }
+def _basis_text(system, basis: SteadyStateBasis, opts, forced: bool) -> str:
+    """`_dumps` of the steady-state payload, written from the basis array
+    without building the payload: a mostly-zero vector's values are a copy of
+    one run of "0.0" strings with only its support (sign bit included, so -0.0
+    stays) overwritten by `float.__repr__`. A value that is not finite is a
+    numeric failure before any text exists."""
+    head = {"labels": list(system.node_labels), "n": system.n,
+            "tolerances": _tolerances_dict(opts)}
+    tail = {"version": __version__}
     if forced:
-        payload["warning"] = (
+        tail["warning"] = (
             "forced nullspace of an unstable system: these are zero-eigenvectors, "
             "not stable equilibria"
         )
-    return payload
+    zeros = np.full(system.n, "0.0", dtype=object)
+    vectors = []
+    for name, k, vec in zip(basis.free_parameters, basis.free_blocks, basis.vectors):
+        residual = nullspace_residual(system, vec)
+        support = ((vec != 0) | np.signbit(vec)).nonzero()[0]
+        if not (np.isfinite(residual) and np.isfinite(vec[support]).all()):
+            raise NonFiniteResult("output contains a value that is not finite")
+        if 2 * support.size > system.n:  # mostly nonzero: a float list's repr is its JSON
+            values = repr(vec.tolist())
+        else:
+            strings = zeros.copy()
+            strings[support] = list(map(float.__repr__, vec[support].tolist()))
+            values = f'[{", ".join(strings.tolist())}]'
+        vectors.append(
+            f'{{"alpha": {encode_basestring_ascii(name)}, "free_block": {k:d}, '
+            f'"residual_inf": {float.__repr__(residual)}, "values": {values}}}'
+        )
+    # "vectors" sorts between "tolerances" and "version".
+    return f'{_dumps(head)[:-1]}, "vectors": [{", ".join(vectors)}], {_dumps(tail)[1:]}'
 
 
 def cmd_steady_state(args: argparse.Namespace) -> int:
@@ -228,25 +252,14 @@ def cmd_steady_state(args: argparse.Namespace) -> int:
     if forced:
         print("WARNING: system is not marginally stable; vectors are not stable equilibria",
               file=sys.stderr)
-    # The payload is F lists of n floats without cycles; a collection that
-    # falls while it is alive walks every float (about 5 ms at n*F = 5e5),
-    # so it is built, printed and freed with the collector paused.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        payload = _basis_payload(system, basis, opts, forced)
-        if args.pretty:
-            for vec in payload["vectors"]:
-                print(f"{vec['alpha']} (free block B{vec['free_block']}, "
-                      f"residual {vec['residual_inf']:.3e}):")
-                for label, value in zip(payload["labels"], vec["values"]):
-                    print(f"  {label}: {value:.12g}")
-        else:
-            print(_dumps(payload))
-        del payload
-    finally:
-        if collecting:
-            gc.enable()
+    if args.pretty:
+        for name, k, vec in zip(basis.free_parameters, basis.free_blocks, basis.vectors):
+            print(f"{name} (free block B{k}, "
+                  f"residual {nullspace_residual(system, vec):.3e}):")
+            for label, value in zip(system.node_labels, vec.tolist()):
+                print(f"  {label}: {value:.12g}")
+    else:
+        print(_basis_text(system, basis, opts, forced))
     return 0
 
 
@@ -256,7 +269,7 @@ def cmd_condense(args: argparse.Namespace) -> int:
     cond, spectra, report = full_analysis(system, opts)
     dot = to_dot(cond, spectra, report.roles, verdict_name=report.verdict.value)
     if args.dot:
-        Path(args.dot).write_text(dot)
+        Path(args.dot).write_text(dot, encoding="utf-8")
     else:
         print(dot, end="")
     return 0
@@ -274,7 +287,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     system = _load_system(args.input, args.format)
     times = _numbers([t for t in args.times.split(",") if t.strip()], "--times")
     if args.initial:
-        values = _numbers(Path(args.initial).read_text().split(), f"--initial {args.initial}")
+        values = _numbers(_read_text(args.initial).split(), f"--initial {args.initial}")
         m0 = state_vector(values, system.n, nonnegative=True)
     else:
         m0 = np.ones(system.n)
@@ -312,7 +325,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 0
     # generate
     if args.config:
-        raw = json.loads(Path(args.config).read_text())
+        raw = json.loads(_read_text(args.config))
         for key in ("num_blocks", "block_size", "weight_range"):
             if key in raw:
                 raw[key] = tuple(raw[key])

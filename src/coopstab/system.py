@@ -226,6 +226,11 @@ def _checked_labels(node_labels: Iterable[str] | None, n: int) -> tuple[str, ...
         raise ValidationError("node labels must be strings")
     if len(set(labels)) != n:
         raise ValidationError("node labels must be unique")
+    try:
+        "".join(labels).encode("utf-8")  # a lone surrogate cannot be printed or written
+    except UnicodeEncodeError as exc:
+        bad = int(np.searchsorted(np.cumsum([len(s) for s in labels]), exc.start, side="right"))
+        raise ValidationError(f"node label {bad} ({labels[bad]!r}) is not valid UTF-8 text") from None
     return labels
 
 

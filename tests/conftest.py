@@ -10,6 +10,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve, null_space
 
 from coopstab import (
+    __version__,
     BlockClass,
     BlockRole,
     CriticalPath,
@@ -27,7 +28,8 @@ from coopstab import (
     Verdict,
     verdict,
 )
-from coopstab.stability import TINY_PIVOT_REL, _refuse_super_critical
+from coopstab.cli import _tolerances_dict
+from coopstab.stability import TINY_PIVOT_REL, _refuse_super_critical, nullspace_residual
 
 
 def reference_entries(raw_entries, n: int) -> dict:
@@ -282,3 +284,34 @@ def reference_steady_state_basis(
         free_blocks=tuple(final),
         free_parameters=tuple(f"alpha_{k}" for k in final),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference steady-state payload: the dict the command line once passed to
+# json.dumps, against which the array-backed JSON writer is checked bytewise.
+# ---------------------------------------------------------------------------
+
+def reference_basis_payload(system, basis: SteadyStateBasis, opts, forced: bool) -> dict:
+    vectors = []
+    for name, k, vec in zip(basis.free_parameters, basis.free_blocks, basis.vectors):
+        vectors.append(
+            {
+                "alpha": name,
+                "free_block": k,
+                "values": vec.tolist(),
+                "residual_inf": nullspace_residual(system, vec),
+            }
+        )
+    payload = {
+        "version": __version__,
+        "tolerances": _tolerances_dict(opts),
+        "n": system.n,
+        "labels": list(system.node_labels),
+        "vectors": vectors,
+    }
+    if forced:
+        payload["warning"] = (
+            "forced nullspace of an unstable system: these are zero-eigenvectors, "
+            "not stable equilibria"
+        )
+    return payload

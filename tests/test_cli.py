@@ -9,8 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopstab import from_dense, load_matrix_market, to_matrix_market
-from coopstab.cli import main
+from conftest import reference_basis_payload
+from coopstab import (
+    NonFiniteResult,
+    SteadyStateBasis,
+    from_dense,
+    load_matrix_market,
+    to_matrix_market,
+    validate,
+)
+from coopstab.cli import _basis_text, main
+from coopstab.spectral import DEFAULT_OPTIONS
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -147,6 +156,61 @@ def test_overflow_into_multi_node_block_exit_70(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: steady-state entry for node 2 (block 2) is not finite\n"
+
+
+def test_non_finite_residual_exit_70(monkeypatch, marginal, capsys):
+    monkeypatch.setattr("coopstab.cli.nullspace_residual", lambda *args: float("inf"))
+    assert main(["steady-state", marginal]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _only_error_line(captured.err)
+
+
+@pytest.mark.parametrize(
+    "name, data, line, byte",
+    [
+        ("entry.mtx", f"{MM_HEADER}\n2 2 1\n".encode() + b"2 1 1\xff\n", 3, 0xFF),
+        ("comment.mtx", f"{MM_HEADER}\n".encode() + b"% caf\xe9\n1 1 1\n1 1 -1\n", 2, 0xE9),
+        ("labels.json", b'{"n": 1,\n"labels": ["\xff"]}', 2, 0xFF),
+    ],
+)
+@pytest.mark.parametrize("command", ["analyze", "steady-state"])
+def test_non_utf8_input_exit_64(tmp_path, capsys, name, data, line, byte, command):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main([command, str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {line}: byte 0x{byte:02x} is not UTF-8\n"
+
+
+def test_input_lines_end_at_any_newline(tmp_path, capsys):
+    mm = tmp_path / "crlf.mtx"
+    mm.write_bytes(f"{MM_HEADER}\r\n1 1 1\r\n1 1 -1\r\n".encode())
+    assert main(["analyze", str(mm)]) == 1
+    bad = tmp_path / "cr.json"
+    bad.write_bytes(b'{"n": 1,\r"self": x}')
+    assert main(["analyze", str(bad)]) == 64
+    assert "error: line 2: " in capsys.readouterr().err
+
+
+SURROGATE_LABEL = (
+    '{"n": 2, "labels": ["a\\ud800", "b"], "edges": [{"from": 0, "to": 1, "weight": 1.0}], '
+    '"self": [{"node": 1, "weight": -1.0}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("analyze", []), ("steady-state", ["--pretty"]), ("simulate", ["--times", "1"])],
+)
+def test_lone_surrogate_label_exit_64(tmp_path, capsys, command, extra):
+    path = tmp_path / "surrogate.json"
+    path.write_text(SURROGATE_LABEL)
+    assert main([command, str(path), *extra]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: node label 0 ('a\\ud800') is not valid UTF-8 text\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -349,7 +413,9 @@ def test_golden_corpus(fixture, capsys):
 @pytest.mark.parametrize(
     "fixture, tag, extra",
     [(p.name, "steady", []) for p in sorted(FIXTURES.iterdir()) if p.is_file()]
-    + [("critical_pair.mtx", "steady-forced", ["--force-nullspace"])],
+    + [("critical_pair.mtx", "steady-forced", ["--force-nullspace"]),
+       ("shared_cone.mtx", "steady-pretty", ["--pretty"]),
+       ("critical_pair.mtx", "steady-pretty", ["--pretty", "--force-nullspace"])],
 )
 def test_steady_state_golden_corpus(fixture, tag, extra, capsys):
     """steady-state stdout and exit code are byte-identical to the stored golden."""
@@ -541,3 +607,77 @@ def test_analyze_contract_on_arbitrary_edge_list_json(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "system.json"
     path.write_text(text)
     _assert_analyze_contract(path)
+
+
+# ---------------------------------------------------------------------------
+# The steady-state JSON writer against json.dumps of the reference payload
+# ---------------------------------------------------------------------------
+
+AWKWARD_TEXT = ['"vectors": null', 'q"uote', "back\\slash", "\x00\x1f\x7f\n", "caf\u00e9",
+                "\u65e5\u672c", "\U0001f600", "\u2028"]
+EXTREME_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.2250738585072014e-308,
+                  0.1, 1 / 3]
+
+
+def _assert_writer_matches_reference(system, basis, forced):
+    # Huge vectors overflow in the residual; both sides must then refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            expected = json.dumps(
+                reference_basis_payload(system, basis, DEFAULT_OPTIONS, forced),
+                sort_keys=True, allow_nan=False,
+            )
+        except ValueError:
+            with pytest.raises(NonFiniteResult):
+                _basis_text(system, basis, DEFAULT_OPTIONS, forced)
+            return
+        assert _basis_text(system, basis, DEFAULT_OPTIONS, forced) == expected
+
+
+def test_basis_text_keeps_sign_repr_and_ascii_escapes():
+    n = 10
+    system = validate([(0, 0, -1.0), (2, 1, 0.5)], n, AWKWARD_TEXT + ["x", "y"])
+    sparse = np.zeros(n)
+    sparse[[0, 2, 3, 7]] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    dense = np.linspace(-1.0, 1.0, n)
+    basis = SteadyStateBasis(
+        vectors=(sparse, dense), free_blocks=(3, 0), free_parameters=("alpha_\u00e9", '"')
+    )
+    for forced in (False, True):
+        _assert_writer_matches_reference(system, basis, forced)
+    text = _basis_text(system, basis, DEFAULT_OPTIONS, False)
+    assert '"values": [-0.0, 0.0, 5e-324, 1.7976931348623157e+308, 0.0, 0.0, 0.0, 0.1, ' in text
+    assert '"alpha": "alpha_\\u00e9"' in text
+
+
+@st.composite
+def basis_cases(draw):
+    """A small system with arbitrary labels and a basis of arbitrary vectors:
+    sparse or dense, with extreme values and now and then a non-finite one."""
+    n = draw(st.integers(1, 12))
+    text = st.text() | st.sampled_from(AWKWARD_TEXT)
+    labels = draw(st.lists(text, min_size=n, max_size=n, unique=True))
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n, unique=True))
+    system = validate([(i, j, -0.5 if i == j else 0.25) for i, j in cells], n, labels)
+    value = st.sampled_from(EXTREME_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    vectors = []
+    for _ in range(draw(st.integers(0, 4))):
+        dense = draw(st.booleans())
+        vectors.append(np.array([
+            draw(value) if dense or draw(st.integers(0, 3)) == 0 else 0.0 for _ in range(n)
+        ]))
+    if vectors and draw(st.integers(0, 9)) == 0:
+        vectors[-1][draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    basis = SteadyStateBasis(
+        vectors=tuple(vectors),
+        free_blocks=tuple(draw(st.integers(0, 10**6)) for _ in vectors),
+        free_parameters=tuple(draw(text) for _ in vectors),
+    )
+    return system, basis, draw(st.booleans())
+
+
+@given(basis_cases())
+@settings(max_examples=300, deadline=None)
+def test_basis_text_matches_json_dumps_of_the_reference_payload(case):
+    _assert_writer_matches_reference(*case)

@@ -236,6 +236,15 @@ def test_labels_survive_edge_list_round_trip():
     assert dict(again.entries) == {(1, 0): 2.0}
 
 
+@pytest.mark.parametrize(
+    "labels, bad",
+    [(["\ud800", "b", "c"], 0), (["ab", "", "\udfffc"], 2), (["a", "b\udc00", "\ud83d"], 1)],
+)
+def test_labels_must_encode_as_utf8(labels, bad):
+    with pytest.raises(ValidationError, match=rf"^node label {bad} \("):
+        validate({}, 3, node_labels=labels)
+
+
 def test_from_dense_matches_validate():
     a = np.array([[-1.0, 0.5], [0.0, 2.0]])
     s = from_dense(a)

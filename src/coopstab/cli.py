@@ -63,15 +63,18 @@ EXIT_INPUT_ERROR = 64
 EXIT_NUMERIC_ERROR = 70
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, source: str | None = None) -> str:
     """The file as UTF-8 text with universal newlines; a byte that is not
-    UTF-8 is a parse error on its line, whatever the locale."""
+    UTF-8 is a parse error on its line, whatever the locale, and names
+    `source` when the file is not the system's input."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise ParseError(line, f"byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+        before = raw[:exc.start]  # a line ends at \r\n, \r or \n, as in the text
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        error = ParseError(line, f"byte 0x{raw[exc.start]:02x} is not UTF-8")
+        raise (error if source is None else ValidationError(f"{source}: {error}")) from None
     if "\r" in text:  # a scan for it is 100 times cheaper than the replaces
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -200,9 +203,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _basis_text(system, basis: SteadyStateBasis, opts, forced: bool) -> str:
     """`_dumps` of the steady-state payload, written from the basis array
-    without building the payload: a mostly-zero vector's values are a copy of
-    one run of "0.0" strings with only its support (sign bit included, so -0.0
-    stays) overwritten by `float.__repr__`. A value that is not finite is a
+    without building the payload: a vector's values are a copy of one run of
+    "0.0" strings with only its support (sign bit included, so -0.0 stays)
+    overwritten by `float.__repr__`. A value that is not finite is a
     numeric failure before any text exists."""
     head = {"labels": list(system.node_labels), "n": system.n,
             "tolerances": _tolerances_dict(opts)}
@@ -219,15 +222,12 @@ def _basis_text(system, basis: SteadyStateBasis, opts, forced: bool) -> str:
         support = ((vec != 0) | np.signbit(vec)).nonzero()[0]
         if not (np.isfinite(residual) and np.isfinite(vec[support]).all()):
             raise NonFiniteResult("output contains a value that is not finite")
-        if 2 * support.size > system.n:  # mostly nonzero: a float list's repr is its JSON
-            values = repr(vec.tolist())
-        else:
-            strings = zeros.copy()
-            strings[support] = list(map(float.__repr__, vec[support].tolist()))
-            values = f'[{", ".join(strings.tolist())}]'
+        strings = zeros.copy()
+        strings[support] = list(map(float.__repr__, vec[support].tolist()))
         vectors.append(
             f'{{"alpha": {encode_basestring_ascii(name)}, "free_block": {k:d}, '
-            f'"residual_inf": {float.__repr__(residual)}, "values": {values}}}'
+            f'"residual_inf": {float.__repr__(residual)}, '
+            f'"values": [{", ".join(strings.tolist())}]}}'
         )
     # "vectors" sorts between "tolerances" and "version".
     return f'{_dumps(head)[:-1]}, "vectors": [{", ".join(vectors)}], {_dumps(tail)[1:]}'
@@ -287,7 +287,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     system = _load_system(args.input, args.format)
     times = _numbers([t for t in args.times.split(",") if t.strip()], "--times")
     if args.initial:
-        values = _numbers(_read_text(args.initial).split(), f"--initial {args.initial}")
+        source = f"--initial {args.initial}"
+        values = _numbers(_read_text(args.initial, source).split(), source)
         m0 = state_vector(values, system.n, nonnegative=True)
     else:
         m0 = np.ones(system.n)
@@ -325,7 +326,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 0
     # generate
     if args.config:
-        raw = json.loads(_read_text(args.config))
+        raw = json.loads(_read_text(args.config, f"--config {args.config}"))
         for key in ("num_blocks", "block_size", "weight_range"):
             if key in raw:
                 raw[key] = tuple(raw[key])

@@ -172,6 +172,8 @@ def test_non_finite_residual_exit_70(monkeypatch, marginal, capsys):
         ("entry.mtx", f"{MM_HEADER}\n2 2 1\n".encode() + b"2 1 1\xff\n", 3, 0xFF),
         ("comment.mtx", f"{MM_HEADER}\n".encode() + b"% caf\xe9\n1 1 1\n1 1 -1\n", 2, 0xE9),
         ("labels.json", b'{"n": 1,\n"labels": ["\xff"]}', 2, 0xFF),
+        ("cr.mtx", f"{MM_HEADER}\r2 2 1\r".encode() + b"2 1 1\xff\r", 3, 0xFF),
+        ("crlf.mtx", f"{MM_HEADER}\r\n2 2 1\r\n".encode() + b"2 1 1\xff\r\n", 3, 0xFF),
     ],
 )
 @pytest.mark.parametrize("command", ["analyze", "steady-state"])
@@ -182,6 +184,20 @@ def test_non_utf8_input_exit_64(tmp_path, capsys, name, data, line, byte, comman
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line {line}: byte 0x{byte:02x} is not UTF-8\n"
+
+
+@pytest.mark.parametrize(
+    "flag, args",
+    [("--initial", ["simulate", "{system}", "--times", "1"]), ("--config", ["oracle", "generate"])],
+)
+def test_non_utf8_side_file_is_named(tmp_path, capsys, marginal, flag, args):
+    side = tmp_path / "side.txt"
+    side.write_bytes(b"1\n1 \xfe")
+    args = [a.format(system=marginal) for a in args]
+    assert main([*args, flag, str(side)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {side}: line 2: byte 0xfe is not UTF-8\n"
 
 
 def test_input_lines_end_at_any_newline(tmp_path, capsys):

@@ -48,18 +48,21 @@ class Coupling:
 class Condensation:
     """Blocks in topological order plus the sparse cross-block structure.
 
-    dag_edges holds (l, k) pairs, l < k, meaning at least one matrix entry
-    couples block l into block k. `cross` is the stored form of the couplings:
-    read-only (target block, target node, source node, value) arrays, one
-    cell per nonzero cross-block entry, grouped by (k, l) in order of first
-    appearance in the input, cells sorted within a group.
+    All arrays are read-only. `dag` = (indptr, successors) is the block DAG
+    as CSR sorted by source, then target; an edge l -> k, l < k, means some
+    entry couples block l into block k. `level[k]` is the length of the
+    longest DAG path into k. `cross` holds the couplings as (target block,
+    target node, source node, value) arrays, one cell per nonzero cross-block
+    entry, grouped by (k, l) in order of first appearance in the input, cells
+    sorted within a group.
     """
 
     h: int
     blocks: tuple[Block, ...]
-    dag_edges: frozenset[tuple[int, int]]
-    node_to_block: tuple[int, ...]
-    permutation: tuple[int, ...]
+    dag: tuple[np.ndarray, np.ndarray]
+    level: np.ndarray
+    node_to_block: np.ndarray
+    permutation: np.ndarray
     cross: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     @cached_property
@@ -67,9 +70,10 @@ class Condensation:
         """Read-only {(k, l): ((local_row, local_col, value), ...)} view of
         `cross`, in the same order."""
         pos = {node: p for b in self.blocks for p, node in enumerate(b.nodes)}
+        block_of = self.node_to_block.tolist()
         groups: dict[tuple[int, int], list] = {}
         for k, i, j, v in zip(*(a.tolist() for a in self.cross)):
-            groups.setdefault((k, self.node_to_block[j]), []).append((pos[i], pos[j], v))
+            groups.setdefault((k, block_of[j]), []).append((pos[i], pos[j], v))
         return MappingProxyType({key: tuple(cells) for key, cells in groups.items()})
 
 
@@ -135,9 +139,9 @@ def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     return indptr, dst[order]
 
 
-def _topological_order(min_node: np.ndarray, src: np.ndarray, dst: np.ndarray) -> list[int]:
+def _topological_order(min_node: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[list, list]:
     """Kahn's algorithm on the component DAG, always taking the ready
-    component with the smallest node."""
+    component with the smallest node; also each component's longest-path depth."""
     c = len(min_node)
     indptr, succ = (a.tolist() for a in _csr(src, dst, c))
     indeg = np.bincount(dst, minlength=c).tolist()
@@ -145,16 +149,19 @@ def _topological_order(min_node: np.ndarray, src: np.ndarray, dst: np.ndarray) -
     heap = [(key[a], a) for a in range(c) if indeg[a] == 0]
     heapq.heapify(heap)
     topo: list[int] = []
+    depth = [0] * c
     while heap:
         _, a = heapq.heappop(heap)
         topo.append(a)
         for b in succ[indptr[a]:indptr[a + 1]]:
+            if depth[b] <= depth[a]:
+                depth[b] = depth[a] + 1
             indeg[b] -= 1
             if indeg[b] == 0:
                 heapq.heappush(heap, (key[b], b))
     if len(topo) != c:
         raise CondensationError("the component graph has a cycle")
-    return topo
+    return topo, depth
 
 
 def condense(system: CooperativeSystem) -> Condensation:
@@ -171,8 +178,9 @@ def condense(system: CooperativeSystem) -> Condensation:
     ca, cb = comp_of[cols[off]], comp_of[rows[off]]
     between = ca != cb
     codes = np.unique(ca[between] * c + cb[between])
+    topo, depth = _topological_order(min_node, codes // c, codes % c)
     new_of = np.empty(c, dtype=np.intp)
-    new_of[_topological_order(min_node, codes // c, codes % c)] = np.arange(c)
+    new_of[topo] = np.arange(c)
     node_block = new_of[comp_of]
 
     # Nodes grouped by block, ascending within each; local position in block.
@@ -207,17 +215,12 @@ def condense(system: CooperativeSystem) -> Condensation:
     rank[np.argsort(first)] = np.arange(len(keys))
     order = np.lexsort((lj, li, rank[group]))
     arrays = (k[order], rows[cross][order], cols[cross][order], vals[cross][order])
-    for a in arrays:
+    dag, level = _csr(keys % c, keys // c, c), np.array(depth)[topo]
+    for a in (*arrays, *dag, level, node_block, permutation):
         a.flags.writeable = False
 
-    return Condensation(
-        h=c,
-        blocks=blocks,
-        dag_edges=frozenset(zip((keys % c).tolist(), (keys // c).tolist())),
-        node_to_block=tuple(node_block.tolist()),
-        permutation=tuple(nodes),
-        cross=arrays,
-    )
+    return Condensation(h=c, blocks=blocks, dag=dag, level=level, node_to_block=node_block,
+                        permutation=permutation, cross=arrays)
 
 
 def extract_coupling(cond: Condensation, k: int, l: int) -> Coupling:
@@ -266,7 +269,8 @@ def to_dot(
         else:
             attrs = [f'label="B{k} (size={block.size})"']
         lines.append(f"  B{k} [{', '.join(attrs)}];")
-    for l, k in sorted(cond.dag_edges):
+    indptr, succ = cond.dag
+    for l, k in zip(np.repeat(np.arange(cond.h), np.diff(indptr)).tolist(), succ.tolist()):
         lines.append(f"  B{l} -> B{k};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -144,5 +144,5 @@ class GapTooSmall(CoopStabError):
         )
 
 
-class InfeasibleSpec(CoopStabError):
+class InfeasibleSpec(ValidationError):
     """Generator specification cannot be realized."""

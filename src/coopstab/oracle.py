@@ -241,7 +241,7 @@ def _make_block(klass: str, d: int, rng: np.random.Generator, spec: GeneratorSpe
     return m - shift * np.eye(d)
 
 
-def _dag_edges(topology: str, h: int, density: float, rng: np.random.Generator) -> set[tuple[int, int]]:
+def _planted_edges(topology: str, h: int, density: float, rng: np.random.Generator) -> set[tuple[int, int]]:
     edges: set[tuple[int, int]] = set()
     if h < 2:
         return edges
@@ -319,7 +319,7 @@ def generate_with_plan(spec: GeneratorSpec) -> tuple[CooperativeSystem, list[tup
     _check_spec(spec)
     rng = np.random.default_rng(spec.seed)
     plan = _draw_plan(spec, rng)
-    dag = _dag_edges(spec.topology, len(plan), spec.edge_density, rng)
+    dag = _planted_edges(spec.topology, len(plan), spec.edge_density, rng)
     return _assemble(plan, dag, rng, spec), plan
 
 
@@ -337,7 +337,7 @@ def generate_marginally_stable(spec: GeneratorSpec) -> CooperativeSystem:
     rng = np.random.default_rng(spec.seed)
     plan = _draw_plan(spec, rng)
     h = len(plan)
-    dag = _dag_edges(spec.topology, h, spec.edge_density, rng)
+    dag = _planted_edges(spec.topology, h, spec.edge_density, rng)
 
     reach = np.zeros((h, h), dtype=bool)
     for l in reversed(range(h)):
@@ -395,7 +395,7 @@ def generate_compartmental(
         base = offsets[k]
         if d > 1:
             a[base : base + d, base : base + d] = _nonneg_irreducible(d, rng, wlo, whi)
-    dag = _dag_edges("random-dag", h, edge_density, rng)
+    dag = _planted_edges("random-dag", h, edge_density, rng)
     dag = {(l, k) for (l, k) in dag if l != h - 1}  # the trap keeps no outgoing links
     for l, k in sorted(dag):
         i = int(rng.integers(0, sizes[k]))

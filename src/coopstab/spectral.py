@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condensation import Block, Condensation
-from .errors import NoConvergence, NonFiniteResult
+from .errors import NoConvergence, NonFiniteResult, ValidationError
 
 
 class BlockClass(enum.Enum):
@@ -39,6 +39,12 @@ class SpectralOptions:
     max_iter: int = 100_000
     dense_cutoff: int = 64
     residual_tol: float = 1e-10
+
+    def __post_init__(self) -> None:
+        for name in ("crit_tol_rel", "eig_tol", "residual_tol"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValidationError(f"{name} = {value!r} must be finite and non-negative")
 
 
 DEFAULT_OPTIONS = SpectralOptions()

@@ -106,19 +106,17 @@ def _block_dag(
     path, so following hop traces the lexicographically smallest of them.
     """
     h = cond.h
-    succ: list[list[int]] = [[] for _ in range(h)]
-    for l, k in sorted(cond.dag_edges):
-        succ[l].append(k)
+    ptr, succ = (a.tolist() for a in cond.dag)
     crit = [c is BlockClass.CRITICAL for c in classes]
     up = [False] * h
     for l in range(h):
         if crit[l] or up[l]:
-            for k in succ[l]:
+            for k in succ[ptr[l]:ptr[l + 1]]:
                 up[k] = True
     near = [0] * h
     hop = [-1] * h
     for l in reversed(range(h)):
-        for k in succ[l]:
+        for k in succ[ptr[l]:ptr[l + 1]]:
             d = 1 if crit[k] else (near[k] + 1 if near[k] else 0)
             if d and (not near[l] or d < near[l]):
                 near[l], hop[l] = d, k
@@ -216,17 +214,13 @@ def _solve_block(cond: Condensation, l: int, rhs: np.ndarray) -> np.ndarray:
 
 def _levels(cond: Condensation, sub: np.ndarray):
     """Yield the couplings into sub-critical blocks as (rows, cols, vals) and
-    the blocks they feed, one level at a time. A block lies one level below
-    its deepest source, so it depends on lower levels only. Stable sorts keep
-    the order of `cond.cross` within every row and ascending block indices
-    within every level."""
+    the blocks they feed, one DAG level at a time. Every source of a block
+    lies on a lower level, so it is final before the block is solved; other
+    blocks are never solved and sit on level 0. Stable sorts keep the order
+    of `cond.cross` within every row and ascending block indices within
+    every level."""
     target, rows, cols, vals = (a[sub[cond.cross[0]]] for a in cond.cross)
-    edges = np.unique(target * cond.h + np.asarray(cond.node_to_block)[cols])  # by target
-    depth = [0] * cond.h
-    for k, l in zip((edges // cond.h).tolist(), (edges % cond.h).tolist()):
-        if depth[k] <= depth[l]:
-            depth[k] = depth[l] + 1
-    depth = np.array(depth)
+    depth = np.where(sub, cond.level, 0)
     top = int(depth.max(initial=0))
 
     def by_level(level: np.ndarray) -> list[np.ndarray]:
@@ -276,7 +270,7 @@ def steady_state_basis(
     final = [r.block_index for r in report.roles if r.is_final_critical]
 
     size = np.bincount(cond.node_to_block, minlength=cond.h)
-    first_node = np.asarray(cond.permutation)[np.cumsum(size) - size]
+    first_node = cond.permutation[np.cumsum(size) - size]
     diag = np.array([s.mu for s in spectra])  # a singleton's mu is its diagonal entry
     sub = np.array([c is BlockClass.SUB_CRITICAL for c in classes])
 
@@ -364,9 +358,7 @@ def path_sum_matrix(
     if not (0 <= l < k < cond.h):
         raise BadBlockOrder(f"need 0 <= l < k < h, got l={l}, k={k}, h={cond.h}")
 
-    succ: list[list[int]] = [[] for _ in range(cond.h)]
-    for a, b in sorted(cond.dag_edges):
-        succ[a].append(b)
+    ptr, succ = (a.tolist() for a in cond.dag)
 
     inv_cache: dict[int, np.ndarray] = {}
 
@@ -382,7 +374,7 @@ def path_sum_matrix(
     stack: list[list[int]] = [[l]]
     while stack:
         path = stack.pop()
-        for nxt in succ[path[-1]]:
+        for nxt in succ[ptr[path[-1]]:ptr[path[-1] + 1]]:
             if nxt == k:
                 full = path + [k]
                 n_edges = len(full) - 1
@@ -424,8 +416,8 @@ def steady_state_by_path_sum(
 def find_traps(cond: Condensation, spectra: Sequence[BlockSpectrum]) -> tuple[int, ...]:
     """Critical blocks with no outgoing edges; in a compartmental system these
     are exactly the blocks that can hold mass forever."""
-    has_out = {l for (l, _) in cond.dag_edges}
+    has_out = np.diff(cond.dag[0]) > 0
     return tuple(
         k for k, s in enumerate(spectra)
-        if s.classification is BlockClass.CRITICAL and k not in has_out
+        if s.classification is BlockClass.CRITICAL and not has_out[k]
     )

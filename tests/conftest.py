@@ -112,12 +112,32 @@ def spectral_gap(a: np.ndarray, zero_tol: float = 1e-8) -> float:
 # critical block, against which the linear sweeps of `verdict` are checked.
 # ---------------------------------------------------------------------------
 
+def dag_edges(cond) -> list[tuple[int, int]]:
+    """The (l, k) edges of the stored block DAG `cond.dag`, in CSR order: by
+    source, then target."""
+    indptr, succ = cond.dag
+    return list(zip(np.repeat(np.arange(cond.h), np.diff(indptr)).tolist(), succ.tolist()))
+
+
+def dag_csr(h: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """The block DAG over h blocks with the given (l, k) edges, as the
+    read-only (indptr, successors) arrays `condense` stores; `dag_edges`
+    reads them back."""
+    edges = sorted(set(edges))
+    src = np.array([l for l, _ in edges], dtype=np.intp)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=h))))
+    succ = np.array([k for _, k in edges], dtype=np.intp)
+    for a in (indptr, succ):
+        a.flags.writeable = False
+    return indptr, succ
+
+
 def upstream_reachability(cond) -> np.ndarray:
     """Boolean h x h relation: reachable[l, k] is True iff a directed path of
     dag edges runs from block l to block k. A block is not upstream of itself."""
     h = cond.h
     succ: list[list[int]] = [[] for _ in range(h)]
-    for l, k in cond.dag_edges:
+    for l, k in dag_edges(cond):
         succ[l].append(k)
     reach = np.zeros((h, h), dtype=bool)
     for l in reversed(range(h)):
@@ -132,7 +152,7 @@ def shortest_critical_path(cond, critical: list[int]) -> CriticalPath | None:
     from each critical block over sorted successors; ties go to the smaller
     upstream block."""
     succ: list[list[int]] = [[] for _ in range(cond.h)]
-    for l, k in sorted(cond.dag_edges):
+    for l, k in dag_edges(cond):
         succ[l].append(k)
     crit_set = set(critical)
     best = None

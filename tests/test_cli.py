@@ -467,6 +467,63 @@ def test_oracle_generate_config_file(tmp_path, capsys):
     assert system.n == 3
 
 
+@pytest.mark.parametrize("command", ["analyze", "steady-state"])
+@pytest.mark.parametrize("flag", ["--crit-tol-rel", "--eig-tol", "--residual-tol"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_invalid_tolerance_is_an_input_error(command, flag, value, capsys):
+    # feed.mtx has a block with mu exactly 0.0: a negative band once called
+    # it super-critical (exit 2), and a NaN band ended in exit 70.
+    assert main([command, str(FIXTURES / "feed.mtx"), flag, value]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} = ")
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ('{"seed": 1,', "Expecting property name"),
+        ('{"sed": 1}', "unknown key 'sed'"),
+        ('{"num_blocks": 5}', "num_blocks must be a list of 2, got 5"),
+        ('{"num_blocks": [1, "2"]}', "num_blocks[1] must be int"),
+        ('{"classes": "critical"}', "classes must be a list"),
+        ('{"planted": [[2.5, "critical"]]}', "planted[0][0] must be int"),
+        ('{"seed": true}', "seed must be int"),
+        ('{"edge_density": NaN}', "edge_density must be a finite number"),
+        ('{"weight_range": [0.5, 1e400]}', "weight_range[1] must be a finite number"),
+        ("[1]", "expected a JSON object"),
+    ],
+)
+def test_oracle_generate_bad_config_is_an_input_error(tmp_path, capsys, config, message):
+    path = tmp_path / "spec.json"
+    path.write_text(config)
+    assert main(["oracle", "generate", "--config", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --config {path}: ")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--num-blocks", "a"], "--num-blocks 'a'"),
+        (["--num-blocks", ""], "--num-blocks ''"),
+        (["--block-size", "1,2,3"], "--block-size '1,2,3'"),
+        (["--num-blocks", "3,1"], "num_blocks"),
+        (["--classes", "foo"], "unknown class 'foo'"),
+        (["--density", "2"], "edge density"),
+        (["--topology", "ring"], "unknown topology"),
+    ],
+)
+def test_oracle_generate_bad_flag_is_an_input_error(capsys, args, message):
+    assert main(["oracle", "generate", *args]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
 # ---------------------------------------------------------------------------
 # The analyze contract on arbitrary Matrix Market text
 # ---------------------------------------------------------------------------

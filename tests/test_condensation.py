@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import strongly_connected, upstream_reachability
+from conftest import dag_edges, strongly_connected, upstream_reachability
 from coopstab import (
     BadBlockOrder,
     condense,
@@ -18,8 +18,8 @@ def test_two_singletons_one_edge():
     cond = condense(from_dense([[0, 0], [1, 0]]))
     assert cond.h == 2
     assert [b.nodes for b in cond.blocks] == [(0,), (1,)]
-    assert cond.dag_edges == {(0, 1)}
-    assert cond.node_to_block == (0, 1)
+    assert dag_edges(cond) == [(0, 1)]
+    assert cond.node_to_block.tolist() == [0, 1]
 
 
 def test_two_cycle_is_one_block():
@@ -27,7 +27,7 @@ def test_two_cycle_is_one_block():
     assert cond.h == 1
     assert cond.blocks[0].nodes == (0, 1)
     np.testing.assert_array_equal(cond.blocks[0].matrix, [[0, 1], [1, 0]])
-    assert cond.dag_edges == frozenset()
+    assert dag_edges(cond) == []
 
 
 def test_chain_into_two_cycle():
@@ -37,7 +37,7 @@ def test_chain_into_two_cycle():
     assert cond.h == 2
     assert cond.blocks[0].nodes == (0,)
     assert cond.blocks[1].nodes == (1, 2)
-    assert cond.dag_edges == {(0, 1)}
+    assert dag_edges(cond) == [(0, 1)]
 
 
 def test_reachability_of_chain():
@@ -62,7 +62,7 @@ def test_coupling_single_edge():
 def test_coupling_absent_edge_is_zero():
     cond = condense(from_dense(np.zeros((2, 2))))
     np.testing.assert_array_equal(extract_coupling(cond, 1, 0).matrix, [[0.0]])
-    assert (0, 1) not in cond.dag_edges
+    assert (0, 1) not in dag_edges(cond)
 
 
 def test_coupling_into_larger_block():
@@ -115,9 +115,10 @@ def test_eight_block_fixture_structure():
     cond = condense(system)
     assert cond.h == 8
     assert [b.nodes for b in cond.blocks] == [tuple(g) for g in groups]
-    assert cond.dag_edges == {
+    assert dag_edges(cond) == [
         (0, 2), (1, 2), (2, 4), (3, 4), (4, 5), (4, 6), (5, 7), (6, 7)
-    }
+    ]
+    assert cond.level.tolist() == [0, 0, 1, 0, 2, 3, 3, 4]
     reach = upstream_reachability(cond)
     got = {(l, k) for l in range(8) for k in range(8) if reach[l, k]}
     assert got == {
@@ -136,7 +137,7 @@ def test_dot_export_shapes_and_colors():
     system, _ = _eight_block_fixture()
     cond, spectra, report = full_analysis(system)
     dot = to_dot(cond, spectra, report.roles, verdict_name=report.verdict.value)
-    assert dot.count("->") == len(cond.dag_edges)
+    assert dot.count("->") == len(dag_edges(cond))
     assert dot.count("[label=") == 8
     assert "fillcolor=blue" in dot  # zero-diagonal cycles are critical
     assert "// verdict:" in dot
@@ -175,10 +176,33 @@ def test_condensation_invariants_random(seed):
     for b in cond.blocks:
         assert strongly_connected(b.matrix)
 
-    # dag edges point forward and match couplings
-    for l, k in cond.dag_edges:
+    # the stored DAG: CSR rows ascend strictly, edges point forward, and the
+    # edge set is the cross-block entries mapped through node_to_block
+    indptr, succ = cond.dag
+    assert len(indptr) == cond.h + 1 and indptr[0] == 0 and indptr[-1] == len(succ)
+    assert (np.diff(indptr) >= 0).all()
+    for l in range(cond.h):
+        assert (np.diff(succ[indptr[l]:indptr[l + 1]]) > 0).all()
+    edges = dag_edges(cond)
+    rows, cols, _ = system.coo
+    block = cond.node_to_block
+    assert set(edges) == set(zip(block[cols].tolist(), block[rows].tolist())) - {
+        (k, k) for k in range(cond.h)
+    }
+    for l, k in edges:
         assert l < k
         assert extract_coupling(cond, k, l).matrix.any()
+
+    # level: 0 without predecessors, else one more than the deepest predecessor
+    preds = {k: [] for k in range(cond.h)}
+    for l, k in edges:
+        preds[k].append(l)
+    for k in range(cond.h):
+        assert cond.level[k] == (1 + max(cond.level[preds[k]]) if preds[k] else 0)
+
+    stored = (*cond.dag, cond.level, cond.node_to_block, cond.permutation)
+    assert not any(a.flags.writeable for a in stored)
+    assert cond.node_to_block.dtype == cond.permutation.dtype == np.intp
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -188,7 +212,7 @@ def test_reachability_matches_floyd_warshall(seed):
     reach = upstream_reachability(cond)
     h = cond.h
     closure = np.zeros((h, h), dtype=bool)
-    for l, k in cond.dag_edges:
+    for l, k in dag_edges(cond):
         closure[l, k] = True
     for m in range(h):
         for a in range(h):
@@ -220,8 +244,9 @@ def test_condense_deterministic():
     system = random_metzler(10, density=0.3, seed=7)
     c1, c2 = condense(system), condense(system)
     assert [b.nodes for b in c1.blocks] == [b.nodes for b in c2.blocks]
-    assert c1.dag_edges == c2.dag_edges
-    assert c1.permutation == c2.permutation
+    assert dag_edges(c1) == dag_edges(c2)
+    np.testing.assert_array_equal(c1.level, c2.level)
+    np.testing.assert_array_equal(c1.permutation, c2.permutation)
 
 
 def test_condense_survives_long_chain():
@@ -229,4 +254,5 @@ def test_condense_survives_long_chain():
     entries = {(i + 1, i): 1.0 for i in range(n - 1)}
     cond = condense(validate(entries, n))
     assert cond.h == n
-    assert cond.permutation == tuple(range(n))
+    np.testing.assert_array_equal(cond.permutation, np.arange(n))
+    np.testing.assert_array_equal(cond.level, np.arange(n))

@@ -7,6 +7,7 @@ from coopstab import (
     BlockClass,
     NoConvergence,
     SpectralOptions,
+    ValidationError,
     analyze_all_blocks,
     classify,
     condense,
@@ -136,6 +137,14 @@ def test_unreachable_tolerance_reports_no_convergence():
         dominant_eigenpair(_block([[-2, 1], [3, -1]]), opts)
     assert exc.value.iterations > 0
     assert exc.value.last_residual > 0
+
+
+@pytest.mark.parametrize("field", ["crit_tol_rel", "eig_tol", "residual_tol"])
+@pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan, math.inf])
+def test_tolerances_must_be_finite_and_non_negative(field, value):
+    with pytest.raises(ValidationError, match=field):
+        SpectralOptions(**{field: value})
+    assert getattr(SpectralOptions(**{field: 0.0}), field) == 0.0
 
 
 def test_analyze_all_blocks_tags_block_index():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import reference_steady_state_basis, reference_verdict
+from conftest import dag_csr, dag_edges, reference_steady_state_basis, reference_verdict
 from coopstab import (
     BlockClass,
     CooperativeSystem,
@@ -122,7 +122,7 @@ def test_critical_path_witness_is_shortest():
 
 def _bare_condensation(h, edges, critical=(), super_critical=()):
     """What `verdict` reads of a condensation and its spectra, and no more."""
-    cond = SimpleNamespace(h=h, dag_edges=frozenset(edges))
+    cond = SimpleNamespace(h=h, dag=dag_csr(h, edges))
     spectra = [
         SimpleNamespace(classification=BlockClass.CRITICAL if k in critical
                         else BlockClass.SUPER_CRITICAL if k in super_critical
@@ -405,7 +405,7 @@ def test_sub_critical_zero_iff_all_immediate_sources_zero(seed):
         return not combined[list(cond.blocks[k].nodes)].any()
 
     preds = {k: [] for k in range(cond.h)}
-    for l, k in cond.dag_edges:
+    for l, k in dag_edges(cond):
         preds[k].append(l)
     from coopstab import BlockClass
 

@@ -431,7 +431,10 @@ def test_golden_corpus(fixture, capsys):
     [(p.name, "steady", []) for p in sorted(FIXTURES.iterdir()) if p.is_file()]
     + [("critical_pair.mtx", "steady-forced", ["--force-nullspace"]),
        ("shared_cone.mtx", "steady-pretty", ["--pretty"]),
-       ("critical_pair.mtx", "steady-pretty", ["--pretty", "--force-nullspace"])],
+       ("critical_pair.mtx", "steady-pretty", ["--pretty", "--force-nullspace"]),
+       ("large_scc.mtx", "steady-max-iter-0", ["--max-iter", "0"]),
+       ("large_scc.mtx", "steady-max-iter-1", ["--max-iter", "1"]),
+       ("large_scc.mtx", "steady-dense-cutoff-0", ["--dense-cutoff", "0"])],
 )
 def test_steady_state_golden_corpus(fixture, tag, extra, capsys):
     """steady-state stdout and exit code are byte-identical to the stored golden."""

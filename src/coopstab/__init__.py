@@ -4,14 +4,7 @@ components of the dependence graph."""
 
 __version__ = "0.1.0"
 
-from .condensation import (
-    Block,
-    Condensation,
-    Coupling,
-    condense,
-    extract_coupling,
-    to_dot,
-)
+from .condensation import Block, Condensation, condense, to_dot
 from .errors import (
     BadBlockOrder,
     CondensationError,
@@ -41,14 +34,17 @@ from .oracle import (
     LimitCheckResult,
     dense_verdict,
     expm_limit_check,
+    extract_coupling,
     generate,
     generate_compartmental,
     generate_marginally_stable,
     generate_with_plan,
+    path_sum_matrix,
     random_critical_matrix,
     random_metzler,
     simulate,
     spectrum_match_error,
+    steady_state_by_path_sum,
 )
 from .spectral import (
     BlockClass,
@@ -68,9 +64,7 @@ from .stability import (
     find_traps,
     full_analysis,
     nullspace_residual,
-    path_sum_matrix,
     steady_state_basis,
-    steady_state_by_path_sum,
     trivial_blocks,
     verdict,
 )

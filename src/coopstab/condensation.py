@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BadBlockOrder, CondensationError
+from .errors import CondensationError
 from .system import CooperativeSystem
 
 
@@ -33,15 +31,6 @@ class Block:
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-
-@dataclass(frozen=True, eq=False)
-class Coupling:
-    """Cross-block submatrix: rows over the target block, columns over the source."""
-
-    target_block: int
-    source_block: int
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,17 +53,6 @@ class Condensation:
     node_to_block: np.ndarray
     permutation: np.ndarray
     cross: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-    @cached_property
-    def cross_entries(self) -> Mapping[tuple[int, int], tuple[tuple[int, int, float], ...]]:
-        """Read-only {(k, l): ((local_row, local_col, value), ...)} view of
-        `cross`, in the same order."""
-        pos = {node: p for b in self.blocks for p, node in enumerate(b.nodes)}
-        block_of = self.node_to_block.tolist()
-        groups: dict[tuple[int, int], list] = {}
-        for k, i, j, v in zip(*(a.tolist() for a in self.cross)):
-            groups.setdefault((k, block_of[j]), []).append((pos[i], pos[j], v))
-        return MappingProxyType({key: tuple(cells) for key, cells in groups.items()})
 
 
 def _tarjan(n: int, indptr: np.ndarray, indices: np.ndarray) -> list[int]:
@@ -221,17 +199,6 @@ def condense(system: CooperativeSystem) -> Condensation:
 
     return Condensation(h=c, blocks=blocks, dag=dag, level=level, node_to_block=node_block,
                         permutation=permutation, cross=arrays)
-
-
-def extract_coupling(cond: Condensation, k: int, l: int) -> Coupling:
-    """Dense coupling matrix from block l into block k (zero when no edge)."""
-    if not (0 <= l < k < cond.h):
-        raise BadBlockOrder(f"need 0 <= l < k < h, got l={l}, k={k}, h={cond.h}")
-    mat = np.zeros((cond.blocks[k].size, cond.blocks[l].size))
-    for li, lj, v in cond.cross_entries.get((k, l), ()):
-        mat[li, lj] = v
-    mat.setflags(write=False)
-    return Coupling(target_block=k, source_block=l, matrix=mat)
 
 
 _CLASS_COLOR = {

@@ -1,10 +1,11 @@
 """Independent brute-force verification and random system generation.
 
-Everything here works on the dense matrix and is deliberately ignorant of the
-block decomposition, so it can cross-check the decomposed pipeline: a full
-eigensolve renders the textbook verdict, a matrix exponential simulates
-trajectories, and seeded generators plant block classes and topologies that
-the decomposition must recover.
+Everything here is test-only and may be slow, so it can cross-check the
+decomposed pipeline: a full eigensolve on the dense matrix renders the
+textbook verdict, a matrix exponential simulates trajectories, an
+alternating sum over block paths gives each steady state without the level
+sweep, and seeded generators plant block classes and topologies that the
+decomposition must recover. No pipeline module imports this one.
 """
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .condensation import Block, condense
-from .errors import GapTooSmall, InfeasibleSpec, TooLargeForDense, ValidationError
-from .spectral import SpectralOptions, dominant_eigenpair
+from .condensation import Block, Condensation, condense
+from .errors import (BadBlockOrder, GapTooSmall, InfeasibleSpec, TooLargeForDense,
+                     TooManyBlocks, ValidationError)
+from .spectral import BlockClass, BlockSpectrum, SpectralOptions, dominant_eigenpair
 from .stability import Verdict
 from .system import CooperativeSystem, from_dense, state_vector, validate
 
@@ -138,6 +140,96 @@ def expm_limit_check(
     _, u = dominant_eigenpair(transposed, opts)
     res = float(np.max(np.abs(u @ l - u))) / float(np.max(np.abs(u)))
     return LimitCheckResult(residual=res, t_big=t_big, gap=gap)
+
+
+# ---------------------------------------------------------------------------
+# Path-sum form of the steady state: each basis vector as an alternating sum
+# over block paths, exponential in the block count
+# ---------------------------------------------------------------------------
+
+def extract_coupling(cond: Condensation, k: int, l: int) -> np.ndarray:
+    """Dense read-only coupling matrix from block l into block k, rows over
+    k's nodes and columns over l's (zero when no edge), from `cond.cross`."""
+    if not (0 <= l < k < cond.h):
+        raise BadBlockOrder(f"need 0 <= l < k < h, got l={l}, k={k}, h={cond.h}")
+    target, rows, cols, vals = cond.cross
+    pick = (target == k) & (cond.node_to_block[cols] == l)
+    mat = np.zeros((cond.blocks[k].size, cond.blocks[l].size))
+    mat[np.searchsorted(cond.blocks[k].nodes, rows[pick]),
+        np.searchsorted(cond.blocks[l].nodes, cols[pick])] = vals[pick]
+    mat.setflags(write=False)
+    return mat
+
+
+def path_sum_matrix(
+    cond: Condensation,
+    spectra: Sequence[BlockSpectrum],
+    k: int,
+    l: int,
+    *,
+    max_blocks: int = 12,
+) -> np.ndarray:
+    """Alternating sum over all directed block paths from l to k.
+
+    Each path l -> b_1 -> ... -> b_{n-1} -> k of n edges contributes
+    (-1)^(n-1) C[k, b_{n-1}] B_{b_{n-1}}^{-1} ... B_{b_1}^{-1} C[b_1, l].
+    Path enumeration is exponential in the block count.
+    """
+    if cond.h > max_blocks:
+        raise TooManyBlocks(cond.h, max_blocks)
+    if not (0 <= l < k < cond.h):
+        raise BadBlockOrder(f"need 0 <= l < k < h, got l={l}, k={k}, h={cond.h}")
+
+    ptr, succ = (a.tolist() for a in cond.dag)
+
+    inv_cache: dict[int, np.ndarray] = {}
+
+    def inv_block(b: int) -> np.ndarray:
+        if b not in inv_cache:
+            inv_cache[b] = np.linalg.inv(cond.blocks[b].matrix)
+        return inv_cache[b]
+
+    total = np.zeros((cond.blocks[k].size, cond.blocks[l].size))
+    stack: list[list[int]] = [[l]]
+    while stack:
+        path = stack.pop()
+        for nxt in succ[ptr[path[-1]]:ptr[path[-1] + 1]]:
+            if nxt == k:
+                full = path + [k]
+                n_edges = len(full) - 1
+                term = extract_coupling(cond, full[1], full[0])
+                for step in range(1, n_edges):
+                    c = extract_coupling(cond, full[step + 1], full[step])
+                    term = c @ inv_block(full[step]) @ term
+                total += (-1.0) ** (n_edges - 1) * term
+            elif nxt < k:
+                stack.append(path + [nxt])
+    return total
+
+
+def steady_state_by_path_sum(
+    cond: Condensation,
+    spectra: Sequence[BlockSpectrum],
+    free_block: int,
+    *,
+    max_blocks: int = 12,
+) -> np.ndarray:
+    """Basis vector for one free block evaluated through the path-sum form;
+    cross-validates the recursive propagation."""
+    n = len(cond.node_to_block)
+    x = np.zeros(n)
+    phi = spectra[free_block].phi
+    x[list(cond.blocks[free_block].nodes)] = phi
+    for k in range(free_block + 1, cond.h):
+        if spectra[k].classification is not BlockClass.SUB_CRITICAL:
+            continue
+        p = path_sum_matrix(cond, spectra, k, free_block, max_blocks=max_blocks)
+        if not p.any():
+            continue
+        sol = -np.linalg.inv(cond.blocks[k].matrix) @ (p @ phi)
+        x[list(cond.blocks[k].nodes)] = sol
+    x.setflags(write=False)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ class SpectralOptions:
     crit_tol_rel: criticality band, |mu| <= crit_tol_rel * max(1, ||B||_inf).
     eig_tol: eigenpair residual target, relative to max(1, ||B + sI||_inf).
     residual_tol: steady-state residual scale (shared with the stability module).
+    max_iter: power steps for blocks above dense_cutoff nodes (0: dense only).
     """
 
     crit_tol_rel: float = 1e-9
@@ -45,6 +46,10 @@ class SpectralOptions:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValidationError(f"{name} = {value!r} must be finite and non-negative")
+        for name in ("max_iter", "dense_cutoff"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValidationError(f"{name} = {value!r} must be a non-negative integer")
 
 
 DEFAULT_OPTIONS = SpectralOptions()
@@ -70,63 +75,37 @@ _SINGLETON_PHI = np.ones(1)
 _SINGLETON_PHI.flags.writeable = False
 
 
-def _power_iteration(m: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray, float, int]:
-    """Power iteration on a non-negative primitive matrix, started from the
-    uniform vector (stays strictly positive throughout). Residual is checked
-    periodically against a Rayleigh-quotient eigenvalue estimate."""
-    d = m.shape[0]
-    x = np.full(d, 1.0 / d)
-    lam = 0.0
-    res = np.inf
-    check_every = 16
-    for it in range(1, max_iter + 1):
+def _refine(
+    m: np.ndarray, x: np.ndarray, tol: float, steps: int, every: int
+) -> tuple[float, np.ndarray, float]:
+    """Power steps x <- m x / sum(m x) from x_0 = x, over x_0 .. x_{steps-1}.
+    Measures (Rayleigh quotient and residual, from the step's own matvec) the
+    last iterate and every `every`-th, x_0 only when every == 1. Returns the
+    first measured positive iterate within tol, else the best positive one,
+    else the final iterate against the last estimate."""
+    best: tuple[float, np.ndarray, float] | None = None
+    lam, last = 0.0, steps - 1
+    for t in range(steps):
         y = m @ x
-        x = y / y.sum()
-        if it % check_every == 0 or it == max_iter:
-            y = m @ x
+        if t == last or t % every == 0 and (t > 0 or every == 1):
             lam = float(x @ y) / float(x @ x)
             res = float(np.max(np.abs(y - lam * x)))
-            if res <= tol and x.min() > 0.0:
-                return lam, x, res, it
-    return lam, x, res, max_iter
-
-
-def _dense_perron(m: np.ndarray, tol: float) -> tuple[float, np.ndarray, float, int]:
-    """Dense eigensolve for the Perron pair, polished by a few power steps to
-    scrub sign dust off the eigenvector and guarantee strict positivity."""
-    d = m.shape[0]
-    w, vecs = np.linalg.eig(m)
-    idx = int(np.argmax(w.real))
-    x = np.real(vecs[:, idx])
-    if x.sum() < 0:
-        x = -x
-    x = np.clip(x, 0.0, None)
-    if not x.any():
-        x = np.ones(d)
-    x = x / x.sum()
-
-    best: tuple[float, np.ndarray, float] | None = None
-    lam = float(w[idx].real)
-    for it in range(1, max(2 * d, 50) + 1):
-        y = m @ x
-        lam = float(x @ y) / float(x @ x)
-        res = float(np.max(np.abs(y - lam * x)))
-        if x.min() > 0.0 and (best is None or res < best[2]):
-            best = (lam, x, res)
-            if res <= tol:
-                return lam, x, res, it
+            if x.min() > 0.0 and (best is None or res < best[2]):
+                best = (lam, x, res)
+                if res <= tol:
+                    return best
         x = y / y.sum()
-    if best is None:
-        return lam, x, float(np.max(np.abs(m @ x - lam * x))), max(2 * d, 50)
-    return (*best, max(2 * d, 50))
+    return best or (lam, x, float(np.max(np.abs(m @ x - lam * x))))
 
 
 def dominant_eigenpair(block: Block, opts: SpectralOptions | None = None) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue (real, simple) and positive eigenvector of an
     irreducible Metzler block. The eigenvector is normalized to unit entry sum.
 
-    Raises NoConvergence when neither power iteration nor the dense fallback
-    reaches the residual target.
+    Blocks above the dense cutoff try power iteration from the uniform vector
+    first. Otherwise, or when it falls short, a dense eigensolve is polished
+    by a few power steps that scrub sign dust off the eigenvector. Raises
+    NoConvergence when neither reaches the residual target.
     """
     opts = opts or DEFAULT_OPTIONS
     b = np.asarray(block.matrix, dtype=float)
@@ -142,14 +121,20 @@ def dominant_eigenpair(block: Block, opts: SpectralOptions | None = None) -> tup
         raise NonFiniteResult(f"block {block.index}: shifted matrix overflows")
 
     iters = 0
-    if d > opts.dense_cutoff:
-        lam, x, res, iters = _power_iteration(m, tol, opts.max_iter)
+    if d > opts.dense_cutoff and opts.max_iter:
+        lam, x, res = _refine(m, np.full(d, 1.0 / d), tol, opts.max_iter + 1, 16)
         if res <= tol and x.min() > 0.0:
             return lam - shift, x
-    lam, x, res, extra = _dense_perron(m, tol)
-    iters += extra
+        iters = opts.max_iter
+    w, vecs = np.linalg.eig(m)
+    x = np.real(vecs[:, int(np.argmax(w.real))])
+    x = np.clip(-x if x.sum() < 0 else x, 0.0, None)
+    if not x.any():
+        x = np.ones(d)
+    steps = max(2 * d, 50)
+    lam, x, res = _refine(m, x / x.sum(), tol, steps, 1)
     if res > tol or x.min() <= 0.0:
-        raise NoConvergence(iterations=iters, last_residual=res)
+        raise NoConvergence(iterations=iters + steps, last_residual=res)
     return lam - shift, x
 
 

@@ -14,9 +14,8 @@ propagated together, as the columns of one array, one DAG level at a time:
 the blocks of a level depend on lower levels only, so all their couplings
 are gathered in one step and all their singletons solved by one division;
 each multi-node block in some cone is factorized once for all free
-parameters. The alternating path-sum form of the same propagation is
-kept as a cross-validation oracle only; enumerating block paths is
-exponential in the condensation size.
+parameters. The alternating path-sum form of the same propagation, which
+enumerates block paths, is a cross-check in the oracle module.
 """
 from __future__ import annotations
 
@@ -27,15 +26,13 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .condensation import Condensation, extract_coupling
+from .condensation import Condensation, condense
 from .errors import (
-    BadBlockOrder,
     NegativeSteadyStateEntry,
     NonFiniteResult,
     NotMarginallyStable,
     SingularSubCriticalSolve,
     SuperCriticalPresent,
-    TooManyBlocks,
 )
 from .spectral import BlockClass, BlockSpectrum, SpectralOptions, analyze_all_blocks
 from .system import CooperativeSystem
@@ -89,10 +86,6 @@ class SteadyStateBasis:
     vectors: tuple[np.ndarray, ...]
     free_blocks: tuple[int, ...]
     free_parameters: tuple[str, ...]
-
-
-def _classes(spectra: Sequence[BlockSpectrum]) -> list[BlockClass]:
-    return [s.classification for s in spectra]
 
 
 def _block_dag(
@@ -149,7 +142,7 @@ def verdict(cond: Condensation, spectra: Sequence[BlockSpectrum]) -> StabilityRe
     smallest upstream block, with the lexicographically smallest block
     sequence.
     """
-    classes = _classes(spectra)
+    classes = [s.classification for s in spectra]
     up, near, hop = _block_dag(cond, classes)
     critical = [k for k, c in enumerate(classes) if c is BlockClass.CRITICAL]
     supers = [k for k, c in enumerate(classes) if c is BlockClass.SUPER_CRITICAL]
@@ -190,8 +183,6 @@ def full_analysis(
     system: CooperativeSystem, opts: SpectralOptions | None = None
 ) -> tuple[Condensation, list[BlockSpectrum], StabilityReport]:
     """Condense, analyze every block, and render the verdict in one call."""
-    from .condensation import condense
-
     cond = condense(system)
     spectra = analyze_all_blocks(cond, opts)
     return cond, spectra, verdict(cond, spectra)
@@ -253,7 +244,7 @@ def steady_state_basis(
     `cond.cross`, so they round exactly as block by block; when several
     blocks fail, the lowest-indexed one raises, as in a sweep in block order.
     """
-    classes = _classes(spectra)
+    classes = [s.classification for s in spectra]
     if report is None:
         report = verdict(cond, spectra)
     _refuse_super_critical(report)
@@ -337,80 +328,6 @@ def nullspace_residual(system: CooperativeSystem, vector: np.ndarray) -> float:
     rows, cols, vals = system.coo
     out = np.bincount(rows, weights=vals * np.asarray(vector)[cols], minlength=system.n)
     return float(np.max(np.abs(out))) if system.n else 0.0
-
-
-def path_sum_matrix(
-    cond: Condensation,
-    spectra: Sequence[BlockSpectrum],
-    k: int,
-    l: int,
-    *,
-    max_blocks: int = 12,
-) -> np.ndarray:
-    """Alternating sum over all directed block paths from l to k.
-
-    Each path l -> b_1 -> ... -> b_{n-1} -> k of n edges contributes
-    (-1)^(n-1) C[k, b_{n-1}] B_{b_{n-1}}^{-1} ... B_{b_1}^{-1} C[b_1, l].
-    Test oracle only; path enumeration is exponential in the block count.
-    """
-    if cond.h > max_blocks:
-        raise TooManyBlocks(cond.h, max_blocks)
-    if not (0 <= l < k < cond.h):
-        raise BadBlockOrder(f"need 0 <= l < k < h, got l={l}, k={k}, h={cond.h}")
-
-    ptr, succ = (a.tolist() for a in cond.dag)
-
-    inv_cache: dict[int, np.ndarray] = {}
-
-    def inv_block(b: int) -> np.ndarray:
-        if b not in inv_cache:
-            inv_cache[b] = np.linalg.inv(cond.blocks[b].matrix)
-        return inv_cache[b]
-
-    def coupling(t: int, s: int) -> np.ndarray:
-        return extract_coupling(cond, t, s).matrix
-
-    total = np.zeros((cond.blocks[k].size, cond.blocks[l].size))
-    stack: list[list[int]] = [[l]]
-    while stack:
-        path = stack.pop()
-        for nxt in succ[ptr[path[-1]]:ptr[path[-1] + 1]]:
-            if nxt == k:
-                full = path + [k]
-                n_edges = len(full) - 1
-                term = coupling(full[1], full[0])
-                for step in range(1, n_edges):
-                    term = coupling(full[step + 1], full[step]) @ inv_block(full[step]) @ term
-                total += (-1.0) ** (n_edges - 1) * term
-            elif nxt < k:
-                stack.append(path + [nxt])
-    return total
-
-
-def steady_state_by_path_sum(
-    cond: Condensation,
-    spectra: Sequence[BlockSpectrum],
-    free_block: int,
-    *,
-    max_blocks: int = 12,
-) -> np.ndarray:
-    """Basis vector for one free block evaluated through the path-sum form;
-    cross-validates the recursive propagation."""
-    classes = _classes(spectra)
-    n = len(cond.node_to_block)
-    x = np.zeros(n)
-    phi = spectra[free_block].phi
-    x[list(cond.blocks[free_block].nodes)] = phi
-    for k in range(free_block + 1, cond.h):
-        if classes[k] is not BlockClass.SUB_CRITICAL:
-            continue
-        p = path_sum_matrix(cond, spectra, k, free_block, max_blocks=max_blocks)
-        if not p.any():
-            continue
-        sol = -np.linalg.inv(cond.blocks[k].matrix) @ (p @ phi)
-        x[list(cond.blocks[k].nodes)] = sol
-    x.setflags(write=False)
-    return x
 
 
 def find_traps(cond: Condensation, spectra: Sequence[BlockSpectrum]) -> tuple[int, ...]:

@@ -81,7 +81,7 @@ def validate(
     in input order is reported, checked in this order: index type, index
     range, duplicate coordinate, value conversion, finiteness, sign.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"system dimension must be a positive integer, got {n!r}")
 
     if isinstance(raw_entries, Mapping):
@@ -319,21 +319,24 @@ def load_edge_list_json(text: str) -> CooperativeSystem:
     if "n" not in data:
         raise ParseError(0, "missing field 'n'")
     n = data["n"]
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ParseError(0, f"field 'n' must be an integer, got {n!r}")
 
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ParseError(0, "field 'labels' must be a list of strings")
+    # First occurrence wins, as with list.index; `validate` then rejects
+    # duplicate and non-string labels.
+    index_of = {s: i for i, s in reversed(list(enumerate(labels or []))) if isinstance(s, str)}
 
     def resolve(ref, what: str) -> int:
         if isinstance(ref, bool) or not isinstance(ref, (int, str)):
             raise ParseError(0, f"{what} must be an index or a label, got {ref!r}")
         if isinstance(ref, int):
             return ref
-        if labels is None or ref not in labels:
+        if ref not in index_of:
             raise UnknownLabel(ref)
-        return labels.index(ref)
+        return index_of[ref]
 
     triples: list[tuple[int, int, float]] = []
     for edge in _require_list(data.get("edges", []), "edges"):

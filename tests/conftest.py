@@ -17,6 +17,7 @@ from coopstab import (
     DuplicateEntry,
     IndexOutOfRange,
     NegativeOffDiagonal,
+    NoConvergence,
     NegativeSteadyStateEntry,
     NonFiniteResult,
     NotMarginallyStable,
@@ -105,6 +106,81 @@ def spectral_gap(a: np.ndarray, zero_tol: float = 1e-8) -> float:
     real = np.linalg.eigvals(a).real
     negative = real[real < -zero_tol * scale]
     return float(-negative.max()) if negative.size else np.inf
+
+
+# ---------------------------------------------------------------------------
+# Reference Perron pair: the two refinement loops `dominant_eigenpair` once
+# ran, power iteration and the polished dense eigensolve, kept verbatim so
+# the merged loop can be checked against them bitwise.
+# ---------------------------------------------------------------------------
+
+def _reference_power_iteration(m: np.ndarray, tol: float, max_iter: int):
+    d = m.shape[0]
+    x = np.full(d, 1.0 / d)
+    lam = 0.0
+    res = np.inf
+    check_every = 16
+    for it in range(1, max_iter + 1):
+        y = m @ x
+        x = y / y.sum()
+        if it % check_every == 0 or it == max_iter:
+            y = m @ x
+            lam = float(x @ y) / float(x @ x)
+            res = float(np.max(np.abs(y - lam * x)))
+            if res <= tol and x.min() > 0.0:
+                return lam, x, res, it
+    return lam, x, res, max_iter
+
+
+def _reference_dense_perron(m: np.ndarray, tol: float):
+    d = m.shape[0]
+    w, vecs = np.linalg.eig(m)
+    idx = int(np.argmax(w.real))
+    x = np.real(vecs[:, idx])
+    if x.sum() < 0:
+        x = -x
+    x = np.clip(x, 0.0, None)
+    if not x.any():
+        x = np.ones(d)
+    x = x / x.sum()
+
+    best = None
+    lam = float(w[idx].real)
+    for it in range(1, max(2 * d, 50) + 1):
+        y = m @ x
+        lam = float(x @ y) / float(x @ x)
+        res = float(np.max(np.abs(y - lam * x)))
+        if x.min() > 0.0 and (best is None or res < best[2]):
+            best = (lam, x, res)
+            if res <= tol:
+                return lam, x, res, it
+        x = y / y.sum()
+    if best is None:
+        return lam, x, float(np.max(np.abs(m @ x - lam * x))), max(2 * d, 50)
+    return (*best, max(2 * d, 50))
+
+
+def reference_dominant_eigenpair(block, opts):
+    """`dominant_eigenpair` over the two reference loops."""
+    b = np.asarray(block.matrix, dtype=float)
+    d = b.shape[0]
+    if d == 1:
+        return float(b[0, 0]), np.ones(1)
+
+    shift = float(np.max(np.abs(np.diag(b)))) + 1.0
+    m = b + shift * np.eye(d)
+    tol = opts.eig_tol * max(1.0, float(np.max(np.sum(np.abs(m), axis=1))))
+
+    iters = 0
+    if d > opts.dense_cutoff:
+        lam, x, res, iters = _reference_power_iteration(m, tol, opts.max_iter)
+        if res <= tol and x.min() > 0.0:
+            return lam - shift, x
+    lam, x, res, extra = _reference_dense_perron(m, tol)
+    iters += extra
+    if res > tol or x.min() <= 0.0:
+        raise NoConvergence(iterations=iters, last_residual=res)
+    return lam - shift, x
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +310,17 @@ def _reference_solve_block(cond, l: int, rhs: np.ndarray) -> np.ndarray:
     ])
 
 
+def cross_entries(cond) -> dict[tuple[int, int], tuple[tuple[int, int, float], ...]]:
+    """{(k, l): ((local_row, local_col, value), ...)} view of `cond.cross`,
+    in the same order: the dict form the sequential references sum over."""
+    pos = {node: p for b in cond.blocks for p, node in enumerate(b.nodes)}
+    block_of = cond.node_to_block.tolist()
+    groups: dict[tuple[int, int], list] = {}
+    for k, i, j, v in zip(*(a.tolist() for a in cond.cross)):
+        groups.setdefault((k, block_of[j]), []).append((pos[i], pos[j], v))
+    return {key: tuple(cells) for key, cells in groups.items()}
+
+
 def reference_steady_state_basis(
     cond, spectra, report=None, *, force=False, residual_tol=1e-10
 ) -> SteadyStateBasis:
@@ -258,8 +345,9 @@ def reference_steady_state_basis(
         )
     final = [r.block_index for r in report.roles if r.is_final_critical]
 
+    coupling = cross_entries(cond)
     sources_of: dict[int, list[int]] = {}
-    for (k, l) in cond.cross_entries:
+    for (k, l) in coupling:
         sources_of.setdefault(k, []).append(l)
 
     x = np.zeros((len(cond.node_to_block), len(final)), order="F")
@@ -276,7 +364,7 @@ def reference_steady_state_basis(
         with np.errstate(over="ignore", invalid="ignore"):
             for src in cone_sources:
                 src_nodes = cond.blocks[src].nodes
-                for li, lj, v in cond.cross_entries[(l, src)]:
+                for li, lj, v in coupling[(l, src)]:
                     rhs[li] += v * x[src_nodes[lj]]
         cols = rhs.any(axis=0).nonzero()[0]
         if not cols.size:

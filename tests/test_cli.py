@@ -229,6 +229,17 @@ def test_lone_surrogate_label_exit_64(tmp_path, capsys, command, extra):
     assert captured.err == "error: node label 0 ('a\\ud800') is not valid UTF-8 text\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "steady-state"])
+def test_boolean_dimension_exit_64(tmp_path, capsys, command):
+    # True passes isinstance(n, int) and once failed inside condense: exit 1
+    path = tmp_path / "bool.json"
+    path.write_text('{"n": true}')
+    assert main([command, str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 0: field 'n' must be an integer, got True\n"
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_steady_state_restores_the_garbage_collector(marginal, capsys, enabled):
     (gc.enable if enabled else gc.disable)()
@@ -428,10 +439,13 @@ def test_golden_corpus(fixture, capsys):
 
 @pytest.mark.parametrize(
     "fixture, tag, extra",
-    [(p.name, "steady", []) for p in sorted(FIXTURES.iterdir()) if p.is_file()]
+    # large_scc.mtx comes last, next to the limits that vary its power-iteration path
+    [(p.name, "steady", []) for p in sorted(FIXTURES.iterdir())
+     if p.is_file() and p.name != "large_scc.mtx"]
     + [("critical_pair.mtx", "steady-forced", ["--force-nullspace"]),
        ("shared_cone.mtx", "steady-pretty", ["--pretty"]),
        ("critical_pair.mtx", "steady-pretty", ["--pretty", "--force-nullspace"]),
+       ("large_scc.mtx", "steady", []),
        ("large_scc.mtx", "steady-max-iter-0", ["--max-iter", "0"]),
        ("large_scc.mtx", "steady-max-iter-1", ["--max-iter", "1"]),
        ("large_scc.mtx", "steady-dense-cutoff-0", ["--dense-cutoff", "0"])],
@@ -470,12 +484,18 @@ def test_oracle_generate_config_file(tmp_path, capsys):
     assert system.n == 3
 
 
+TOLERANCE_FLAGS = [(flag, value) for flag in ("--crit-tol-rel", "--eig-tol", "--residual-tol")
+                   for value in ("-1", "nan", "inf")]
+LIMIT_FLAGS = [("--max-iter", "-1"), ("--dense-cutoff", "-1"), ("--max-iter", "-3")]
+
+
 @pytest.mark.parametrize("command", ["analyze", "steady-state"])
-@pytest.mark.parametrize("flag", ["--crit-tol-rel", "--eig-tol", "--residual-tol"])
-@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("flag, value", TOLERANCE_FLAGS + LIMIT_FLAGS,
+                         ids=[f"{value}-{flag}" for flag, value in TOLERANCE_FLAGS + LIMIT_FLAGS])
 def test_invalid_tolerance_is_an_input_error(command, flag, value, capsys):
     # feed.mtx has a block with mu exactly 0.0: a negative band once called
-    # it super-critical (exit 2), and a NaN band ended in exit 70.
+    # it super-critical (exit 2), and a NaN band ended in exit 70. A negative
+    # --max-iter or --dense-cutoff was once accepted and echoed in the report.
     assert main([command, str(FIXTURES / "feed.mtx"), flag, value]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""

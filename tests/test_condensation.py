@@ -55,20 +55,20 @@ def test_reachability_isolated_blocks():
 def test_coupling_single_edge():
     cond = condense(from_dense([[0, 0], [1, 0]]))
     c = extract_coupling(cond, 1, 0)
-    np.testing.assert_array_equal(c.matrix, [[1.0]])
-    assert (c.target_block, c.source_block) == (1, 0)
+    np.testing.assert_array_equal(c, [[1.0]])
+    assert not c.flags.writeable
 
 
 def test_coupling_absent_edge_is_zero():
     cond = condense(from_dense(np.zeros((2, 2))))
-    np.testing.assert_array_equal(extract_coupling(cond, 1, 0).matrix, [[0.0]])
+    np.testing.assert_array_equal(extract_coupling(cond, 1, 0), [[0.0]])
     assert (0, 1) not in dag_edges(cond)
 
 
 def test_coupling_into_larger_block():
     s = validate({(1, 0): 1.0, (2, 1): 1.0, (1, 2): 1.0}, 3)
     cond = condense(s)
-    np.testing.assert_array_equal(extract_coupling(cond, 1, 0).matrix, [[1.0], [0.0]])
+    np.testing.assert_array_equal(extract_coupling(cond, 1, 0), [[1.0], [0.0]])
 
 
 def test_coupling_order_enforced():
@@ -191,7 +191,7 @@ def test_condensation_invariants_random(seed):
     }
     for l, k in edges:
         assert l < k
-        assert extract_coupling(cond, k, l).matrix.any()
+        assert extract_coupling(cond, k, l).any()
 
     # level: 0 without predecessors, else one more than the deepest predecessor
     preds = {k: [] for k in range(cond.h)}
@@ -230,13 +230,14 @@ def test_cross_entries_keep_input_order_with_sorted_cells(seed):
     system = validate([triples[t] for t in order], 14)
     cond = condense(system)
     pos = {node: p for b in cond.blocks for p, node in enumerate(b.nodes)}
+    block = cond.node_to_block.tolist()
     expected = {}
     for (i, j), v in system.entries.items():
-        k, l = cond.node_to_block[i], cond.node_to_block[j]
-        if k != l:
-            expected.setdefault((k, l), []).append((pos[i], pos[j], v))
-    assert list(cond.cross_entries) == list(expected)
-    assert dict(cond.cross_entries) == {key: tuple(sorted(c)) for key, c in expected.items()}
+        if block[i] != block[j]:
+            expected.setdefault((block[i], block[j]), []).append((pos[i], pos[j], block[i], i, j, v))
+    # (k, l) groups in order of first appearance, cells sorted by local position
+    want = [cell[2:] for cells in expected.values() for cell in sorted(cells)]
+    assert list(zip(*(a.tolist() for a in cond.cross))) == want
     assert not any(a.flags.writeable for a in cond.cross)
 
 

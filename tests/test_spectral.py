@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_dominant_eigenpair
 from coopstab import (
     BlockClass,
     NoConvergence,
@@ -13,11 +14,13 @@ from coopstab import (
     condense,
     dominant_eigenpair,
     from_dense,
+    random_critical_matrix,
     random_metzler,
     spectrum_match_error,
     validate,
 )
 from coopstab.condensation import Block
+from coopstab.spectral import DEFAULT_OPTIONS
 
 
 def _block(matrix):
@@ -131,6 +134,47 @@ def test_power_iteration_path_matches_dense():
     assert phi.min() > 0
 
 
+def _perron_outcome(solve, block, opts):
+    try:
+        mu, phi = solve(block, opts)
+    except NoConvergence as exc:
+        return exc.iterations, np.float64(exc.last_residual).tobytes()
+    return np.float64(mu).tobytes(), phi.tobytes()
+
+
+PERRON_SIZES = (2, 3, 5, 8, 9, 13, 21, 34, 55, 64, 65, 72, 81, 90)
+
+
+@pytest.mark.parametrize("kind", ["critical", "generic", "ring", "underflow"])
+@pytest.mark.parametrize("d", PERRON_SIZES)
+def test_dominant_eigenpair_matches_the_two_loop_reference_bitwise(d, kind):
+    """Power iteration above the cutoff, the dense fallback, and their
+    NoConvergence, against the two loops the merged one replaced: critical
+    blocks (row sums cancelled, so the uniform start is already within
+    tolerance), generic ones, sparse rings that need many power steps, and
+    blocks whose iterates are never strictly positive."""
+    rng = np.random.default_rng(d)
+    m = random_critical_matrix(d, seed=rng)
+    if kind == "ring":
+        m = np.roll(np.diag(rng.uniform(0.5, 1.5, d)), 1, axis=0)
+        m[rng.integers(0, d, 3), rng.integers(0, d, 3)] += 1.0
+    if kind in ("generic", "ring"):
+        m[np.diag_indices(d)] = -m.sum(axis=1) + np.diag(m) - rng.uniform(0.2, 0.8, d)
+    if kind == "underflow":  # two links of weight 1e-300: phi has entries below the float range
+        m = np.roll(np.diag(np.r_[1e-300, 1e-300, np.ones(d - 2)]), 1, axis=0) - np.eye(d)
+        m[0, 0] = -0.5
+    block = _block(m)
+    for cutoff in (64, 8):
+        for max_iter in (0, 1, 17, SpectralOptions.max_iter):
+            for eig_tol in (1e-12, 0.0):
+                if eig_tol == 0.0 and max_iter > 17 and d > cutoff:
+                    continue  # every one of 1e5 power steps would run
+                opts = SpectralOptions(eig_tol=eig_tol, max_iter=max_iter, dense_cutoff=cutoff)
+                got = _perron_outcome(dominant_eigenpair, block, opts)
+                want = _perron_outcome(reference_dominant_eigenpair, block, opts)
+                assert got == want, (cutoff, max_iter, eig_tol)
+
+
 def test_unreachable_tolerance_reports_no_convergence():
     opts = SpectralOptions(eig_tol=0.0)
     with pytest.raises(NoConvergence) as exc:
@@ -139,12 +183,19 @@ def test_unreachable_tolerance_reports_no_convergence():
     assert exc.value.last_residual > 0
 
 
-@pytest.mark.parametrize("field", ["crit_tol_rel", "eig_tol", "residual_tol"])
-@pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan, math.inf])
+TOLERANCE_VALUES = [(field, value) for field in ("crit_tol_rel", "eig_tol", "residual_tol")
+                    for value in (-1.0, -1e-300, math.nan, math.inf)]
+LIMIT_VALUES = [(field, value) for field in ("max_iter", "dense_cutoff")
+                for value in (-1, True, 2.0, None)]
+
+
+@pytest.mark.parametrize("field, value", TOLERANCE_VALUES + LIMIT_VALUES,
+                         ids=[f"{value}-{field}" for field, value in TOLERANCE_VALUES + LIMIT_VALUES])
 def test_tolerances_must_be_finite_and_non_negative(field, value):
     with pytest.raises(ValidationError, match=field):
         SpectralOptions(**{field: value})
-    assert getattr(SpectralOptions(**{field: 0.0}), field) == 0.0
+    zero = type(getattr(DEFAULT_OPTIONS, field))(0)  # 0 is legal: dense solve only, for max_iter
+    assert getattr(SpectralOptions(**{field: zero}), field) == 0
 
 
 def test_analyze_all_blocks_tags_block_index():

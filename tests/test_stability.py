@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import dag_csr, dag_edges, reference_steady_state_basis, reference_verdict
+from conftest import (
+    cross_entries,
+    dag_csr,
+    dag_edges,
+    reference_steady_state_basis,
+    reference_verdict,
+)
 from coopstab import (
     BlockClass,
     CooperativeSystem,
@@ -270,8 +276,9 @@ def _basis_one_free_block_at_a_time(cond, spectra, residual_tol=1e-10):
     sub-critical block, accumulating and clamping in the same order."""
     classes = [s.classification for s in spectra]
     final = list(steady_state_basis(cond, spectra).free_blocks)
+    coupling = cross_entries(cond)
     sources_of = {}
-    for (k, l) in cond.cross_entries:
+    for (k, l) in coupling:
         sources_of.setdefault(k, []).append(l)
     vectors = []
     for k in final:
@@ -282,7 +289,7 @@ def _basis_one_free_block_at_a_time(cond, spectra, residual_tol=1e-10):
                 continue
             rhs = np.zeros(cond.blocks[l].size)
             for src in sources_of.get(l, ()):
-                for li, lj, v in cond.cross_entries[(l, src)]:
+                for li, lj, v in coupling[(l, src)]:
                     rhs[li] += v * x[cond.blocks[src].nodes[lj]]
             if rhs.any():
                 lu = scipy.linalg.lu_factor(cond.blocks[l].matrix)
@@ -537,13 +544,6 @@ def test_level_sweep_matches_block_by_block_reference(plant):
         "singular": SingularSubCriticalSolve, "overflow": NonFiniteResult,
     }[plant]}
     assert expected <= seen
-
-
-def test_verdict_and_basis_read_the_coupling_arrays_only():
-    system = generate_marginally_stable(GeneratorSpec(num_blocks=(6, 10), seed=3))
-    cond, spectra, report = full_analysis(system)
-    steady_state_basis(cond, spectra, report)
-    assert "cross_entries" not in vars(cond)  # the cached mapping was never built
 
 
 def test_level_sweep_raises_for_lowest_block_at_a_later_level():

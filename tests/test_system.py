@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def test_zero_entries_dropped():
     assert dict(s.entries) == {(1, 0): 3.0}
 
 
-@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("n", [0, -3, True, False, 2.0])
 def test_dimension_must_be_positive(n):
     with pytest.raises(ValidationError):
         validate({}, n)
@@ -153,6 +154,20 @@ def test_json_labels_resolve_and_unknown_label():
         load_edge_list_json(
             '{"n": 1, "labels": ["a"], "edges": [{"from": "b", "to": "a", "weight": 1}], "self": []}'
         )
+
+
+@pytest.mark.parametrize(
+    "labels, ref, message",
+    [
+        ('["a", "a"]', "a", "node labels must be unique"),  # first occurrence resolves
+        ('[["x"], "a"]', "a", "node labels must be strings"),  # unhashable label
+        ('[["x"], "a"]', "b", "node label 'b' not found"),
+    ],
+)
+def test_json_label_resolution_outcomes(labels, ref, message):
+    text = f'{{"n": 2, "labels": {labels}, "edges": [{{"from": "{ref}", "to": 0, "weight": 1}}]}}'
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_edge_list_json(text)
 
 
 def test_json_unknown_field():

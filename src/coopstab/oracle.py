@@ -1,6 +1,6 @@
 """Independent brute-force verification and random system generation.
 
-Everything here is test-only and may be slow, so it can cross-check the
+Everything here takes a slow route of its own, so it can cross-check the
 decomposed pipeline: a full eigensolve on the dense matrix renders the
 textbook verdict, a matrix exponential simulates trajectories, an
 alternating sum over block paths gives each steady state without the level

@@ -48,14 +48,13 @@ from .oracle import (
 )
 from .spectral import (
     BlockClass,
-    BlockSpectrum,
     SpectralOptions,
+    Spectra,
     analyze_all_blocks,
     classify,
     dominant_eigenpair,
 )
 from .stability import (
-    BlockRole,
     CriticalPath,
     StabilityReport,
     SteadyStateBasis,

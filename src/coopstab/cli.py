@@ -88,23 +88,12 @@ def _load_system(path: str, fmt: str) -> CooperativeSystem:
 
 
 def _spectral_options(args: argparse.Namespace) -> SpectralOptions:
-    return SpectralOptions(
-        crit_tol_rel=args.crit_tol_rel,
-        eig_tol=args.eig_tol,
-        max_iter=args.max_iter,
-        dense_cutoff=args.dense_cutoff,
-        residual_tol=args.residual_tol,
-    )
+    """The options from the tolerance flags, each named after its field."""
+    return SpectralOptions(**{name: getattr(args, name) for name in vars(DEFAULT_OPTIONS)})
 
 
 def _tolerances_dict(opts: SpectralOptions) -> dict:
-    return {
-        "crit_tol_rel": opts.crit_tol_rel,
-        "eig_tol": opts.eig_tol,
-        "residual_tol": opts.residual_tol,
-        "max_iter": opts.max_iter,
-        "dense_cutoff": opts.dense_cutoff,
-    }
+    return dict(vars(opts))
 
 
 def _dumps(payload: dict) -> str:
@@ -129,6 +118,11 @@ def _reason_dict(reason) -> dict | None:
 
 
 def _report_payload(system, cond, spectra, report, opts) -> dict:
+    # Every value comes from .tolist(): json rejects numpy scalars.
+    nodes, bounds = cond.permutation.tolist(), cond.bounds.tolist()
+    labels = [system.node_labels[i] for i in nodes]
+    mu, tol = spectra.mu.tolist(), spectra.tolerance.tolist()
+    trivial, free = report.trivial.tolist(), report.free.tolist()
     return {
         "version": __version__,
         "tolerances": _tolerances_dict(opts),
@@ -141,14 +135,14 @@ def _report_payload(system, cond, spectra, report, opts) -> dict:
         "blocks": [
             {
                 "index": k,
-                "size": cond.blocks[k].size,
-                "nodes": list(cond.blocks[k].nodes),
-                "labels": [system.node_labels[i] for i in cond.blocks[k].nodes],
-                "mu": spectra[k].mu,
-                "class": spectra[k].classification.value,
-                "criticality_tolerance": spectra[k].tolerance_used,
-                "trivial": report.roles[k].is_trivial,
-                "free": report.roles[k].is_final_critical,
+                "size": bounds[k + 1] - bounds[k],
+                "nodes": nodes[bounds[k]:bounds[k + 1]],
+                "labels": labels[bounds[k]:bounds[k + 1]],
+                "mu": mu[k],
+                "class": spectra.classification[k].value,
+                "criticality_tolerance": tol[k],
+                "trivial": trivial[k],
+                "free": free[k],
             }
             for k in range(cond.h)
         ],
@@ -191,7 +185,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     payload = _report_payload(system, cond, spectra, report, opts)
     if args.dot:
         Path(args.dot).write_text(
-            to_dot(cond, spectra, report.roles, verdict_name=report.verdict.value),
+            to_dot(cond, spectra, report.trivial, verdict_name=report.verdict.value),
             encoding="utf-8",
         )
     if args.pretty:
@@ -267,7 +261,7 @@ def cmd_condense(args: argparse.Namespace) -> int:
     system = _load_system(args.input, args.format)
     opts = _spectral_options(args)
     cond, spectra, report = full_analysis(system, opts)
-    dot = to_dot(cond, spectra, report.roles, verdict_name=report.verdict.value)
+    dot = to_dot(cond, spectra, report.trivial, verdict_name=report.verdict.value)
     if args.dot:
         Path(args.dot).write_text(dot, encoding="utf-8")
     else:
@@ -316,7 +310,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         cond = condense(system)
         if not 0 <= args.block < cond.h:
             raise ValidationError(f"--block {args.block} outside [0,{cond.h})")
-        result = expm_limit_check(cond.blocks[args.block])
+        result = expm_limit_check(cond.block(args.block), opts=_spectral_options(args))
         print(_dumps({
             "block": args.block,
             "residual": result.residual,
@@ -413,50 +407,59 @@ def _spec_from_config(raw, source: str) -> GeneratorSpec:
     return GeneratorSpec(**fields)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("input", help="path to the system file")
-    parser.add_argument("--format", choices=("auto", "mm", "json"), default="auto",
-                        help="input format: Matrix Market or edge-list JSON (default: by extension)")
-    parser.add_argument("--crit-tol-rel", type=float, default=DEFAULT_OPTIONS.crit_tol_rel,
-                        dest="crit_tol_rel",
-                        help="relative criticality tolerance on block dominant eigenvalues")
-    parser.add_argument("--eig-tol", type=float, default=DEFAULT_OPTIONS.eig_tol, dest="eig_tol",
-                        help="relative eigenpair residual target")
-    parser.add_argument("--residual-tol", type=float, default=DEFAULT_OPTIONS.residual_tol,
-                        dest="residual_tol", help="steady-state residual scale")
-    parser.add_argument("--max-iter", type=int, default=DEFAULT_OPTIONS.max_iter,
-                        dest="max_iter")
-    parser.add_argument("--dense-cutoff", type=int, default=DEFAULT_OPTIONS.dense_cutoff,
-                        dest="dense_cutoff")
-    parser.add_argument("--pretty", action="store_true", help="human-readable output")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 64, as input errors do: argparse's 2 reads as "unstable"."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Flag groups, each given only to the commands that read it.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("input", help="path to the system file")
+    inputs.add_argument("--format", choices=("auto", "mm", "json"), default="auto",
+                        help="input format: Matrix Market or edge-list JSON (default: by extension)")
+    tolerances = argparse.ArgumentParser(add_help=False)
+    tolerances.add_argument("--crit-tol-rel", type=float, default=DEFAULT_OPTIONS.crit_tol_rel,
+                            dest="crit_tol_rel",
+                            help="relative criticality tolerance on block dominant eigenvalues")
+    tolerances.add_argument("--eig-tol", type=float, default=DEFAULT_OPTIONS.eig_tol,
+                            dest="eig_tol", help="relative eigenpair residual target")
+    tolerances.add_argument("--residual-tol", type=float, default=DEFAULT_OPTIONS.residual_tol,
+                            dest="residual_tol", help="steady-state residual scale")
+    tolerances.add_argument("--max-iter", type=int, default=DEFAULT_OPTIONS.max_iter,
+                            dest="max_iter")
+    tolerances.add_argument("--dense-cutoff", type=int, default=DEFAULT_OPTIONS.dense_cutoff,
+                            dest="dense_cutoff")
+    pretty = argparse.ArgumentParser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true", help="human-readable output")
+    analysis = [inputs, tolerances]
+
+    parser = _Parser(
         prog="coopstab",
         description="Stability class and steady states of linear cooperative systems",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="full pipeline: verdict and per-block report")
-    _add_common(p)
+    p = sub.add_parser("analyze", parents=[*analysis, pretty],
+                       help="full pipeline: verdict and per-block report")
     p.add_argument("--dot", help="also write the annotated condensation as DOT to this path")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("steady-state", help="non-negative nullspace basis")
-    _add_common(p)
+    p = sub.add_parser("steady-state", parents=[*analysis, pretty],
+                       help="non-negative nullspace basis")
     p.add_argument("--force-nullspace", action="store_true", dest="force_nullspace",
                    help="emit zero-eigenvectors even when the system is unstable")
     p.set_defaults(func=cmd_steady_state)
 
-    p = sub.add_parser("condense", help="condensation as DOT")
-    _add_common(p)
+    p = sub.add_parser("condense", parents=analysis, help="condensation as DOT")
     p.add_argument("--dot", help="write DOT here instead of stdout")
     p.set_defaults(func=cmd_condense)
 
-    p = sub.add_parser("simulate", help="dense trajectory e^(At) m0")
-    _add_common(p)
+    p = sub.add_parser("simulate", parents=[inputs], help="dense trajectory e^(At) m0")
     p.add_argument("--times", required=True, help="comma-separated increasing times")
     p.add_argument("--initial", help="file with one initial value per node (default: all ones)")
     p.set_defaults(func=cmd_simulate)
@@ -464,12 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="dense cross-checks and system generation")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
 
-    o = osub.add_parser("dense-verdict", help="verdict from the full spectrum")
-    _add_common(o)
+    o = osub.add_parser("dense-verdict", parents=[inputs], help="verdict from the full spectrum")
     o.set_defaults(func=cmd_oracle)
 
-    o = osub.add_parser("limit-check", help="left-vector fixed-point residual of e^(tB)")
-    _add_common(o)
+    o = osub.add_parser("limit-check", parents=analysis,
+                        help="left-vector fixed-point residual of e^(tB)")
     o.add_argument("--block", type=int, default=0)
     o.set_defaults(func=cmd_oracle)
 
@@ -504,6 +506,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC_ERROR
     except (ArithmeticError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
         print(f"error: numeric failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_NUMERIC_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
 
 

@@ -25,7 +25,7 @@ class Block:
     """One SCC: original node ids (ascending) and the dense induced submatrix."""
 
     index: int
-    nodes: tuple[int, ...]
+    nodes: np.ndarray
     matrix: np.ndarray
 
     @property
@@ -37,22 +37,33 @@ class Block:
 class Condensation:
     """Blocks in topological order plus the sparse cross-block structure.
 
-    All arrays are read-only. `dag` = (indptr, successors) is the block DAG
-    as CSR sorted by source, then target; an edge l -> k, l < k, means some
-    entry couples block l into block k. `level[k]` is the length of the
-    longest DAG path into k. `cross` holds the couplings as (target block,
-    target node, source node, value) arrays, one cell per nonzero cross-block
-    entry, grouped by (k, l) in order of first appearance in the input, cells
-    sorted within a group.
+    All arrays are read-only. Block k has the nodes
+    permutation[bounds[k]:bounds[k + 1]] and its dense matrix, row-major, in
+    matrices[matrix_bounds[k]:matrix_bounds[k + 1]]; `block(k)` views both.
+    `dag` = (indptr, successors) is the block DAG as CSR sorted by source,
+    then target; an edge l -> k, l < k, means some entry couples block l
+    into block k. `level[k]` is the length of the longest DAG path into k.
+    `cross` holds the couplings as (target block, target node, source node,
+    value) arrays, one cell per nonzero cross-block entry, grouped by (k, l)
+    in order of first appearance in the input, cells sorted within a group.
     """
 
     h: int
-    blocks: tuple[Block, ...]
+    bounds: np.ndarray
+    matrices: np.ndarray
+    matrix_bounds: np.ndarray
     dag: tuple[np.ndarray, np.ndarray]
     level: np.ndarray
     node_to_block: np.ndarray
     permutation: np.ndarray
     cross: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+    def block(self, k: int) -> Block:
+        """Block k, built on demand as views of the stored arrays."""
+        k = range(self.h)[k]  # an IndexError outside [-h, h), as for a sequence
+        (s, e), o = self.bounds[k:k + 2].tolist(), self.matrix_bounds[k]
+        return Block(index=k, nodes=self.permutation[s:e],
+                     matrix=self.matrices[o:o + (e - s) ** 2].reshape(e - s, e - s))
 
 
 def _tarjan(n: int, indptr: np.ndarray, indices: np.ndarray) -> list[int]:
@@ -164,24 +175,17 @@ def condense(system: CooperativeSystem) -> Condensation:
     # Nodes grouped by block, ascending within each; local position in block.
     permutation = np.argsort(node_block, kind="stable")
     size = np.bincount(node_block, minlength=c)
-    start = np.cumsum(size) - size
+    bounds = np.concatenate(([0], np.cumsum(size)))
     local = np.empty(n, dtype=np.intp)
-    local[permutation] = np.arange(n) - np.repeat(start, size)
+    local[permutation] = np.arange(n) - np.repeat(bounds[:-1], size)
 
-    # All block matrices live in one flat buffer, block k at offset[k].
+    # All block matrices live in one flat buffer, block k at matrix_bounds[k].
     k, l = node_block[rows], node_block[cols]
     li, lj = local[rows], local[cols]
     inner = k == l
-    offset = np.cumsum(size * size) - size * size
-    buf = np.zeros(int((size * size).sum()))
-    buf[offset[k[inner]] + li[inner] * size[k[inner]] + lj[inner]] = vals[inner]
-    buf.flags.writeable = False
-    nodes = permutation.tolist()
-    bounds = zip(start.tolist(), size.tolist(), offset.tolist())
-    blocks = tuple(
-        Block(index=b, nodes=tuple(nodes[s:s + d]), matrix=buf[o:o + d * d].reshape(d, d))
-        for b, (s, d, o) in enumerate(bounds)
-    )
+    matrix_bounds = np.concatenate(([0], np.cumsum(size * size)))
+    matrices = np.zeros(matrix_bounds[-1])
+    matrices[matrix_bounds[k[inner]] + li[inner] * size[k[inner]] + lj[inner]] = vals[inner]
 
     # Couplings grouped by (k, l) in order of first appearance, cells sorted.
     cross = ~inner
@@ -194,11 +198,11 @@ def condense(system: CooperativeSystem) -> Condensation:
     order = np.lexsort((lj, li, rank[group]))
     arrays = (k[order], rows[cross][order], cols[cross][order], vals[cross][order])
     dag, level = _csr(keys % c, keys // c, c), np.array(depth)[topo]
-    for a in (*arrays, *dag, level, node_block, permutation):
+    for a in (*arrays, *dag, level, node_block, permutation, bounds, matrices, matrix_bounds):
         a.flags.writeable = False
 
-    return Condensation(h=c, blocks=blocks, dag=dag, level=level, node_to_block=node_block,
-                        permutation=permutation, cross=arrays)
+    return Condensation(h=c, bounds=bounds, matrices=matrices, matrix_bounds=matrix_bounds, dag=dag,
+                        level=level, node_to_block=node_block, permutation=permutation, cross=arrays)
 
 
 _CLASS_COLOR = {
@@ -210,31 +214,29 @@ _CLASS_COLOR = {
 
 def to_dot(
     cond: Condensation,
-    spectra: Sequence | None = None,
-    roles: Sequence | None = None,
+    spectra=None,
+    trivial: Sequence[bool] | None = None,
     verdict_name: str | None = None,
 ) -> str:
     """Render the condensation as a DOT digraph, one node per block.
 
-    With spectral data attached, nodes are labeled ``B<k> (size, mu, class)``
-    and colored grey / blue / red for sub-critical / critical / super-critical;
-    trivial blocks get a dashed outline.
+    With spectral data (a `Spectra`) attached, nodes are labeled
+    ``B<k> (size, mu, class)`` and colored grey / blue / red for sub-critical /
+    critical / super-critical; blocks flagged in `trivial` get a dashed outline.
     """
     lines = ["digraph condensation {"]
     if verdict_name is not None:
         lines.append(f"  // verdict: {verdict_name}")
     lines.append("  rankdir=LR;")
     lines.append("  node [shape=ellipse];")
-    for k, block in enumerate(cond.blocks):
-        if spectra is not None:
-            spec = spectra[k]
-            cls = spec.classification.value
-            label = f"B{k} (size={block.size}, mu={spec.mu:.6g}, {cls})"
-            attrs = [f'label="{label}"', "style=filled", f"fillcolor={_CLASS_COLOR[cls]}"]
-            if roles is not None and roles[k].is_trivial:
-                attrs = [f'label="{label}"', 'style="filled,dashed"', f"fillcolor={_CLASS_COLOR[cls]}"]
+    for k, size in enumerate(np.diff(cond.bounds).tolist()):
+        if spectra is None:
+            attrs = [f'label="B{k} (size={size})"']
         else:
-            attrs = [f'label="B{k} (size={block.size})"']
+            cls = spectra.classification[k].value
+            label = f"B{k} (size={size}, mu={spectra.mu[k]:.6g}, {cls})"
+            style = '"filled,dashed"' if trivial is not None and trivial[k] else "filled"
+            attrs = [f'label="{label}"', f"style={style}", f"fillcolor={_CLASS_COLOR[cls]}"]
         lines.append(f"  B{k} [{', '.join(attrs)}];")
     indptr, succ = cond.dag
     for l, k in zip(np.repeat(np.arange(cond.h), np.diff(indptr)).tolist(), succ.tolist()):

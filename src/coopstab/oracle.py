@@ -19,7 +19,7 @@ from scipy.linalg import expm
 from .condensation import Block, Condensation, condense
 from .errors import (BadBlockOrder, GapTooSmall, InfeasibleSpec, TooLargeForDense,
                      TooManyBlocks, ValidationError)
-from .spectral import BlockClass, BlockSpectrum, SpectralOptions, dominant_eigenpair
+from .spectral import BlockClass, SpectralOptions, Spectra, dominant_eigenpair
 from .stability import Verdict
 from .system import CooperativeSystem, from_dense, state_vector, validate
 
@@ -154,16 +154,16 @@ def extract_coupling(cond: Condensation, k: int, l: int) -> np.ndarray:
         raise BadBlockOrder(f"need 0 <= l < k < h, got l={l}, k={k}, h={cond.h}")
     target, rows, cols, vals = cond.cross
     pick = (target == k) & (cond.node_to_block[cols] == l)
-    mat = np.zeros((cond.blocks[k].size, cond.blocks[l].size))
-    mat[np.searchsorted(cond.blocks[k].nodes, rows[pick]),
-        np.searchsorted(cond.blocks[l].nodes, cols[pick])] = vals[pick]
+    into, out_of = cond.block(k).nodes, cond.block(l).nodes
+    mat = np.zeros((len(into), len(out_of)))
+    mat[np.searchsorted(into, rows[pick]), np.searchsorted(out_of, cols[pick])] = vals[pick]
     mat.setflags(write=False)
     return mat
 
 
 def path_sum_matrix(
     cond: Condensation,
-    spectra: Sequence[BlockSpectrum],
+    spectra: Spectra,
     k: int,
     l: int,
     *,
@@ -186,10 +186,10 @@ def path_sum_matrix(
 
     def inv_block(b: int) -> np.ndarray:
         if b not in inv_cache:
-            inv_cache[b] = np.linalg.inv(cond.blocks[b].matrix)
+            inv_cache[b] = np.linalg.inv(cond.block(b).matrix)
         return inv_cache[b]
 
-    total = np.zeros((cond.blocks[k].size, cond.blocks[l].size))
+    total = np.zeros((cond.block(k).size, cond.block(l).size))
     stack: list[list[int]] = [[l]]
     while stack:
         path = stack.pop()
@@ -209,7 +209,7 @@ def path_sum_matrix(
 
 def steady_state_by_path_sum(
     cond: Condensation,
-    spectra: Sequence[BlockSpectrum],
+    spectra: Spectra,
     free_block: int,
     *,
     max_blocks: int = 12,
@@ -218,16 +218,16 @@ def steady_state_by_path_sum(
     cross-validates the recursive propagation."""
     n = len(cond.node_to_block)
     x = np.zeros(n)
-    phi = spectra[free_block].phi
-    x[list(cond.blocks[free_block].nodes)] = phi
+    phi = spectra.phi[free_block]
+    x[cond.block(free_block).nodes] = phi
     for k in range(free_block + 1, cond.h):
-        if spectra[k].classification is not BlockClass.SUB_CRITICAL:
+        if spectra.classification[k] is not BlockClass.SUB_CRITICAL:
             continue
         p = path_sum_matrix(cond, spectra, k, free_block, max_blocks=max_blocks)
         if not p.any():
             continue
-        sol = -np.linalg.inv(cond.blocks[k].matrix) @ (p @ phi)
-        x[list(cond.blocks[k].nodes)] = sol
+        block = cond.block(k)
+        x[block.nodes] = -np.linalg.inv(block.matrix) @ (p @ phi)
     x.setflags(write=False)
     return x
 
@@ -535,8 +535,8 @@ def spectrum_match_error(system: CooperativeSystem, cond=None) -> float:
         cond = condense(system)
     whole = list(np.linalg.eigvals(system.to_dense()))
     parts: list[complex] = []
-    for block in cond.blocks:
-        parts.extend(np.linalg.eigvals(block.matrix))
+    for k in range(cond.h):
+        parts.extend(np.linalg.eigvals(cond.block(k).matrix))
     if len(whole) != len(parts):
         raise ValidationError(f"condensation has {len(parts)} nodes, system has {len(whole)}")
     worst = 0.0

@@ -56,12 +56,15 @@ DEFAULT_OPTIONS = SpectralOptions()
 
 
 @dataclass(frozen=True, eq=False)
-class BlockSpectrum:
-    block_index: int
-    mu: float
-    phi: np.ndarray
-    classification: BlockClass
-    tolerance_used: float
+class Spectra:
+    """Read-only columns, one entry per block: the dominant eigenvalue `mu`,
+    the criticality `tolerance` used, the `classification` (BlockClass
+    members) and the positive eigenvector `phi` of unit entry sum."""
+
+    mu: np.ndarray
+    tolerance: np.ndarray
+    classification: np.ndarray
+    phi: tuple[np.ndarray, ...]
 
 
 def _inf_norm(m: np.ndarray) -> float:
@@ -138,46 +141,39 @@ def dominant_eigenpair(block: Block, opts: SpectralOptions | None = None) -> tup
     return lam - shift, x
 
 
-def classify(mu: float, scale: float, opts: SpectralOptions | None = None) -> BlockClass:
+_CLASSES = np.array([BlockClass.CRITICAL, BlockClass.SUB_CRITICAL, BlockClass.SUPER_CRITICAL], dtype=object)
+
+
+def classify(mu, scale, opts: SpectralOptions | None = None):
     """Criticality call with a relative tolerance band around zero; exact
-    mu = 0 is untestable in floating point."""
+    mu = 0 is untestable in floating point. On arrays of mu and scale, an
+    array of BlockClass members."""
     opts = opts or DEFAULT_OPTIONS
-    tau = opts.crit_tol_rel * max(1.0, scale)
-    if abs(mu) <= tau:
-        return BlockClass.CRITICAL
-    return BlockClass.SUB_CRITICAL if mu < 0 else BlockClass.SUPER_CRITICAL
+    tau = opts.crit_tol_rel * np.maximum(1.0, scale)
+    return _CLASSES[np.where(np.abs(mu) <= tau, 0, np.where(mu < 0, 1, 2))]
 
 
-def analyze_all_blocks(cond: Condensation, opts: SpectralOptions | None = None) -> list[BlockSpectrum]:
-    """One BlockSpectrum per block, in topological order. Blocks are spectrally
-    independent, so failures are tagged with the offending block index. A
-    singleton's pair is (a_ii, [1]) and its absolute row sum |a_ii|, read
-    directly with no eigensolve."""
+def analyze_all_blocks(cond: Condensation, opts: SpectralOptions | None = None) -> Spectra:
+    """The spectral columns of all blocks. A singleton's pair is (a_ii, [1])
+    and its absolute row sum |a_ii|, all read in one array step; only
+    multi-node blocks are built and eigensolved, in block order, so a failure
+    is tagged with the lowest offending block index."""
     opts = opts or DEFAULT_OPTIONS
-    out: list[BlockSpectrum] = []
-    for block in cond.blocks:
-        singleton = block.size == 1
-        if singleton:
-            mu = float(block.matrix[0, 0])
-            scale, phi = abs(mu), _SINGLETON_PHI
-        else:
-            scale = _inf_norm(block.matrix)
-        if not math.isfinite(scale):
-            raise NonFiniteResult(f"block {block.index}: absolute row sum overflows")
-        if not singleton:
-            try:
-                mu, phi = dominant_eigenpair(block, opts)
-            except NoConvergence as exc:
-                raise NoConvergence(exc.iterations, exc.last_residual, block_index=block.index) from None
-            phi = phi.copy()
-            phi.setflags(write=False)
-        out.append(
-            BlockSpectrum(
-                block_index=block.index,
-                mu=mu,
-                phi=phi,
-                classification=classify(mu, scale, opts),
-                tolerance_used=opts.crit_tol_rel * max(1.0, scale),
-            )
-        )
-    return out
+    mu = cond.matrices[cond.matrix_bounds[:-1]]  # a singleton's only entry
+    scale = np.abs(mu)
+    phi = [_SINGLETON_PHI] * cond.h
+    for k in np.flatnonzero(np.diff(cond.bounds) > 1).tolist():
+        block = cond.block(k)
+        scale[k] = _inf_norm(block.matrix)
+        if not math.isfinite(scale[k]):
+            raise NonFiniteResult(f"block {k}: absolute row sum overflows")
+        try:
+            mu[k], phi[k] = dominant_eigenpair(block, opts)
+        except NoConvergence as exc:
+            raise NoConvergence(exc.iterations, exc.last_residual, block_index=k) from None
+        phi[k].setflags(write=False)
+    classification = classify(mu, scale, opts)
+    tolerance = opts.crit_tol_rel * np.maximum(1.0, scale)
+    for a in (mu, tolerance, classification):
+        a.setflags(write=False)
+    return Spectra(mu=mu, tolerance=tolerance, classification=classification, phi=tuple(phi))

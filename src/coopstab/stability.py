@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .condensation import Condensation, condense
+from .condensation import Block, Condensation, condense
 from .errors import (
     NegativeSteadyStateEntry,
     NonFiniteResult,
@@ -34,7 +33,7 @@ from .errors import (
     SingularSubCriticalSolve,
     SuperCriticalPresent,
 )
-from .spectral import BlockClass, BlockSpectrum, SpectralOptions, analyze_all_blocks
+from .spectral import BlockClass, SpectralOptions, Spectra, analyze_all_blocks
 from .system import CooperativeSystem
 
 TINY_PIVOT_REL = 1e-13
@@ -58,20 +57,17 @@ class CriticalPath:
     path: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BlockRole:
-    block_index: int
-    is_trivial: bool
-    is_final_critical: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
+    """The verdict and its evidence; read-only bool columns over the blocks
+    flag the `trivial` ones and the `free` (final critical) ones."""
+
     verdict: Verdict
     unstable_reason: SuperCriticalBlock | CriticalPath | None
     algebraic_multiplicity_zero: int
     geometric_multiplicity_zero: int
-    roles: tuple[BlockRole, ...]
+    trivial: np.ndarray
+    free: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +84,7 @@ class SteadyStateBasis:
     free_parameters: tuple[str, ...]
 
 
-def _block_dag(
-    cond: Condensation, classes: Sequence[BlockClass]
-) -> tuple[list[bool], list[int], list[int]]:
+def _block_dag(cond: Condensation, crit: list[bool]) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Two sweeps over the block DAG (edges point from lower to higher index).
 
     up[k]: some critical block is strictly upstream of k.
@@ -100,7 +94,6 @@ def _block_dag(
     """
     h = cond.h
     ptr, succ = (a.tolist() for a in cond.dag)
-    crit = [c is BlockClass.CRITICAL for c in classes]
     up = [False] * h
     for l in range(h):
         if crit[l] or up[l]:
@@ -113,7 +106,7 @@ def _block_dag(
             d = 1 if crit[k] else (near[k] + 1 if near[k] else 0)
             if d and (not near[l] or d < near[l]):
                 near[l], hop[l] = d, k
-    return up, near, hop
+    return np.array(up, dtype=bool), np.array(near, dtype=np.intp), hop
 
 
 def _refuse_super_critical(report: StabilityReport) -> None:
@@ -123,14 +116,14 @@ def _refuse_super_critical(report: StabilityReport) -> None:
         )
 
 
-def trivial_blocks(cond: Condensation, spectra: Sequence[BlockSpectrum]) -> set[int]:
+def trivial_blocks(cond: Condensation, spectra: Spectra) -> set[int]:
     """Blocks whose sub-vector is zero in every non-negative stable fixed point."""
     report = verdict(cond, spectra)
     _refuse_super_critical(report)
-    return {r.block_index for r in report.roles if r.is_trivial}
+    return set(np.flatnonzero(report.trivial).tolist())
 
 
-def verdict(cond: Condensation, spectra: Sequence[BlockSpectrum]) -> StabilityReport:
+def verdict(cond: Condensation, spectra: Spectra) -> StabilityReport:
     """Apply the graph-theoretic criterion and report the evidence.
 
     Algebraic multiplicity of eigenvalue zero is the number of critical
@@ -142,61 +135,59 @@ def verdict(cond: Condensation, spectra: Sequence[BlockSpectrum]) -> StabilityRe
     smallest upstream block, with the lexicographically smallest block
     sequence.
     """
-    classes = [s.classification for s in spectra]
-    up, near, hop = _block_dag(cond, classes)
-    critical = [k for k, c in enumerate(classes) if c is BlockClass.CRITICAL]
-    supers = [k for k, c in enumerate(classes) if c is BlockClass.SUPER_CRITICAL]
-    connected = [k for k in critical if near[k]]
-    roles = tuple(
-        BlockRole(
-            k,
-            not supers and (near[k] > 0 or (c is BlockClass.SUB_CRITICAL and not up[k])),
-            c is BlockClass.CRITICAL and not near[k],
-        )
-        for k, c in enumerate(classes)
-    )
+    crit = spectra.classification == BlockClass.CRITICAL
+    sub = spectra.classification == BlockClass.SUB_CRITICAL
+    supers = np.flatnonzero(spectra.classification == BlockClass.SUPER_CRITICAL)
+    up, near, hop = _block_dag(cond, crit.tolist())
+    critical = np.flatnonzero(crit)
+    connected = critical[near[critical] > 0]
+    trivial = ((near > 0) | (sub & ~up)) & (supers.size == 0)
+    free = crit & (near == 0)
+    for a in (trivial, free):
+        a.setflags(write=False)
     reason: SuperCriticalBlock | CriticalPath | None = None
-    if supers:
-        reason = SuperCriticalBlock(min(supers))
-    elif connected:
-        src = min(connected, key=lambda k: (near[k], k))
+    if supers.size:
+        reason = SuperCriticalBlock(int(supers[0]))
+    elif connected.size:
+        src = int(connected[np.argmin(near[connected])])  # ties: the smallest index
         path = [src, hop[src]]
-        while classes[path[-1]] is not BlockClass.CRITICAL:
+        while not crit[path[-1]]:
             path.append(hop[path[-1]])
         reason = CriticalPath(src, path[-1], tuple(path))
     if reason is not None:
         result = Verdict.UNSTABLE
-    elif critical:
+    elif critical.size:
         result = Verdict.MARGINALLY_STABLE
     else:
         result = Verdict.ASYMPTOTICALLY_STABLE
     return StabilityReport(
         verdict=result,
         unstable_reason=reason,
-        algebraic_multiplicity_zero=len(critical),
-        geometric_multiplicity_zero=len(critical) - len(connected),
-        roles=roles,
+        algebraic_multiplicity_zero=critical.size,
+        geometric_multiplicity_zero=critical.size - connected.size,
+        trivial=trivial,
+        free=free,
     )
 
 
 def full_analysis(
     system: CooperativeSystem, opts: SpectralOptions | None = None
-) -> tuple[Condensation, list[BlockSpectrum], StabilityReport]:
+) -> tuple[Condensation, Spectra, StabilityReport]:
     """Condense, analyze every block, and render the verdict in one call."""
     cond = condense(system)
     spectra = analyze_all_blocks(cond, opts)
     return cond, spectra, verdict(cond, spectra)
 
 
-def _solve_block(cond: Condensation, l: int, rhs: np.ndarray) -> np.ndarray:
-    """Solve B_l X = rhs column by column (a multi-column LU solve rounds
+def _solve_block(block: Block, rhs: np.ndarray) -> np.ndarray:
+    """Solve B X = rhs column by column (a multi-column LU solve rounds
     differently); a column that is not finite has no finite solution."""
-    b = cond.blocks[l].matrix
+    b = block.matrix
     lu, piv = lu_factor(b)
     if np.min(np.abs(np.diag(lu))) <= TINY_PIVOT_REL * max(
         1e-300, float(np.max(np.sum(np.abs(b), axis=1)))
     ):
-        raise SingularSubCriticalSolve(l)
+        raise SingularSubCriticalSolve(block.index)
     return np.column_stack([
         lu_solve((lu, piv), col) if np.isfinite(col).all() else np.full(len(col), np.inf)
         for col in rhs.T
@@ -225,7 +216,7 @@ def _levels(cond: Condensation, sub: np.ndarray):
 
 def steady_state_basis(
     cond: Condensation,
-    spectra: Sequence[BlockSpectrum],
+    spectra: Spectra,
     report: StabilityReport | None = None,
     *,
     force: bool = False,
@@ -244,7 +235,6 @@ def steady_state_basis(
     `cond.cross`, so they round exactly as block by block; when several
     blocks fail, the lowest-indexed one raises, as in a sweep in block order.
     """
-    classes = [s.classification for s in spectra]
     if report is None:
         report = verdict(cond, spectra)
     _refuse_super_critical(report)
@@ -258,17 +248,16 @@ def steady_state_basis(
             f"critical blocks {witness.upstream_block} and {witness.downstream_block} "
             f"are connected by a path"
         )
-    final = [r.block_index for r in report.roles if r.is_final_critical]
+    final = np.flatnonzero(report.free).tolist()
 
-    size = np.bincount(cond.node_to_block, minlength=cond.h)
-    first_node = cond.permutation[np.cumsum(size) - size]
-    diag = np.array([s.mu for s in spectra])  # a singleton's mu is its diagonal entry
-    sub = np.array([c is BlockClass.SUB_CRITICAL for c in classes])
+    size = np.diff(cond.bounds)
+    first_node = cond.permutation[cond.bounds[:-1]]
+    sub = spectra.classification == BlockClass.SUB_CRITICAL
 
     # One column per free block.
     x = np.zeros((len(cond.node_to_block), len(final)), order="F")
     for col, k in enumerate(final):
-        x[list(cond.blocks[k].nodes), col] = spectra[k].phi
+        x[cond.permutation[cond.bounds[k]:cond.bounds[k + 1]], col] = spectra.phi[k]
     failures: dict[int, Exception] = {}
     # An overflow here is reported by the finiteness check on the result.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -277,7 +266,7 @@ def steady_state_basis(
 
             single = level[size[level] == 1]
             nodes = first_node[single]
-            sol = -x[nodes] / diag[single, None]
+            sol = -x[nodes] / spectra.mu[single, None]  # a singleton's mu is its diagonal entry
             bad = sol < -10.0 * residual_tol * np.maximum(1.0, abs(sol))
             if bad.any():
                 t = int(bad.any(axis=1).argmax())
@@ -288,13 +277,13 @@ def steady_state_basis(
             x[nodes] = sol
 
             for l in level[size[level] > 1].tolist():
-                nodes = cond.blocks[l].nodes
-                rhs = x[list(nodes)]
+                block = cond.block(l)
+                rhs = x[block.nodes]
                 solved = rhs.any(axis=0).nonzero()[0]
                 if not solved.size:
                     continue
                 try:
-                    sol = _solve_block(cond, l, -rhs[:, solved])
+                    sol = _solve_block(block, -rhs[:, solved])
                 except SingularSubCriticalSolve as exc:
                     failures[l] = exc
                     continue
@@ -302,9 +291,9 @@ def steady_state_basis(
                 if bad.any():
                     col = bad.any(axis=0).argmax()
                     worst = int(sol[:, col].argmin())
-                    failures[l] = NegativeSteadyStateEntry(l, nodes[worst], float(sol[worst, col]))
+                    failures[l] = NegativeSteadyStateEntry(l, int(block.nodes[worst]), float(sol[worst, col]))
                 sol[sol < 0] = 0.0
-                x[np.array(nodes)[:, None], solved] = sol
+                x[block.nodes[:, None], solved] = sol
     if failures:
         raise failures[min(failures)]
     overflow = ~np.isfinite(x).all(axis=1)
@@ -330,11 +319,8 @@ def nullspace_residual(system: CooperativeSystem, vector: np.ndarray) -> float:
     return float(np.max(np.abs(out))) if system.n else 0.0
 
 
-def find_traps(cond: Condensation, spectra: Sequence[BlockSpectrum]) -> tuple[int, ...]:
+def find_traps(cond: Condensation, spectra: Spectra) -> tuple[int, ...]:
     """Critical blocks with no outgoing edges; in a compartmental system these
     are exactly the blocks that can hold mass forever."""
-    has_out = np.diff(cond.dag[0]) > 0
-    return tuple(
-        k for k, s in enumerate(spectra)
-        if s.classification is BlockClass.CRITICAL and not has_out[k]
-    )
+    sink = np.diff(cond.dag[0]) == 0
+    return tuple(np.flatnonzero((spectra.classification == BlockClass.CRITICAL) & sink).tolist())

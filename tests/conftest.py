@@ -12,7 +12,6 @@ from scipy.linalg import lu_factor, lu_solve, null_space
 from coopstab import (
     __version__,
     BlockClass,
-    BlockRole,
     CriticalPath,
     DuplicateEntry,
     IndexOutOfRange,
@@ -260,7 +259,7 @@ def shortest_critical_path(cond, critical: list[int]) -> CriticalPath | None:
 
 def reference_verdict(cond, spectra) -> StabilityReport:
     """The stability report derived from the dense reachability relation."""
-    classes = [s.classification for s in spectra]
+    classes = list(spectra.classification)
     reach = upstream_reachability(cond)
     critical = [k for k, c in enumerate(classes) if c is BlockClass.CRITICAL]
     supers = [k for k, c in enumerate(classes) if c is BlockClass.SUPER_CRITICAL]
@@ -283,7 +282,8 @@ def reference_verdict(cond, spectra) -> StabilityReport:
         unstable_reason=reason,
         algebraic_multiplicity_zero=len(critical),
         geometric_multiplicity_zero=len(final),
-        roles=tuple(BlockRole(k, k in trivial, k in final) for k in range(cond.h)),
+        trivial=np.isin(np.arange(cond.h), list(trivial)),
+        free=np.isin(np.arange(cond.h), list(final)),
     )
 
 
@@ -296,7 +296,7 @@ def _reference_solve_block(cond, l: int, rhs: np.ndarray) -> np.ndarray:
     """Solve B_l X = rhs column by column (a multi-column LU solve rounds
     differently); a singleton divides by its diagonal. A column that is not
     finite gets an infinite solution, where lu_solve would raise."""
-    b = cond.blocks[l].matrix
+    b = cond.block(l).matrix
     if b.shape == (1, 1):
         return rhs / b[0, 0]
     lu, piv = lu_factor(b)
@@ -310,10 +310,15 @@ def _reference_solve_block(cond, l: int, rhs: np.ndarray) -> np.ndarray:
     ])
 
 
+def block_nodes(cond) -> list[tuple[int, ...]]:
+    """The nodes of every block as a tuple, in block order."""
+    return [tuple(cond.block(k).nodes.tolist()) for k in range(cond.h)]
+
+
 def cross_entries(cond) -> dict[tuple[int, int], tuple[tuple[int, int, float], ...]]:
     """{(k, l): ((local_row, local_col, value), ...)} view of `cond.cross`,
     in the same order: the dict form the sequential references sum over."""
-    pos = {node: p for b in cond.blocks for p, node in enumerate(b.nodes)}
+    pos = {node: p for nodes in block_nodes(cond) for p, node in enumerate(nodes)}
     block_of = cond.node_to_block.tolist()
     groups: dict[tuple[int, int], list] = {}
     for k, i, j, v in zip(*(a.tolist() for a in cond.cross)):
@@ -329,7 +334,7 @@ def reference_steady_state_basis(
     failing block raises. Unlike the sweep it stood for, a non-finite column
     of a multi-node block gets an infinite solution (lu_solve raised a
     ValueError) and the solve runs under `np.errstate` too."""
-    classes = [s.classification for s in spectra]
+    classes = list(spectra.classification)
     if report is None:
         report = verdict(cond, spectra)
     _refuse_super_critical(report)
@@ -343,7 +348,7 @@ def reference_steady_state_basis(
             f"critical blocks {witness.upstream_block} and {witness.downstream_block} "
             f"are connected by a path"
         )
-    final = [r.block_index for r in report.roles if r.is_final_critical]
+    final = np.flatnonzero(report.free).tolist()
 
     coupling = cross_entries(cond)
     sources_of: dict[int, list[int]] = {}
@@ -353,17 +358,17 @@ def reference_steady_state_basis(
     x = np.zeros((len(cond.node_to_block), len(final)), order="F")
     in_cone = [False] * cond.h
     for col, k in enumerate(final):
-        x[list(cond.blocks[k].nodes), col] = spectra[k].phi
+        x[cond.block(k).nodes, col] = spectra.phi[k]
         in_cone[k] = True
     for l in range(cond.h):
         cone_sources = [s for s in sources_of.get(l, ()) if in_cone[s]]
         if classes[l] is not BlockClass.SUB_CRITICAL or not cone_sources:
             continue
-        block = cond.blocks[l]
+        block = cond.block(l)
         rhs = np.zeros((block.size, len(final)))
         with np.errstate(over="ignore", invalid="ignore"):
             for src in cone_sources:
-                src_nodes = cond.blocks[src].nodes
+                src_nodes = cond.block(src).nodes
                 for li, lj, v in coupling[(l, src)]:
                     rhs[li] += v * x[src_nodes[lj]]
         cols = rhs.any(axis=0).nonzero()[0]
@@ -377,7 +382,7 @@ def reference_steady_state_basis(
             worst = int(sol[:, col].argmin())
             raise NegativeSteadyStateEntry(l, block.nodes[worst], float(sol[worst, col]))
         sol[sol < 0] = 0.0
-        x[np.array(block.nodes)[:, None], cols] = sol
+        x[block.nodes[:, None], cols] = sol
         in_cone[l] = True
     overflow = ~np.isfinite(x).all(axis=1)
     if overflow.any():

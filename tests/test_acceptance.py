@@ -141,7 +141,7 @@ def test_criterion_5_trivial_blocks_match_basis_support():
         basis = steady_state_basis(cond, spectra, report)
         support_zero = set()
         for k in range(cond.h):
-            nodes = list(cond.blocks[k].nodes)
+            nodes = cond.block(k).nodes
             if all(np.max(np.abs(vec[nodes])) <= 1e-13 for vec in basis.vectors):
                 support_zero.add(k)
         assert predicted == support_zero
@@ -188,7 +188,7 @@ def test_criterion_6_dynamics_consistency():
             continue
         rng = np.random.default_rng(seed)
         m0 = rng.uniform(0.5, 1.0, size=system.n)
-        mu_max = max(s.mu for s in spectra)
+        mu_max = spectra.mu.max()
         horizon = 10.0 / mu_max if mu_max > 0 else 1000.0
         times = sorted({horizon / 4, horizon / 2, horizon})
         traj = simulate(system, m0, times)
@@ -209,7 +209,7 @@ def test_criterion_7_left_vector_fixed_by_limit():
         d = 2 + (checked % 9)
         matrix = random_critical_matrix(d, seed=5000 + seed)
         seed += 1
-        block = Block(index=0, nodes=tuple(range(d)), matrix=matrix)
+        block = Block(index=0, nodes=np.arange(d), matrix=matrix)
         result = expm_limit_check(block)
         assert result.residual < 1e-6
         worst = max(worst, result.residual)

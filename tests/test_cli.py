@@ -280,6 +280,56 @@ def test_steady_state_decides_the_verdict_once(monkeypatch, marginal, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "steady-state"])
+def test_memory_exhaustion_exit_70(monkeypatch, marginal, capsys, command):
+    def exhaust(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr("coopstab.cli.full_analysis", exhaust)
+    assert main([command, marginal]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 74.5 GiB\n"
+
+
+FEED = str(FIXTURES / "feed.mtx")
+USAGE_ERRORS = {
+    "non-integer-max-iter": ["analyze", FEED, "--max-iter", "1.5"],
+    "non-number-crit-tol": ["analyze", FEED, "--crit-tol-rel", "abc"],
+    "unknown-flag": ["steady-state", FEED, "--no-such-flag"],
+    "missing-input": ["analyze"],
+    "missing-command": [],
+    "missing-oracle-command": ["oracle"],
+    "simulate-tolerance": ["simulate", FEED, "--times", "1", "--crit-tol-rel", "1e-9"],
+    "simulate-pretty": ["simulate", FEED, "--times", "1", "--pretty"],
+    "dense-verdict-tolerance": ["oracle", "dense-verdict", FEED, "--eig-tol", "1e-12"],
+    "dense-verdict-pretty": ["oracle", "dense-verdict", FEED, "--pretty"],
+    "condense-pretty": ["condense", FEED, "--pretty"],
+    "limit-check-pretty": ["oracle", "limit-check", FEED, "--pretty"],
+    "generate-bad-int": ["oracle", "generate", "--seed", "x"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_exit_64(argv, capsys):
+    # argparse exits 2, which scripts read as "unstable"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["analyze", "--help"],
+                                  ["oracle", "limit-check", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_missing_file_exit_64(capsys):
     assert main(["analyze", "/nonexistent/file.mtx"]) == 64
 
@@ -396,6 +446,18 @@ def test_oracle_limit_check(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["residual"] < 1e-8
     assert payload["certified_to_t"] == 25.0
+
+
+def test_oracle_limit_check_reads_the_spectral_flags(capsys):
+    path = str(FIXTURES / "large_scc.mtx")
+    assert main(["oracle", "limit-check", path, "--max-iter", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["residual"] == 7.262255364996325e-14
+    assert main(["oracle", "limit-check", path]) == 0
+    assert json.loads(capsys.readouterr().out)["residual"] == 6.312506414065668e-10
+    assert main(["oracle", "limit-check", path, "--eig-tol", "-1"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eig_tol = -1.0 must be finite and non-negative\n"
 
 
 @pytest.mark.parametrize("block", ["2", "9", "-1"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dag_edges, strongly_connected, upstream_reachability
+from conftest import block_nodes, dag_edges, strongly_connected, upstream_reachability
 from coopstab import (
     BadBlockOrder,
     condense,
@@ -17,7 +17,7 @@ from coopstab import (
 def test_two_singletons_one_edge():
     cond = condense(from_dense([[0, 0], [1, 0]]))
     assert cond.h == 2
-    assert [b.nodes for b in cond.blocks] == [(0,), (1,)]
+    assert block_nodes(cond) == [(0,), (1,)]
     assert dag_edges(cond) == [(0, 1)]
     assert cond.node_to_block.tolist() == [0, 1]
 
@@ -25,8 +25,8 @@ def test_two_singletons_one_edge():
 def test_two_cycle_is_one_block():
     cond = condense(from_dense([[0, 1], [1, 0]]))
     assert cond.h == 1
-    assert cond.blocks[0].nodes == (0, 1)
-    np.testing.assert_array_equal(cond.blocks[0].matrix, [[0, 1], [1, 0]])
+    assert block_nodes(cond) == [(0, 1)]
+    np.testing.assert_array_equal(cond.block(0).matrix, [[0, 1], [1, 0]])
     assert dag_edges(cond) == []
 
 
@@ -35,9 +35,24 @@ def test_chain_into_two_cycle():
     s = validate({(1, 0): 1.0, (2, 1): 1.0, (1, 2): 1.0}, 3)
     cond = condense(s)
     assert cond.h == 2
-    assert cond.blocks[0].nodes == (0,)
-    assert cond.blocks[1].nodes == (1, 2)
+    assert block_nodes(cond) == [(0,), (1, 2)]
     assert dag_edges(cond) == [(0, 1)]
+
+
+def test_block_views_the_stored_arrays():
+    cond = condense(validate({(1, 0): 1.0, (2, 1): 1.0, (1, 2): 1.0, (2, 2): -3.0}, 3))
+    assert cond.bounds.tolist() == [0, 1, 3]
+    assert cond.matrix_bounds.tolist() == [0, 1, 5]
+    block = cond.block(1)
+    assert (block.index, block.size, block.nodes.tolist()) == (1, 2, [1, 2])
+    np.testing.assert_array_equal(block.matrix, [[0, 1], [1, -3]])
+    assert np.shares_memory(block.nodes, cond.permutation)
+    assert np.shares_memory(block.matrix, cond.matrices)
+    assert not block.nodes.flags.writeable and not block.matrix.flags.writeable
+    assert cond.block(-1).index == 1  # sequence indexing, as the blocks tuple had
+    for k in (2, -3):
+        with pytest.raises(IndexError):
+            cond.block(k)
 
 
 def test_reachability_of_chain():
@@ -114,7 +129,7 @@ def test_eight_block_fixture_structure():
     system, groups = _eight_block_fixture()
     cond = condense(system)
     assert cond.h == 8
-    assert [b.nodes for b in cond.blocks] == [tuple(g) for g in groups]
+    assert block_nodes(cond) == [tuple(g) for g in groups]
     assert dag_edges(cond) == [
         (0, 2), (1, 2), (2, 4), (3, 4), (4, 5), (4, 6), (5, 7), (6, 7)
     ]
@@ -136,7 +151,7 @@ def test_eight_block_fixture_structure():
 def test_dot_export_shapes_and_colors():
     system, _ = _eight_block_fixture()
     cond, spectra, report = full_analysis(system)
-    dot = to_dot(cond, spectra, report.roles, verdict_name=report.verdict.value)
+    dot = to_dot(cond, spectra, report.trivial, verdict_name=report.verdict.value)
     assert dot.count("->") == len(dag_edges(cond))
     assert dot.count("[label=") == 8
     assert "fillcolor=blue" in dot  # zero-diagonal cycles are critical
@@ -156,24 +171,25 @@ def test_condensation_invariants_random(seed):
     cond = condense(system)
 
     # partition
-    all_nodes = sorted(node for b in cond.blocks for node in b.nodes)
+    blocks = [cond.block(k) for k in range(cond.h)]
+    all_nodes = sorted(node for b in blocks for node in b.nodes.tolist())
     assert all_nodes == list(range(n))
     assert 1 <= cond.h <= n
-    for b in cond.blocks:
+    for b in blocks:
         assert cond.node_to_block[b.nodes[0]] == b.index
 
     # triangularity under the reported permutation
     a = system.to_dense()
     perm = list(cond.permutation)
     pa = a[np.ix_(perm, perm)]
-    starts = np.cumsum([0] + [b.size for b in cond.blocks])
+    starts = cond.bounds
     for k in range(cond.h):
         for l in range(k + 1, cond.h):
             upper = pa[starts[k]:starts[k + 1], starts[l]:starts[l + 1]]
             assert not upper.any()
 
     # every multi-node block is strongly connected
-    for b in cond.blocks:
+    for b in blocks:
         assert strongly_connected(b.matrix)
 
     # the stored DAG: CSR rows ascend strictly, edges point forward, and the
@@ -200,7 +216,8 @@ def test_condensation_invariants_random(seed):
     for k in range(cond.h):
         assert cond.level[k] == (1 + max(cond.level[preds[k]]) if preds[k] else 0)
 
-    stored = (*cond.dag, cond.level, cond.node_to_block, cond.permutation)
+    stored = (*cond.dag, cond.level, cond.node_to_block, cond.permutation,
+              cond.bounds, cond.matrices, cond.matrix_bounds)
     assert not any(a.flags.writeable for a in stored)
     assert cond.node_to_block.dtype == cond.permutation.dtype == np.intp
 
@@ -229,7 +246,7 @@ def test_cross_entries_keep_input_order_with_sorted_cells(seed):
     order = np.random.default_rng(seed).permutation(len(triples))
     system = validate([triples[t] for t in order], 14)
     cond = condense(system)
-    pos = {node: p for b in cond.blocks for p, node in enumerate(b.nodes)}
+    pos = {node: p for nodes in block_nodes(cond) for p, node in enumerate(nodes)}
     block = cond.node_to_block.tolist()
     expected = {}
     for (i, j), v in system.entries.items():
@@ -244,7 +261,7 @@ def test_cross_entries_keep_input_order_with_sorted_cells(seed):
 def test_condense_deterministic():
     system = random_metzler(10, density=0.3, seed=7)
     c1, c2 = condense(system), condense(system)
-    assert [b.nodes for b in c1.blocks] == [b.nodes for b in c2.blocks]
+    assert block_nodes(c1) == block_nodes(c2)
     assert dag_edges(c1) == dag_edges(c2)
     np.testing.assert_array_equal(c1.level, c2.level)
     np.testing.assert_array_equal(c1.permutation, c2.permutation)

@@ -30,7 +30,7 @@ from coopstab.condensation import Block
 
 def _block(matrix):
     m = np.asarray(matrix, dtype=float)
-    return Block(index=0, nodes=tuple(range(m.shape[0])), matrix=m)
+    return Block(index=0, nodes=np.arange(m.shape[0]), matrix=m)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,8 @@ def test_planted_classes_recovered(seed):
     )
     system, plan = generate_with_plan(spec)
     cond, spectra, _ = full_analysis(system)
-    assert sorted((b.size, s.classification.value) for b, s in zip(cond.blocks, spectra)) \
+    sizes = np.diff(cond.bounds).tolist()
+    assert sorted((d, c.value) for d, c in zip(sizes, spectra.classification)) \
         == sorted((size, klass) for size, klass in plan)
 
 

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from conftest import (
+    block_nodes,
     cross_entries,
     dag_csr,
     dag_edges,
@@ -37,7 +38,9 @@ from coopstab import (
     path_sum_matrix,
     steady_state_basis,
     steady_state_by_path_sum,
+    to_matrix_market,
     trivial_blocks,
+    validate,
     verdict,
 )
 
@@ -84,7 +87,7 @@ def test_all_sub_critical_is_asymptotically_stable():
     assert report.verdict is Verdict.ASYMPTOTICALLY_STABLE
     assert report.unstable_reason is None
     assert report.algebraic_multiplicity_zero == 0
-    assert all(r.is_trivial for r in report.roles)
+    assert report.trivial.all()
 
 
 def test_connected_criticals_are_unstable_with_witness():
@@ -102,7 +105,7 @@ def test_two_free_criticals_are_marginally_stable():
     assert report.verdict is Verdict.MARGINALLY_STABLE
     assert report.algebraic_multiplicity_zero == 2
     assert report.geometric_multiplicity_zero == 2
-    assert [r.is_final_critical for r in report.roles] == [True, True, False]
+    assert report.free.tolist() == [True, True, False]
 
 
 def test_super_critical_block_forces_instability():
@@ -129,13 +132,19 @@ def test_critical_path_witness_is_shortest():
 def _bare_condensation(h, edges, critical=(), super_critical=()):
     """What `verdict` reads of a condensation and its spectra, and no more."""
     cond = SimpleNamespace(h=h, dag=dag_csr(h, edges))
-    spectra = [
-        SimpleNamespace(classification=BlockClass.CRITICAL if k in critical
-                        else BlockClass.SUPER_CRITICAL if k in super_critical
-                        else BlockClass.SUB_CRITICAL)
+    spectra = SimpleNamespace(classification=np.array([
+        BlockClass.CRITICAL if k in critical
+        else BlockClass.SUPER_CRITICAL if k in super_critical
+        else BlockClass.SUB_CRITICAL
         for k in range(h)
-    ]
+    ], dtype=object))
     return cond, spectra
+
+
+def _report_fields(report):
+    """A StabilityReport as comparable values, its columns as lists."""
+    return (report.verdict, report.unstable_reason, report.algebraic_multiplicity_zero,
+            report.geometric_multiplicity_zero, report.trivial.tolist(), report.free.tolist())
 
 
 def test_witness_follows_smallest_successor_not_nearest_target():
@@ -156,7 +165,7 @@ def test_verdict_matches_reachability_reference(seed):
         critical = set(np.flatnonzero(rng.random(h) < rng.uniform(0.1, 0.7)).tolist())
         supers = set(np.flatnonzero(rng.random(h) < 0.1).tolist()) if rng.random() < 0.2 else set()
         cond, spectra = _bare_condensation(h, edges, critical, supers - critical)
-        assert verdict(cond, spectra) == reference_verdict(cond, spectra)
+        assert _report_fields(verdict(cond, spectra)) == _report_fields(reference_verdict(cond, spectra))
 
 
 def test_verdict_on_long_chain_stays_linear_in_memory():
@@ -233,7 +242,7 @@ def test_singular_sub_critical_solve_detected():
     ])
     opts = SpectralOptions(crit_tol_rel=1e-15)
     _, cond, spectra = _analyze(a, opts)
-    assert [s.classification.value for s in spectra] == ["critical", "sub-critical"]
+    assert [c.value for c in spectra.classification] == ["critical", "sub-critical"]
     with pytest.raises(SingularSubCriticalSolve) as exc:
         steady_state_basis(cond, spectra)
     assert exc.value.block_index == 1
@@ -246,7 +255,7 @@ def test_singular_sub_critical_solve_shared_by_two_free_blocks():
     a[2, 0] = a[3, 1] = 1.0
     a[2:, 2:] = [[-1.0 - eps, 1.0], [1.0, -1.0 - eps]]
     _, cond, spectra = _analyze(a, SpectralOptions(crit_tol_rel=1e-15))
-    assert [s.classification.value for s in spectra] == [
+    assert [c.value for c in spectra.classification] == [
         "critical", "critical", "sub-critical"
     ]
     with pytest.raises(SingularSubCriticalSolve) as exc:
@@ -264,7 +273,7 @@ def test_negative_steady_state_entry_names_block_and_node():
     )
     cond = condense(system)
     spectra = analyze_all_blocks(cond)
-    assert [b.nodes for b in cond.blocks] == [(1,), (2,), (0,)]
+    assert block_nodes(cond) == [(1,), (2,), (0,)]
     with pytest.raises(NegativeSteadyStateEntry) as exc:
         steady_state_basis(cond, spectra)
     assert (exc.value.block_index, exc.value.node) == (2, 0)
@@ -274,7 +283,7 @@ def test_negative_steady_state_entry_names_block_and_node():
 def _basis_one_free_block_at_a_time(cond, spectra, residual_tol=1e-10):
     """Reference: propagate each free block separately through every later
     sub-critical block, accumulating and clamping in the same order."""
-    classes = [s.classification for s in spectra]
+    classes = spectra.classification
     final = list(steady_state_basis(cond, spectra).free_blocks)
     coupling = cross_entries(cond)
     sources_of = {}
@@ -283,19 +292,20 @@ def _basis_one_free_block_at_a_time(cond, spectra, residual_tol=1e-10):
     vectors = []
     for k in final:
         x = np.zeros(len(cond.node_to_block))
-        x[list(cond.blocks[k].nodes)] = spectra[k].phi
+        x[cond.block(k).nodes] = spectra.phi[k]
         for l in range(k + 1, cond.h):
             if classes[l] is not BlockClass.SUB_CRITICAL:
                 continue
-            rhs = np.zeros(cond.blocks[l].size)
+            block = cond.block(l)
+            rhs = np.zeros(block.size)
             for src in sources_of.get(l, ()):
                 for li, lj, v in coupling[(l, src)]:
-                    rhs[li] += v * x[cond.blocks[src].nodes[lj]]
+                    rhs[li] += v * x[cond.block(src).nodes[lj]]
             if rhs.any():
-                lu = scipy.linalg.lu_factor(cond.blocks[l].matrix)
+                lu = scipy.linalg.lu_factor(block.matrix)
                 sol = scipy.linalg.lu_solve(lu, -rhs)
                 sol[sol < 0] = 0.0
-                x[list(cond.blocks[l].nodes)] = sol
+                x[block.nodes] = sol
         vectors.append(x)
     return vectors
 
@@ -391,7 +401,7 @@ def test_nullspace_dimension_and_residuals(seed):
         assert np.all(vec >= 0)
         assert vec.max() > 0
         assert np.max(np.abs(a @ vec)) <= 1e-10 * scale * vec.max()
-        assert vec[list(cond.blocks[k].nodes)].min() > 0
+        assert vec[cond.block(k).nodes].min() > 0
     sv = np.linalg.svd(a, compute_uv=False)
     nullity = int(np.sum(sv <= 1e-10 * scale))
     assert len(basis.vectors) == report.geometric_multiplicity_zero == nullity
@@ -409,7 +419,7 @@ def test_sub_critical_zero_iff_all_immediate_sources_zero(seed):
     combined = np.sum(basis.vectors, axis=0)
 
     def block_zero(k):
-        return not combined[list(cond.blocks[k].nodes)].any()
+        return not combined[cond.block(k).nodes].any()
 
     preds = {k: [] for k in range(cond.h)}
     for l, k in dag_edges(cond):
@@ -417,7 +427,7 @@ def test_sub_critical_zero_iff_all_immediate_sources_zero(seed):
     from coopstab import BlockClass
 
     for k in range(cond.h):
-        if spectra[k].classification is BlockClass.SUB_CRITICAL:
+        if spectra.classification[k] is BlockClass.SUB_CRITICAL:
             sources_zero = all(block_zero(l) for l in preds[k])
             assert block_zero(k) == sources_zero
 
@@ -557,10 +567,56 @@ def test_level_sweep_raises_for_lowest_block_at_a_later_level():
     )
     cond = condense(system)
     spectra = analyze_all_blocks(cond)
-    assert [b.nodes for b in cond.blocks] == [(0,), (1,), (2,), (3,)]
+    assert block_nodes(cond) == [(0,), (1,), (2,), (3,)]
     with pytest.raises(NegativeSteadyStateEntry) as exc:
         steady_state_basis(cond, spectra)
     assert (exc.value.block_index, exc.value.node, exc.value.value) == (2, 2, -2.0)
     with pytest.raises(NegativeSteadyStateEntry) as ref:
         reference_steady_state_basis(cond, spectra)
     assert vars(ref.value) == vars(exc.value)
+
+
+def _mixed_system():
+    """300 singletons plus two multi-node blocks: node 0 (critical) feeds the
+    sub-critical cycle {1, 2}, which feeds a chain of 150 singletons; the
+    critical cycle {3, 4, 5} feeds another chain of 150."""
+    entries = {(1, 0): 1.0, (1, 2): 1.0, (2, 1): 1.0, (1, 1): -2.0, (2, 2): -2.0}
+    entries.update({(4, 3): 1.0, (5, 4): 1.0, (3, 5): 1.0})
+    entries.update({(i, i): -1.0 for i in range(3, 306)})
+    for head, first in ((2, 6), (3, 156)):
+        for i in range(first, first + 150):
+            entries[(i, i - 1 if i > first else head)] = 1.0
+    return validate(entries, 306)
+
+
+def test_no_block_is_built_for_a_singleton(monkeypatch, tmp_path, capsys):
+    from coopstab.cli import main
+    from coopstab.condensation import Condensation
+
+    requested = []
+    original = Condensation.block
+    monkeypatch.setattr(Condensation, "block", lambda self, k: requested.append(k) or original(self, k))
+    system = _mixed_system()
+    cond, spectra, report = full_analysis(system)
+    multi = np.flatnonzero(np.diff(cond.bounds) > 1).tolist()
+    assert cond.h == 303 and len(multi) == 2
+    assert sorted(requested) == multi  # one eigensolve each
+    assert report.verdict is Verdict.MARGINALLY_STABLE and report.free.sum() == 2
+    sub_cycle = int(cond.node_to_block[1])
+    requested.clear()
+    basis = steady_state_basis(cond, spectra, report)
+    assert requested == [sub_cycle]  # the one multi-node solve in a cone
+    assert all(v[cond.block(k).nodes].min() > 0 for k, v in zip(basis.free_blocks, basis.vectors))
+
+    path = tmp_path / "mixed.mtx"
+    path.write_text(to_matrix_market(system))
+    requested.clear()
+    for command in ("analyze", "steady-state"):
+        assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    assert sorted(requested) == sorted(multi + multi + [sub_cycle])
+
+    columns = (spectra.mu, spectra.tolerance, spectra.classification, *spectra.phi,
+               report.trivial, report.free)
+    assert not any(a.flags.writeable for a in columns)
+    assert spectra.classification.tolist().count(BlockClass.CRITICAL) == 2

@@ -3,9 +3,10 @@
 Shifting an irreducible Metzler block by s = max|diag| + 1 gives a
 non-negative matrix with strictly positive diagonal, hence primitive: power
 iteration converges to the Perron root without period-2 cycling, and the
-dominant eigenvalue of the block is the Perron root minus s. Small blocks go
-straight to a dense eigensolve, which is also the fallback when iteration is
-slow.
+dominant eigenvalue of the block is the Perron root minus s. Singletons are
+read in one array step. Blocks of at most `dense_cutoff` nodes are solved in
+stacks of one size, one dense eigensolve and one polishing loop per stack;
+larger ones run power iteration, then that fallback as a stack of one.
 """
 from __future__ import annotations
 
@@ -67,78 +68,103 @@ class Spectra:
     phi: tuple[np.ndarray, ...]
 
 
-def _inf_norm(m: np.ndarray) -> float:
-    """Max absolute row sum; inf when it overflows, which callers reject."""
+def _inf_norm(m: np.ndarray) -> np.ndarray:
+    """Max absolute row sum of each matrix in a stack; inf where it overflows,
+    which callers reject."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.sum(np.abs(m), axis=1))) if m.size else 0.0
+        return np.max(np.sum(np.abs(m), axis=2), axis=1)
 
 
 # The eigenvector of every singleton block, shared and read-only.
 _SINGLETON_PHI = np.ones(1)
 _SINGLETON_PHI.flags.writeable = False
 
+# Matrix entries per stack handed to one eigensolve (8 MB of float64): eig's
+# complex eigenvectors double a stack, so a size group is solved in chunks.
+_CHUNK_ENTRIES = 1 << 20
+
 
 def _refine(
-    m: np.ndarray, x: np.ndarray, tol: float, steps: int, every: int
-) -> tuple[float, np.ndarray, float]:
-    """Power steps x <- m x / sum(m x) from x_0 = x, over x_0 .. x_{steps-1}.
-    Measures (Rayleigh quotient and residual, from the step's own matvec) the
-    last iterate and every `every`-th, x_0 only when every == 1. Returns the
-    first measured positive iterate within tol, else the best positive one,
-    else the final iterate against the last estimate."""
-    best: tuple[float, np.ndarray, float] | None = None
-    lam, last = 0.0, steps - 1
+    m: np.ndarray, x: np.ndarray, tol: np.ndarray, steps: int, every: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Power steps x <- m x / sum(m x) from x_0 = x, over x_0 .. x_{steps-1},
+    on each row of a stack (m: N x d x d, x: N x d, tol: N). Measures (Rayleigh
+    quotient and residual, from the step's own matvec) the last iterate and
+    every `every`-th, x_0 only when every == 1. Per row, returns the first
+    measured positive iterate within tol, where the row retires, else the best
+    positive one, else the final iterate against the last estimate."""
+    lam, res, est, best = np.zeros(len(x)), np.zeros(len(x)), np.zeros(len(x)), np.empty_like(x)
+    live, found = np.arange(len(x)), np.zeros(len(x), dtype=bool)
     for t in range(steps):
-        y = m @ x
-        if t == last or t % every == 0 and (t > 0 or every == 1):
-            lam = float(x @ y) / float(x @ x)
-            res = float(np.max(np.abs(y - lam * x)))
-            if x.min() > 0.0 and (best is None or res < best[2]):
-                best = (lam, x, res)
-                if res <= tol:
-                    return best
-        x = y / y.sum()
-    return best or (lam, x, float(np.max(np.abs(m @ x - lam * x))))
+        y = (m @ x[..., None])[..., 0]
+        if t == steps - 1 or t % every == 0 and (t > 0 or every == 1):
+            # row-wise dots as matmuls: bitwise equal to the 1-D x @ y, unlike (x * y).sum(1)
+            est = (x[:, None] @ y[..., None])[:, 0, 0] / (x[:, None] @ x[..., None])[:, 0, 0]
+            r = np.max(np.abs(y - est[:, None] * x), axis=1)
+            take = (x.min(axis=1) > 0.0) & (~found[live] | (r < res[live]))
+            i = live[take]
+            lam[i], best[i], res[i], found[i] = est[take], x[take], r[take], True
+            keep = ~(take & (r <= tol))
+            if not keep.all():
+                live, m, x, y, tol, est = live[keep], m[keep], x[keep], y[keep], tol[keep], est[keep]
+                if not live.size:
+                    return lam, best, res
+        x = y / y.sum(axis=1, keepdims=True)
+    last = ~found[live]
+    i, x, est = live[last], x[last], est[last]
+    lam[i], best[i] = est, x
+    res[i] = np.max(np.abs((m[last] @ x[..., None])[..., 0] - est[:, None] * x), axis=1)
+    return lam, best, res
+
+
+def _perron(
+    b: np.ndarray, index: np.ndarray, opts: SpectralOptions
+) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Dominant eigenvalues and unit-sum positive eigenvectors of a stack b
+    (N x d x d, d > 1) of irreducible Metzler blocks numbered `index`, and the
+    failure of each block that has one, by number (a NoConvergence untagged).
+    Above the dense cutoff, power iteration from the uniform vector runs first;
+    the rest take one dense eigensolve, polished by power steps."""
+    n, d = b.shape[:2]
+    shift = np.max(np.abs(np.diagonal(b, axis1=1, axis2=2)), axis=1) + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf entries, and 0 * inf, fail below
+        m = b + shift[:, None, None] * np.eye(d)
+        tol = opts.eig_tol * np.maximum(1.0, _inf_norm(m))
+    finite = np.isfinite(tol)
+    failures = {k: NonFiniteResult(f"block {k}: shifted matrix overflows") for k in index[~finite].tolist()}
+    rows = np.flatnonzero(finite)
+    mu, phi, iters = np.zeros(n), np.zeros((n, d)), 0
+    if rows.size and d > opts.dense_cutoff and opts.max_iter:
+        lam, x, res = _refine(m[rows], np.full((rows.size, d), 1.0 / d), tol[rows], opts.max_iter + 1, 16)
+        done = (res <= tol[rows]) & (x.min(axis=1) > 0.0)
+        mu[rows[done]], phi[rows[done]] = lam[done] - shift[rows[done]], x[done]
+        rows, iters = rows[~done], opts.max_iter
+    if rows.size:
+        w, vecs = np.linalg.eig(m[rows])
+        x = np.real(vecs.transpose(0, 2, 1)[np.arange(rows.size), np.argmax(w.real, axis=1)])
+        x = np.clip(np.where(x.sum(axis=1, keepdims=True) < 0, -x, x), 0.0, None)
+        x[~x.any(axis=1)] = 1.0
+        steps = max(2 * d, 50)
+        lam, x, res = _refine(m[rows], x / x.sum(axis=1, keepdims=True), tol[rows], steps, 1)
+        mu[rows], phi[rows] = lam - shift[rows], x
+        failed = (res > tol[rows]) | (x.min(axis=1) <= 0.0)
+        failures.update((k, NoConvergence(iterations=iters + steps, last_residual=r))
+                        for k, r in zip(index[rows[failed]].tolist(), res[failed].tolist()))
+    return mu, phi, failures
 
 
 def dominant_eigenpair(block: Block, opts: SpectralOptions | None = None) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue (real, simple) and positive eigenvector of an
-    irreducible Metzler block. The eigenvector is normalized to unit entry sum.
-
-    Blocks above the dense cutoff try power iteration from the uniform vector
-    first. Otherwise, or when it falls short, a dense eigensolve is polished
-    by a few power steps that scrub sign dust off the eigenvector. Raises
-    NoConvergence when neither reaches the residual target.
-    """
-    opts = opts or DEFAULT_OPTIONS
+    irreducible Metzler block, normalized to unit entry sum: `_perron` on a
+    stack of one. Raises NoConvergence when neither power iteration nor the
+    polished dense eigensolve reaches the residual target."""
     b = np.asarray(block.matrix, dtype=float)
-    d = b.shape[0]
-    if d == 1:
+    if b.shape[0] == 1:
         return float(b[0, 0]), np.ones(1)
-
-    shift = float(np.max(np.abs(np.diag(b)))) + 1.0
-    with np.errstate(over="ignore"):
-        m = b + shift * np.eye(d)
-    tol = opts.eig_tol * max(1.0, _inf_norm(m))
-    if not np.isfinite(tol):
-        raise NonFiniteResult(f"block {block.index}: shifted matrix overflows")
-
-    iters = 0
-    if d > opts.dense_cutoff and opts.max_iter:
-        lam, x, res = _refine(m, np.full(d, 1.0 / d), tol, opts.max_iter + 1, 16)
-        if res <= tol and x.min() > 0.0:
-            return lam - shift, x
-        iters = opts.max_iter
-    w, vecs = np.linalg.eig(m)
-    x = np.real(vecs[:, int(np.argmax(w.real))])
-    x = np.clip(-x if x.sum() < 0 else x, 0.0, None)
-    if not x.any():
-        x = np.ones(d)
-    steps = max(2 * d, 50)
-    lam, x, res = _refine(m, x / x.sum(), tol, steps, 1)
-    if res > tol or x.min() <= 0.0:
-        raise NoConvergence(iterations=iters + steps, last_residual=res)
-    return lam - shift, x
+    mu, phi, failures = _perron(b[None], np.array([block.index]), opts or DEFAULT_OPTIONS)
+    if failures:
+        raise failures[block.index]
+    return float(mu[0]), phi[0]
 
 
 _CLASSES = np.array([BlockClass.CRITICAL, BlockClass.SUB_CRITICAL, BlockClass.SUPER_CRITICAL], dtype=object)
@@ -155,23 +181,33 @@ def classify(mu, scale, opts: SpectralOptions | None = None):
 
 def analyze_all_blocks(cond: Condensation, opts: SpectralOptions | None = None) -> Spectra:
     """The spectral columns of all blocks. A singleton's pair is (a_ii, [1])
-    and its absolute row sum |a_ii|, all read in one array step; only
-    multi-node blocks are built and eigensolved, in block order, so a failure
-    is tagged with the lowest offending block index."""
+    and its absolute row sum |a_ii|, all read in one array step. Multi-node
+    blocks go to `_perron` in stacks of one size gathered from `cond.matrices`,
+    one block each on the power-iteration route; the lowest failing block raises."""
     opts = opts or DEFAULT_OPTIONS
     mu = cond.matrices[cond.matrix_bounds[:-1]]  # a singleton's only entry
     scale = np.abs(mu)
     phi = [_SINGLETON_PHI] * cond.h
-    for k in np.flatnonzero(np.diff(cond.bounds) > 1).tolist():
-        block = cond.block(k)
-        scale[k] = _inf_norm(block.matrix)
-        if not math.isfinite(scale[k]):
-            raise NonFiniteResult(f"block {k}: absolute row sum overflows")
-        try:
-            mu[k], phi[k] = dominant_eigenpair(block, opts)
-        except NoConvergence as exc:
-            raise NoConvergence(exc.iterations, exc.last_residual, block_index=k) from None
-        phi[k].setflags(write=False)
+    failures: dict[int, Exception] = {}
+    size = np.diff(cond.bounds)
+    for d in np.unique(size[size > 1]).tolist():
+        group = np.flatnonzero(size == d)
+        per = 1 if d > opts.dense_cutoff and opts.max_iter else max(1, _CHUNK_ENTRIES // (d * d))
+        for ks in np.split(group, range(per, group.size, per)):
+            b = cond.matrices[cond.matrix_bounds[ks, None] + np.arange(d * d)].reshape(-1, d, d)
+            scale[ks] = _inf_norm(b)
+            ok = np.isfinite(scale[ks])
+            failures.update((k, NonFiniteResult(f"block {k}: absolute row sum overflows"))
+                            for k in ks[~ok].tolist())
+            ks = ks[ok]
+            mu[ks], x, more = _perron(b[ok], ks, opts)
+            failures.update(more)
+            x.setflags(write=False)  # each phi[k] is a row view of it
+            for k, row in zip(ks.tolist(), x):
+                phi[k] = row
+    if failures:
+        exc = failures[k := min(failures)]
+        raise NoConvergence(exc.iterations, exc.last_residual, k) if isinstance(exc, NoConvergence) else exc
     classification = classify(mu, scale, opts)
     tolerance = opts.crit_tol_rel * np.maximum(1.0, scale)
     for a in (mu, tolerance, classification):

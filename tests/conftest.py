@@ -26,6 +26,7 @@ from coopstab import (
     SuperCriticalBlock,
     ValidationError,
     Verdict,
+    classify,
     verdict,
 )
 from coopstab.cli import _tolerances_dict
@@ -167,8 +168,11 @@ def reference_dominant_eigenpair(block, opts):
         return float(b[0, 0]), np.ones(1)
 
     shift = float(np.max(np.abs(np.diag(b)))) + 1.0
-    m = b + shift * np.eye(d)
-    tol = opts.eig_tol * max(1.0, float(np.max(np.sum(np.abs(m), axis=1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = b + shift * np.eye(d)
+        tol = opts.eig_tol * max(1.0, float(np.max(np.sum(np.abs(m), axis=1))))
+    if not math.isfinite(tol):
+        raise NonFiniteResult(f"block {block.index}: shifted matrix overflows")
 
     iters = 0
     if d > opts.dense_cutoff:
@@ -180,6 +184,25 @@ def reference_dominant_eigenpair(block, opts):
     if res > tol or x.min() <= 0.0:
         raise NoConvergence(iterations=iters, last_residual=res)
     return lam - shift, x
+
+
+def reference_analyze_all_blocks(cond, opts):
+    """`analyze_all_blocks` as the per-block loop it once was: blocks in
+    order, each over `reference_dominant_eigenpair`, the first failure raising.
+    Returns the columns mu, tolerance, classification and phi."""
+    mu, scale, phi = np.zeros(cond.h), np.zeros(cond.h), []
+    for k in range(cond.h):
+        block = cond.block(k)
+        with np.errstate(over="ignore"):
+            scale[k] = np.max(np.sum(np.abs(block.matrix), axis=1))
+        if not math.isfinite(scale[k]):
+            raise NonFiniteResult(f"block {k}: absolute row sum overflows")
+        try:
+            mu[k], vector = reference_dominant_eigenpair(block, opts)
+        except NoConvergence as exc:
+            raise NoConvergence(exc.iterations, exc.last_residual, block_index=k) from None
+        phi.append(vector)
+    return mu, opts.crit_tol_rel * np.maximum(1.0, scale), classify(mu, scale, opts), phi
 
 
 # ---------------------------------------------------------------------------

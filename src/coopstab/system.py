@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -56,12 +57,6 @@ class CooperativeSystem:
         a[self.coo[:2]] = self.coo[2]
         return a
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Graph edges as (src, dst) pairs: entry a_ij yields edge j -> i."""
-        rows, cols, _ = self.coo
-        off = rows != cols
-        return sorted(zip(cols[off].tolist(), rows[off].tolist()))
-
     def inf_norm(self) -> float:
         """Max absolute row sum, computed without densifying."""
         rows, _, vals = self.coo
@@ -75,24 +70,33 @@ def validate(
 ) -> CooperativeSystem:
     """Check the cooperativity contract and build an immutable system.
 
-    `raw_entries` is either a {(i, j): value} mapping or an iterable of
-    (i, j, value) triples; the triple form can carry duplicates, which are a
-    hard error. Explicit zero entries are dropped. The first offending triple
-    in input order is reported, checked in this order: index type, index
-    range, duplicate coordinate, value conversion, finiteness, sign.
+    `raw_entries` is a {(i, j): value} mapping, an iterable of (i, j, value)
+    triples, or a tuple of three NumPy arrays (rows, cols, values), the form
+    of `CooperativeSystem.coo`; the triple and array forms can carry
+    duplicates, which are a hard error. Explicit zero entries are dropped.
+    The first offending triple in input order is reported, checked in this
+    order: index type, index range, duplicate coordinate, value conversion,
+    finiteness, sign.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"system dimension must be a positive integer, got {n!r}")
 
-    if isinstance(raw_entries, Mapping):
-        triples = [(i, j, v) for (i, j), v in raw_entries.items()]
+    if isinstance(raw_entries, tuple) and len(raw_entries) == 3 and all(
+        isinstance(c, np.ndarray) for c in raw_entries
+    ):
+        raw_rows, raw_cols, raw_vals = raw_entries
+        if raw_rows.ndim != 1 or any(c.shape != raw_rows.shape for c in raw_entries):
+            raise ValidationError("entry arrays must be one-dimensional and of one length")
     else:
-        triples = list(raw_entries)
-    # Unpacking in place allocates nothing per triple; zip(*triples) makes an
-    # iterator per triple, enough to set off a full garbage collection.
-    raw_rows = [i for i, _, _ in triples]
-    raw_cols = [j for _, j, _ in triples]
-    raw_vals = [v for _, _, v in triples]
+        triples = (
+            [(i, j, v) for (i, j), v in raw_entries.items()]
+            if isinstance(raw_entries, Mapping) else list(raw_entries)
+        )
+        # Unpacking in place allocates nothing per triple; zip(*triples) makes
+        # an iterator per triple, enough to set off a full garbage collection.
+        raw_rows = [i for i, _, _ in triples]
+        raw_cols = [j for _, j, _ in triples]
+        raw_vals = [v for _, _, v in triples]
 
     rows, bad_row = _index_column(raw_rows, n)
     cols, bad_col = _index_column(raw_cols, n)
@@ -101,7 +105,7 @@ def validate(
     in_range = (rows >= 0) & (cols >= 0)
     order = np.lexsort((cols, rows))  # stable: a coordinate's first triple is not marked
     repeat = (rows[order[1:]] == rows[order[:-1]]) & (cols[order[1:]] == cols[order[:-1]])
-    duplicate = np.zeros(len(triples), dtype=bool)
+    duplicate = np.zeros(len(raw_rows), dtype=bool)
     duplicate[order[1:][repeat]] = True
     checks = (
         not_index,
@@ -114,7 +118,7 @@ def validate(
     failed = np.logical_or.reduce(checks)
     if failed.any():
         t = int(failed.argmax())
-        _raise_for(triples[t], [bool(c[t]) for c in checks], n)
+        _raise_for((raw_rows[t], raw_cols[t], raw_vals[t]), [bool(c[t]) for c in checks], n)
 
     keep = vals != 0.0
     coo = (rows[keep], cols[keep], vals[keep])
@@ -238,8 +242,25 @@ def _checked_labels(node_labels: Iterable[str] | None, n: int) -> tuple[str, ...
 # Matrix Market coordinate format (real, general), 1-based indices
 # ---------------------------------------------------------------------------
 
+# The banner, any blank or comment lines, and the size line, each ended by "\n".
+_HEAD = re.compile(r"[^\n]*\n(?:[^\S\n]*(?:%[^\n]*)?\n)*[^\S\n]*[^\s%][^\n]*\n")
+# A canonical entry line: 1-based indices of at most 15 digits (exact as
+# doubles) without leading zeros, and a plain decimal value, single spaces.
+_ENTRY = r"[1-9][0-9]{0,14} [1-9][0-9]{0,14} -?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+# Matches at the line break before the first line that is not canonical. A
+# lookahead per line keeps no state across lines, as `(?:LINE\n)*` would for
+# every line, and the literal "\n" lets the search skip from break to break.
+_NOT_ENTRY = re.compile(rf"\n(?!{_ENTRY}$)", re.M)
+
+
 def load_matrix_market(text: str) -> CooperativeSystem:
-    lines = text.splitlines()
+    """A system from Matrix Market text. When every entry line is canonical
+    (`i j value`, single spaces, each line ended by "\n"), the entries are
+    converted in one vectorised pass; any other text takes the line-by-line
+    path, with the same result or the same error."""
+    head = _HEAD.match(text)  # its lines, unless a line break in it is not "\n" or "\r\n"
+    start = head.end() if head and len(head[0].splitlines()) == head[0].count("\n") else len(text)
+    lines = text[:start].splitlines()
     if not lines:
         raise ParseError(1, "empty input")
 
@@ -254,9 +275,10 @@ def load_matrix_market(text: str) -> CooperativeSystem:
     if sym != "general":
         raise ParseError(1, f"unsupported symmetry {sym!r}; need general")
 
+    # `data` reads `lines` lazily: it goes on into the body lines appended below.
     data = (
-        (no, ln) for no, ln in enumerate(lines[1:], start=2)
-        if ln.strip() and not ln.lstrip().startswith("%")
+        (no, ln) for no, ln in enumerate(lines, start=1)
+        if no > 1 and ln.strip() and not ln.lstrip().startswith("%")
     )
     try:
         size_no, size_line = next(data)
@@ -272,6 +294,17 @@ def load_matrix_market(text: str) -> CooperativeSystem:
     if rows != cols:
         raise NonSquare(size_no, rows, cols)
 
+    if start < len(text) and text.endswith("\n") and not _NOT_ENTRY.search(text, start - 1, len(text) - 1):
+        entries = np.fromstring(text[start:], sep=" ").reshape(-1, 3)  # three numbers a line
+        if len(entries) == nnz:
+            i, j = (entries[:, c].astype(np.intp) - 1 for c in (0, 1))
+            return validate((i, j, entries[:, 2]), rows)
+    lines += text[start:].splitlines()  # the head ends with a line break
+    return validate(_entries_by_line(data, nnz, len(lines)), rows)
+
+
+def _entries_by_line(data, nnz: int, line_count: int) -> list[tuple[int, int, float]]:
+    """The 0-based (i, j, value) triples of the entry lines, one at a time."""
     triples: list[tuple[int, int, float]] = []
     for no, ln in data:
         if len(triples) == nnz:
@@ -286,18 +319,19 @@ def load_matrix_market(text: str) -> CooperativeSystem:
             raise ParseError(no, f"malformed entry {ln!r}") from None
         triples.append((i - 1, j - 1, v))
     if len(triples) != nnz:
-        raise ParseError(len(lines), f"declared {nnz} entries, found {len(triples)}")
-
-    return validate(triples, rows)
+        raise ParseError(line_count, f"declared {nnz} entries, found {len(triples)}")
+    return triples
 
 
 def to_matrix_market(system: CooperativeSystem) -> str:
+    rows, cols, vals = system.coo
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
     lines = [
         "%%MatrixMarket matrix coordinate real general",
-        f"{system.n} {system.n} {len(system.entries)}",
+        f"{system.n} {system.n} {len(vals)}",
     ]
-    for i, j in sorted(system.entries):
-        lines.append(f"{i + 1} {j + 1} {system.entries[(i, j)]!r}")
+    lines += map("{} {} {!r}".format, (rows + 1).tolist(), (cols + 1).tolist(), vals.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -358,21 +392,14 @@ def load_edge_list_json(text: str) -> CooperativeSystem:
 
 
 def to_edge_list_json(system: CooperativeSystem) -> str:
-    edges = [
-        {"from": j, "to": i, "weight": v}
-        for (i, j), v in sorted(system.entries.items())
-        if i != j
-    ]
-    selfs = [
-        {"node": i, "weight": v}
-        for (i, j), v in sorted(system.entries.items())
-        if i == j
-    ]
+    rows, cols, vals = system.coo
+    order = np.lexsort((cols, rows))
+    entries = list(zip(rows[order].tolist(), cols[order].tolist(), vals[order].tolist()))
     payload = {
         "n": system.n,
         "labels": list(system.node_labels),
-        "edges": edges,
-        "self": selfs,
+        "edges": [{"from": j, "to": i, "weight": v} for i, j, v in entries if i != j],
+        "self": [{"node": i, "weight": v} for i, j, v in entries if i == j],
     }
     return json.dumps(payload, indent=2, allow_nan=False)
 

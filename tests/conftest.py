@@ -19,7 +19,9 @@ from coopstab import (
     NoConvergence,
     NegativeSteadyStateEntry,
     NonFiniteResult,
+    NonSquare,
     NotMarginallyStable,
+    ParseError,
     SingularSubCriticalSolve,
     StabilityReport,
     SteadyStateBasis,
@@ -27,9 +29,10 @@ from coopstab import (
     ValidationError,
     Verdict,
     classify,
+    validate,
     verdict,
 )
-from coopstab.cli import _tolerances_dict
+from coopstab.cli import _reason_dict, _tolerances_dict
 from coopstab.stability import TINY_PIVOT_REL, _refuse_super_critical, nullspace_residual
 
 
@@ -61,6 +64,68 @@ def reference_entries(raw_entries, n: int) -> dict:
         if v != 0.0:
             entries[(i, j)] = v
     return entries
+
+
+def graph_edges(system) -> list[tuple[int, int]]:
+    """Graph edges as sorted (src, dst) pairs: entry a_ij yields edge j -> i."""
+    rows, cols, _ = system.coo
+    off = rows != cols
+    return sorted(zip(cols[off].tolist(), rows[off].tolist()))
+
+
+def reference_load_matrix_market(text: str):
+    """The line-by-line Matrix Market reader, one tuple per entry, against
+    which the vectorised reader is checked: same system or same error."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(1, "empty input")
+
+    banner = lines[0].split()
+    if len(banner) != 5 or banner[0].lower() != "%%matrixmarket":
+        raise ParseError(1, "expected banner '%%MatrixMarket matrix coordinate real general'")
+    obj, fmt, fld, sym = (t.lower() for t in banner[1:])
+    if obj != "matrix" or fmt != "coordinate":
+        raise ParseError(1, f"unsupported object/format {obj!r}/{fmt!r}")
+    if fld not in ("real", "integer"):
+        raise ParseError(1, f"unsupported field {fld!r}; need real or integer")
+    if sym != "general":
+        raise ParseError(1, f"unsupported symmetry {sym!r}; need general")
+
+    data = (
+        (no, ln) for no, ln in enumerate(lines[1:], start=2)
+        if ln.strip() and not ln.lstrip().startswith("%")
+    )
+    try:
+        size_no, size_line = next(data)
+    except StopIteration:
+        raise ParseError(len(lines), "missing size line") from None
+    parts = size_line.split()
+    if len(parts) != 3:
+        raise ParseError(size_no, f"size line needs 'rows cols nnz', got {size_line!r}")
+    try:
+        rows, cols, nnz = (int(p) for p in parts)
+    except ValueError:
+        raise ParseError(size_no, f"non-integer size line {size_line!r}") from None
+    if rows != cols:
+        raise NonSquare(size_no, rows, cols)
+
+    triples: list[tuple[int, int, float]] = []
+    for no, ln in data:
+        if len(triples) == nnz:
+            raise ParseError(no, f"more than the declared {nnz} entries")
+        parts = ln.split()
+        if len(parts) != 3:
+            raise ParseError(no, f"entry needs 'row col value', got {ln!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+            v = float(parts[2])
+        except ValueError:
+            raise ParseError(no, f"malformed entry {ln!r}") from None
+        triples.append((i - 1, j - 1, v))
+    if len(triples) != nnz:
+        raise ParseError(len(lines), f"declared {nnz} entries, found {len(triples)}")
+
+    return validate(triples, rows)
 
 
 def bfs_reachable(adj: list[list[int]], start: int) -> set[int]:
@@ -420,6 +485,43 @@ def reference_steady_state_basis(
         free_blocks=tuple(final),
         free_parameters=tuple(f"alpha_{k}" for k in final),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference analyze payload: the dict the command line once passed to
+# json.dumps, against which the streamed report writer is checked bytewise.
+# ---------------------------------------------------------------------------
+
+def reference_report_payload(system, cond, spectra, report, opts) -> dict:
+    # Every value comes from .tolist(): json rejects numpy scalars.
+    nodes, bounds = cond.permutation.tolist(), cond.bounds.tolist()
+    labels = [system.node_labels[i] for i in nodes]
+    mu, tol = spectra.mu.tolist(), spectra.tolerance.tolist()
+    trivial, free = report.trivial.tolist(), report.free.tolist()
+    return {
+        "version": __version__,
+        "tolerances": _tolerances_dict(opts),
+        "n": system.n,
+        "h": cond.h,
+        "verdict": report.verdict.value,
+        "unstable_reason": _reason_dict(report.unstable_reason),
+        "algebraic_multiplicity_zero": report.algebraic_multiplicity_zero,
+        "geometric_multiplicity_zero": report.geometric_multiplicity_zero,
+        "blocks": [
+            {
+                "index": k,
+                "size": bounds[k + 1] - bounds[k],
+                "nodes": nodes[bounds[k]:bounds[k + 1]],
+                "labels": labels[bounds[k]:bounds[k + 1]],
+                "mu": mu[k],
+                "class": spectra.classification[k].value,
+                "criticality_tolerance": tol[k],
+                "trivial": trivial[k],
+                "free": free[k],
+            }
+            for k in range(cond.h)
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

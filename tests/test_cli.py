@@ -1,7 +1,9 @@
 import gc
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,16 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_basis_payload
+from conftest import reference_basis_payload, reference_report_payload
 from coopstab import (
+    BlockClass,
+    CriticalPath,
     NonFiniteResult,
     SteadyStateBasis,
+    SuperCriticalBlock,
+    Verdict,
+    condense,
     from_dense,
+    full_analysis,
     load_matrix_market,
     to_matrix_market,
     validate,
 )
-from coopstab.cli import _basis_text, main
+from coopstab import cli
+from coopstab.cli import _basis_text, _write_report, main
 from coopstab.spectral import DEFAULT_OPTIONS
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"
@@ -500,6 +509,17 @@ def test_golden_corpus(fixture, capsys):
 
 
 @pytest.mark.parametrize(
+    "fixture", sorted(p.name for p in FIXTURES.iterdir() if p.is_file())
+)
+def test_analyze_pretty_golden_corpus(fixture, capsys):
+    """analyze --pretty output and exit code are byte-identical to the stored golden."""
+    rc = main(["analyze", str(FIXTURES / fixture), "--pretty"])
+    out = capsys.readouterr().out
+    assert out == (FIXTURES / "golden" / f"{fixture}.analyze-pretty.out").read_text()
+    assert rc == int((FIXTURES / "golden" / f"{fixture}.analyze-pretty.exit").read_text())
+
+
+@pytest.mark.parametrize(
     "fixture, tag, extra",
     # large_scc.mtx comes last, next to the limits that vary its power-iteration path
     [(p.name, "steady", []) for p in sorted(FIXTURES.iterdir())
@@ -839,3 +859,84 @@ def basis_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_basis_text_matches_json_dumps_of_the_reference_payload(case):
     _assert_writer_matches_reference(*case)
+
+
+# ---------------------------------------------------------------------------
+# The streamed analyze report against json.dumps of the reference payload
+# ---------------------------------------------------------------------------
+
+def _assert_report_matches_reference(system, cond, spectra, report):
+    out = io.StringIO()
+    try:
+        expected = json.dumps(
+            reference_report_payload(system, cond, spectra, report, DEFAULT_OPTIONS),
+            sort_keys=True, allow_nan=False,
+        ) + "\n"
+    except ValueError:
+        with pytest.raises(NonFiniteResult):
+            _write_report(system, cond, spectra, report, DEFAULT_OPTIONS, out)
+        assert out.getvalue() == ""
+        return
+    _write_report(system, cond, spectra, report, DEFAULT_OPTIONS, out)
+    assert out.getvalue() == expected
+
+
+@st.composite
+def report_cases(draw):
+    """A small system with arbitrary labels, its condensation, and arbitrary
+    block columns and report fields: extreme values, now and then one that is
+    not finite."""
+    n = draw(st.integers(1, 12))
+    text = st.text() | st.sampled_from(AWKWARD_TEXT)
+    labels = draw(st.lists(text, min_size=n, max_size=n, unique=True))
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n, unique=True))
+    system = validate([(i, j, -0.5 if i == j else 0.25) for i, j in cells], n, labels)
+    cond, spectra, report = full_analysis(system)
+    h = cond.h
+    value = st.sampled_from(EXTREME_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    mu, tol = (np.array(draw(st.lists(value, min_size=h, max_size=h))) for _ in range(2))
+    if draw(st.integers(0, 9)) == 0:
+        column = draw(st.sampled_from([mu, tol]))
+        column[draw(st.integers(0, h - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    classes = np.array(draw(st.lists(st.sampled_from(list(BlockClass)), min_size=h, max_size=h)),
+                       dtype=object)
+    path = tuple(draw(st.lists(st.integers(0, h - 1), min_size=2, max_size=4)))
+    reason = draw(st.sampled_from([None, SuperCriticalBlock(draw(st.integers(0, h - 1))),
+                                   CriticalPath(path[0], path[-1], path)]))
+    spectra = replace(spectra, mu=mu, tolerance=tol, classification=classes)
+    report = replace(
+        report,
+        verdict=draw(st.sampled_from(list(Verdict))),
+        unstable_reason=reason,
+        algebraic_multiplicity_zero=draw(st.integers(0, h)),
+        geometric_multiplicity_zero=draw(st.integers(0, h)),
+        trivial=np.array(draw(st.lists(st.booleans(), min_size=h, max_size=h))),
+        free=np.array(draw(st.lists(st.booleans(), min_size=h, max_size=h))),
+    )
+    return system, cond, spectra, report
+
+
+@given(report_cases(), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_report_matches_json_dumps_of_the_reference_payload(case, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_REPORT_CHUNK", chunk)  # most cases span several chunks
+        _assert_report_matches_reference(*case)
+
+
+def test_report_of_multi_node_blocks_and_of_one_block():
+    large = load_matrix_market((FIXTURES / "large_scc.mtx").read_text())
+    one = from_dense([[-1.0, 1.0], [1.0, -1.0]], node_labels=AWKWARD_TEXT[:2])
+    for system in (large, one):
+        _assert_report_matches_reference(system, *full_analysis(system)[:3])
+    assert condense(one).h == 1
+
+
+def test_report_with_a_nan_mu_writes_nothing(capsys):
+    system = from_dense([[-1.0, 0.0], [1.0, -2.0]])
+    cond, spectra, report = full_analysis(system)
+    spectra = replace(spectra, mu=np.array([np.nan, -2.0]))
+    with pytest.raises(NonFiniteResult):
+        _write_report(system, cond, spectra, report, DEFAULT_OPTIONS, sys.stdout)
+    assert capsys.readouterr().out == ""

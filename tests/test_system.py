@@ -1,12 +1,14 @@
 import math
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_entries
+from conftest import graph_edges, reference_entries, reference_load_matrix_market
 from coopstab import (
     DuplicateEntry,
     IndexOutOfRange,
@@ -25,13 +27,16 @@ from coopstab import (
     to_matrix_market,
     validate,
 )
+from coopstab import system as system_module
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_single_node_negative_diagonal_is_valid():
     s = validate({(0, 0): -1.0}, 1)
     assert s.n == 1
     assert dict(s.entries) == {(0, 0): -1.0}
-    assert s.edges() == []
+    assert graph_edges(s) == []
 
 
 def test_negative_off_diagonal_rejected():
@@ -42,7 +47,7 @@ def test_negative_off_diagonal_rejected():
 
 def test_two_node_system_has_one_edge():
     s = validate({(1, 0): 1.0, (1, 1): -2.0}, 2)
-    assert s.edges() == [(0, 1)]
+    assert graph_edges(s) == [(0, 1)]
     np.testing.assert_array_equal(s.to_dense(), [[0.0, 0.0], [1.0, -2.0]])
 
 
@@ -74,6 +79,16 @@ def test_state_vector_checks():
         state_vector([1.0], 2)
     with pytest.raises(ValidationError):
         state_vector([1.0, -0.1], 2, nonnegative=True)
+
+
+def test_validate_takes_the_coo_arrays():
+    s = validate([(1, 0, 2.0), (0, 1, 0.0), (0, 0, -1.0)], 2)
+    again = validate(s.coo, 2)
+    assert [(a.dtype, a.tobytes()) for a in again.coo] == [(a.dtype, a.tobytes()) for a in s.coo]
+    with pytest.raises(DuplicateEntry):
+        validate((np.array([1, 1]), np.array([0, 0]), np.array([1.0, 2.0])), 2)
+    with pytest.raises(ValidationError, match="one length"):
+        validate((np.array([0]), np.array([0, 1]), np.array([1.0, 2.0])), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +134,130 @@ def test_mm_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:
         load_matrix_market(text)
     assert exc.value.line == line
+
+
+def _parsed(load, text):
+    """The system's n and coo bytes, or the error's type, line and message."""
+    try:
+        s = load(text)
+    except Exception as exc:  # compared, not handled
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return s.n, [(a.dtype.str, a.tobytes()) for a in s.coo]
+
+
+MM_INDICES = ["0", "007", "+1", "1_0", "\u0661", "99999999999999", "999999999999999",
+              "1000000000000000", str(2**53), str(2**53 + 1), "1.0", "-1"]
+MM_VALUES = ["+1", "007.5", "1_000", "\u0661", "nan", "-nan", "inf", "-inf", "1e400", "-1e400",
+             "0", "0.0", "-0.0", "-1.5", "1.", ".5", "-.5", "1e", ".", "-", "", "5e-324",
+             "1E5", "1e+05", "4.9e-324", "0x1p3", "\uff11"]
+MM_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.2250738585072014e-308,
+             0.1, 1 / 3, 1e-5, 1e16, 123456789.125]
+MM_ANOMALIES = ["comment", "blank", "add-line", "line-end", "no-final-newline", "drop-line",
+                "repeat-line", "tab", "trailing", "index", "value", "drop-token", "add-token"]
+
+
+@st.composite
+def mm_texts(draw):
+    """Matrix Market text: the canonical text `to_matrix_market` writes for
+    a random system, with up to four anomalies planted."""
+    n = draw(st.integers(1, 6))
+    coords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           unique=True, max_size=10))
+    value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(MM_FLOATS)
+    values = draw(st.lists(value, min_size=len(coords), max_size=len(coords)))
+    entries = {(i, j): v if i == j else abs(v) for (i, j), v in zip(coords, values)}
+    lines = to_matrix_market(validate(entries, n)).split("\n")[:-1]
+    if draw(st.integers(0, 9)) == 0:  # too few or too many lines for the size line
+        lines[1] = f"{n} {n} {len(entries) + draw(st.sampled_from([-1, 1]))}"
+    ends = ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(MM_ANOMALIES))
+        at = draw(st.integers(1, len(lines)))  # after the banner
+        k = draw(st.integers(2, max(2, len(lines) - 1)))  # after the size line, if any
+        if kind in ("comment", "blank", "add-line"):
+            lines.insert(at, "% note" if kind == "comment" else
+                         draw(st.sampled_from(["", "  "])) if kind == "blank" else
+                         f"{draw(st.integers(1, n))} {draw(st.integers(1, n))} "
+                         f"{draw(st.sampled_from(['1.0', '-2.0', '0.0']))}")
+            ends.insert(at, "\n")
+        elif kind == "line-end":
+            ends[at - 1] = draw(st.sampled_from(["\r\n", "\r"]))
+        elif kind == "no-final-newline":
+            ends[-1] = ""
+        elif k >= len(lines):
+            continue
+        elif kind == "drop-line":
+            del lines[k], ends[k]
+        elif kind == "repeat-line":  # a duplicate coordinate
+            lines.insert(at, lines[k])
+            ends.insert(at, "\n")
+        elif kind == "tab":
+            lines[k] = lines[k].replace(" ", "\t", 1)
+        elif kind == "trailing":
+            lines[k] += " "
+        else:
+            tokens = lines[k].split(" ")
+            if kind == "index":
+                tokens[draw(st.integers(0, min(1, len(tokens) - 1)))] = draw(
+                    st.sampled_from(MM_INDICES + [str(n), str(n + 1)]))
+            elif kind == "value":
+                tokens[-1] = draw(st.sampled_from(MM_VALUES))
+            elif kind == "drop-token":
+                del tokens[draw(st.integers(0, len(tokens) - 1))]
+            else:
+                tokens.append("1")
+            lines[k] = " ".join(tokens)
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@given(mm_texts())
+@example(f"{MM_HEADER}\n2 2 1\n1 1 1e400\n")  # overflow to inf on both paths
+@example(f"{MM_HEADER}\n2 2 1\n999999999999999 1 1.0\n")  # 15 digits: canonical, out of range
+@example(f"{MM_HEADER}\n2 2 1\n9007199254740993 1 1.0\n")  # 2**53 + 1: not exact as a double
+@example(f"{MM_HEADER}\r2 2 1\r1 1 1.0\r")  # line ends the vectorised pass does not split at
+@example(f"{MM_HEADER}\n% c\r\n2 2 1\r\n1 1 1.0\n")
+@example(f"{MM_HEADER}\n2 2 0\n")
+@example(f"{MM_HEADER}\n2 2 1\n1 1 1.0x")  # no final newline: the last character counts too
+@example(f"{MM_HEADER}\n2 2 2\n1 1 1.0\n2 2 1.0x\n")  # the last line's last character
+@example(f"{MM_HEADER}\n% c\r2 2 1\n1 1 1.0\n2 2 1.0\n")  # a lone "\r" hides the size line
+@example(f"{MM_HEADER}\n2 2 1\n1 \u0661 1.0\n")
+@settings(max_examples=500, deadline=None)
+def test_mm_reader_matches_the_line_by_line_reference(text):
+    assert _parsed(load_matrix_market, text) == _parsed(reference_load_matrix_market, text)
+
+
+def _no_line_loop(*args):
+    raise AssertionError("canonical text took the line-by-line path")
+
+
+def test_canonical_mm_takes_the_vectorised_pass(monkeypatch):
+    text = (FIXTURES / "layered.mtx").read_text(encoding="utf-8")
+    expected = _parsed(reference_load_matrix_market, text)
+    monkeypatch.setattr(system_module, "_entries_by_line", _no_line_loop)
+    assert _parsed(load_matrix_market, text) == expected
+    # One anomaly sends the whole text down the line loop.
+    with pytest.raises(AssertionError, match="line-by-line"):
+        load_matrix_market(text.replace("\n", " \n", 3))
+
+
+def test_mm_parse_peak_memory():
+    """The vectorised pass holds a few arrays of the entry count, where one
+    tuple per entry and a list of line strings took twice as much."""
+    rng = np.random.default_rng(0)
+    n, nnz = 2000, 20_000
+    cells = rng.choice(n * n, size=nnz, replace=False)
+    text = "\n".join([MM_HEADER, f"{n} {n} {nnz}"] + [
+        f"{i + 1} {j + 1} {v!r}" for i, j, v in
+        zip((cells // n).tolist(), (cells % n).tolist(), rng.random(nnz).tolist())
+    ]) + "\n"
+    assert 500_000 < len(text) < 700_000
+    tracemalloc.start()
+    try:
+        load_matrix_market(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +345,10 @@ def small_systems(draw):
 @given(small_systems())
 @settings(max_examples=60, deadline=None)
 def test_matrix_market_round_trip(system):
-    again = load_matrix_market(to_matrix_market(system))
+    with pytest.MonkeyPatch.context() as mp:
+        if len(system.coo[2]):  # an empty body has no entry line for either path
+            mp.setattr(system_module, "_entries_by_line", _no_line_loop)
+        again = load_matrix_market(to_matrix_market(system))
     assert dict(again.entries) == dict(system.entries)
     assert again.n == system.n
 
@@ -223,7 +365,7 @@ def test_edge_list_round_trip(system):
 @settings(max_examples=60, deadline=None)
 def test_graph_matrix_duality(system):
     expected = sorted((j, i) for (i, j) in system.entries if i != j)
-    assert system.edges() == expected
+    assert graph_edges(system) == expected
 
 
 @given(small_systems())

@@ -13,9 +13,11 @@ carries the block's positive eigenvector on k itself. All basis vectors are
 propagated together, as the columns of one array, one DAG level at a time:
 the blocks of a level depend on lower levels only, so all their couplings
 are gathered in one step and all their singletons solved by one division;
-each multi-node block in some cone is factorized once for all free
-parameters. The alternating path-sum form of the same propagation, which
-enumerates block paths, is a cross-check in the oracle module.
+its multi-node blocks go in groups of one size, one array step per group
+for the gathers, checks and scatter, and only LAPACK runs per block (one
+factorization for all free parameters) and per column. The alternating
+path-sum form of the same propagation, which enumerates block paths, is a
+cross-check in the oracle module.
 """
 from __future__ import annotations
 
@@ -23,9 +25,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor
 
-from .condensation import Block, Condensation, condense
+from .condensation import Condensation, condense
 from .errors import (
     NegativeSteadyStateEntry,
     NonFiniteResult,
@@ -37,6 +39,8 @@ from .spectral import BlockClass, SpectralOptions, Spectra, analyze_all_blocks
 from .system import CooperativeSystem
 
 TINY_PIVOT_REL = 1e-13
+# LAPACK's dgetrs, the routine lu_solve calls, without lu_solve's checks.
+_GETRS, = get_lapack_funcs(("getrs",), dtype=np.float64)
 
 
 class Verdict(enum.Enum):
@@ -179,19 +183,44 @@ def full_analysis(
     return cond, spectra, verdict(cond, spectra)
 
 
-def _solve_block(block: Block, rhs: np.ndarray) -> np.ndarray:
-    """Solve B X = rhs column by column (a multi-column LU solve rounds
-    differently); a column that is not finite has no finite solution."""
-    b = block.matrix
-    lu, piv = lu_factor(b)
-    if np.min(np.abs(np.diag(lu))) <= TINY_PIVOT_REL * max(
-        1e-300, float(np.max(np.sum(np.abs(b), axis=1)))
-    ):
-        raise SingularSubCriticalSolve(block.index)
-    return np.column_stack([
-        lu_solve((lu, piv), col) if np.isfinite(col).all() else np.full(len(col), np.inf)
-        for col in rhs.T
-    ])
+def _solve_multi_node(cond: Condensation, x: np.ndarray, rows: np.ndarray, inflow: np.ndarray,
+                      failures: dict[int, Exception], residual_tol: float) -> None:
+    """Solve B_l X = -x[nodes of l] in place for the level's multi-node blocks,
+    in groups of one size. Only the (block, column) pairs with a nonzero
+    right-hand side are gathered, found among the nonzero cells of `inflow`,
+    the level's contributions to x[rows]. Each block is factorized once and
+    each column solved on its own (a multi-column solve rounds differently); a
+    column that is not finite has no finite solution."""
+    size, f = np.diff(cond.bounds), x.shape[1]
+    cell, col = np.nonzero(inflow)
+    node = rows[cell]
+    block = cond.node_to_block[node]
+    keep = (size[block] > 1) & (x[node, col] != 0)
+    block, col = np.divmod(np.unique(block[keep] * f + col[keep]), f)
+    for d in np.unique(size[block]).tolist():
+        blk, c = block[size[block] == d], col[size[block] == d]
+        ks, at = np.unique(blk, return_inverse=True)
+        nodes = cond.permutation[cond.bounds[blk, None] + np.arange(d)]
+        rhs = -x[nodes, c[:, None]]
+        b = cond.matrices[cond.matrix_bounds[ks, None] + np.arange(d * d)].reshape(-1, d, d)
+        factors = [lu_factor(m) for m in b]  # the module name, so tracing can count the calls
+        singular = np.abs([lu.diagonal() for lu, _ in factors]).min(axis=1) <= TINY_PIVOT_REL * np.maximum(
+            1e-300, np.abs(b).sum(axis=2).max(axis=1))
+        failures.update((k, SingularSubCriticalSolve(k)) for k in ks[singular].tolist())
+        live = ~singular[at]
+        sol = np.full(rhs.shape, np.inf)
+        for p in np.flatnonzero(live & np.isfinite(rhs).all(axis=1)).tolist():
+            sol[p] = _GETRS(*factors[at[p]], rhs[p])[0]
+        blk, c, nodes, sol = blk[live], c[live], nodes[live], sol[live]
+        bad = sol < -10.0 * residual_tol * np.maximum(1.0, abs(sol).max(axis=1, keepdims=True))
+        hit = np.flatnonzero(bad.any(axis=1))
+        ks, first = np.unique(blk[hit], return_index=True)  # a block's first bad column
+        p = hit[first]
+        worst = sol[p].argmin(axis=1)
+        failures.update((k, NegativeSteadyStateEntry(k, i, v)) for k, i, v in
+                        zip(ks.tolist(), nodes[p, worst].tolist(), sol[p, worst].tolist()))
+        sol[sol < 0] = 0.0
+        x[nodes, c[:, None]] = sol
 
 
 def _levels(cond: Condensation, sub: np.ndarray):
@@ -262,7 +291,8 @@ def steady_state_basis(
     # An overflow here is reported by the finiteness check on the result.
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, cols, vals, level in _levels(cond, sub):
-            np.add.at(x, rows, vals[:, None] * x[cols])
+            inflow = vals[:, None] * x[cols]
+            np.add.at(x, rows, inflow)
 
             single = level[size[level] == 1]
             nodes = first_node[single]
@@ -276,24 +306,8 @@ def steady_state_basis(
             sol[sol < 0] = 0.0
             x[nodes] = sol
 
-            for l in level[size[level] > 1].tolist():
-                block = cond.block(l)
-                rhs = x[block.nodes]
-                solved = rhs.any(axis=0).nonzero()[0]
-                if not solved.size:
-                    continue
-                try:
-                    sol = _solve_block(block, -rhs[:, solved])
-                except SingularSubCriticalSolve as exc:
-                    failures[l] = exc
-                    continue
-                bad = sol < -10.0 * residual_tol * np.maximum(1.0, abs(sol).max(axis=0))
-                if bad.any():
-                    col = bad.any(axis=0).argmax()
-                    worst = int(sol[:, col].argmin())
-                    failures[l] = NegativeSteadyStateEntry(l, int(block.nodes[worst]), float(sol[worst, col]))
-                sol[sol < 0] = 0.0
-                x[block.nodes[:, None], solved] = sol
+            if (size[level] > 1).any():
+                _solve_multi_node(cond, x, rows, inflow, failures, residual_tol)
     if failures:
         raise failures[min(failures)]
     overflow = ~np.isfinite(x).all(axis=1)

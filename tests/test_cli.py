@@ -521,16 +521,20 @@ def test_analyze_pretty_golden_corpus(fixture, capsys):
 
 @pytest.mark.parametrize(
     "fixture, tag, extra",
-    # large_scc.mtx comes last, next to the limits that vary its power-iteration path
+    # large_scc.mtx comes after the rest, next to the limits that vary its
+    # power-iteration path; later fixtures are appended, so that no case id
+    # (which counts the cases) changes
     [(p.name, "steady", []) for p in sorted(FIXTURES.iterdir())
-     if p.is_file() and p.name != "large_scc.mtx"]
+     if p.is_file() and p.name not in ("large_scc.mtx", "grouped_levels.mtx")]
     + [("critical_pair.mtx", "steady-forced", ["--force-nullspace"]),
        ("shared_cone.mtx", "steady-pretty", ["--pretty"]),
        ("critical_pair.mtx", "steady-pretty", ["--pretty", "--force-nullspace"]),
        ("large_scc.mtx", "steady", []),
        ("large_scc.mtx", "steady-max-iter-0", ["--max-iter", "0"]),
        ("large_scc.mtx", "steady-max-iter-1", ["--max-iter", "1"]),
-       ("large_scc.mtx", "steady-dense-cutoff-0", ["--dense-cutoff", "0"])],
+       ("large_scc.mtx", "steady-dense-cutoff-0", ["--dense-cutoff", "0"]),
+       ("grouped_levels.mtx", "steady", []),
+       ("grouped_levels.mtx", "steady-pretty", ["--pretty"])],
 )
 def test_steady_state_golden_corpus(fixture, tag, extra, capsys):
     """steady-state stdout and exit code are byte-identical to the stored golden."""

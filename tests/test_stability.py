@@ -576,6 +576,137 @@ def test_level_sweep_raises_for_lowest_block_at_a_later_level():
     assert vars(ref.value) == vars(exc.value)
 
 
+def _grouped_case(case: str) -> CooperativeSystem:
+    """Hand-built block DAGs for the grouped multi-node solves. Free blocks
+    are critical singletons without a diagonal entry; every other block is a
+    ring with random chords whose diagonal cancels its column sums less a
+    slack, so it is sub-critical (the system is not validated, so couplings
+    may be negative)."""
+    rng = np.random.default_rng(11)
+    cells: dict[tuple[int, int], float] = {}
+
+    def ring(start: int, d: int) -> None:
+        mat = np.zeros((d, d))
+        for t in range(d):
+            mat[(t + 1) % d, t] = rng.uniform(0.5, 1.5)
+        chords = (rng.random((d, d)) < 0.4) & ~np.eye(d, dtype=bool)
+        mat[chords] = rng.uniform(0.5, 1.5, chords.sum())
+        mat[np.diag_indices(d)] = -mat.sum(axis=0) - rng.uniform(0.2, 1.0, d)
+        cells.update(((start + i, start + j), mat[i, j]) for i, j in zip(*np.nonzero(mat)))
+
+    if case == "sizes 2, 3, 3, 5 on one level":
+        n = 15  # free 0 and 1; blocks {2, 3}, {4..6}, {7..9}, {10..14}
+        for start, d in ((2, 2), (4, 3), (7, 3), (10, 5)):
+            ring(start, d)
+        cells.update({(2, 0): 0.8, (4, 0): 1.1, (6, 1): 0.6, (8, 1): 1.3, (12, 0): 0.9,
+                      (14, 1): 0.7, (13, 0): 1.2})
+    elif case == "two sources, zero columns":
+        # free 0, 1, 2; singleton 3 holds exactly 1.0 in column 0. Block
+        # {4, 5, 6} is fed by 0 and 1 on level 2: its column 0 cancels to
+        # zero, column 2 has no inflow. {7, 8} is fed by 0 and 2 on level 1,
+        # {9, 10, 11} by 3 on level 2; the inflow of {12, 13} cancels.
+        n = 14
+        cells[3, 3] = -1.0
+        for start, d in ((4, 3), (7, 2), (9, 3), (12, 2)):
+            ring(start, d)
+        cells.update({(3, 0): 1.0, (4, 0): 1.0, (4, 3): -1.0, (5, 1): 0.7, (7, 0): 0.4,
+                      (8, 2): 1.5, (9, 3): 0.5, (12, 0): 1.0, (12, 3): -1.0})
+    elif " in one group" in case:
+        # free 0 and 1; singleton 2 feeds {3, 4} (block 3, level 2); blocks
+        # 4 and 5, a singular one and a negative one (two bad columns), and
+        # a sound one share level 1
+        n = 11
+        sing, neg = (5, 7) if case.startswith("singular below") else (7, 5)
+        cells[2, 2] = -1.0
+        for start in (3, neg, 9):
+            ring(start, 2)
+        eps = 1e-14
+        cells.update({(sing, sing): -1.0 - eps, (sing, sing + 1): 1.0,
+                      (sing + 1, sing): 1.0, (sing + 1, sing + 1): -1.0 - eps})
+        lower_fails = case.endswith("a lower block fails later")
+        cells.update({(2, 0): 1.0, (3, 2): -1.0 if lower_fails else 1.0, (sing, 0): 1.0,
+                      (neg, 0): -2.0, (neg + 1, 1): -3.0, (9, 0): 1.0, (10, 1): 0.5})
+    elif case == "overflowing column":
+        # free 0 and 1; singleton 2 takes 1.0 from 1. {3, 4, 5} takes 1e300
+        # from 0 and passes 1e300 on to {6, 7}, whose column 0 overflows;
+        # {6, 7} and {8, 9} share level 2 and take column 1 from 2, where
+        # only the solve with {8, 9}'s own factors keeps its entries positive
+        n = 10
+        cells[2, 2] = -1.0
+        ring(3, 3)
+        cells.update({(6, 6): -1.0, (6, 7): 0.1, (7, 6): 0.1, (7, 7): -1.0,
+                      (8, 8): -1.0, (8, 9): 0.9, (9, 8): 0.9, (9, 9): -1.0})
+        cells.update({(2, 1): 1.0, (3, 0): 1e300, (6, 4): 1e300, (7, 2): 1.0, (8, 2): 1.0,
+                      (9, 2): -0.5})
+    keys = sorted(cells)
+    return CooperativeSystem(
+        n=n,
+        coo=(np.array([i for i, _ in keys]), np.array([j for _, j in keys]),
+             np.array([cells[key] for key in keys])),
+        node_labels=tuple(str(i) for i in range(n)),
+    )
+
+
+GROUPED_CASES = {
+    "sizes 2, 3, 3, 5 on one level": "vectors",
+    "two sources, zero columns": "vectors",
+    "singular below negative in one group": (SingularSubCriticalSolve, 4),
+    "negative below singular in one group": (NegativeSteadyStateEntry, 4),
+    "singular below negative in one group, a lower block fails later": (NegativeSteadyStateEntry, 3),
+    "overflowing column": NonFiniteResult,
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", GROUPED_CASES)
+def test_grouped_solves_match_block_by_block_reference_bitwise(case):
+    cond = condense(_grouped_case(case))
+    spectra = analyze_all_blocks(cond, SpectralOptions(crit_tol_rel=1e-15))
+    multi = np.flatnonzero(np.diff(cond.bounds) > 1)
+    assert (spectra.classification[multi] == BlockClass.SUB_CRITICAL).all()
+    if case.startswith("sizes"):
+        assert np.diff(cond.bounds)[multi].tolist() == [2, 3, 3, 5]
+        assert (cond.level[multi] == 1).all()
+    got = _outcome(steady_state_basis, cond, spectra)
+    assert got == _outcome(reference_steady_state_basis, cond, spectra)
+    want = GROUPED_CASES[case]
+    if want == "vectors":
+        assert isinstance(got[0], tuple)
+    elif isinstance(want, tuple):
+        assert (got[0], got[2]["block_index"]) == want
+    else:
+        assert got[0] is want
+    if case.startswith("two sources"):  # cancelled and empty columns stay +0.0
+        v = steady_state_basis(cond, spectra).vectors
+        assert v[0][4:7].tobytes() == v[2][4:7].tobytes() == bytes(24)
+        assert np.array(v)[:, 12:].tobytes() == bytes(48)
+        assert v[1][4:7].min() > 0
+
+
+def test_lu_factor_runs_once_per_multi_node_block_with_a_nonzero_right_hand_side(monkeypatch):
+    import coopstab.stability as stability
+
+    calls = []
+    original = stability.lu_factor
+    monkeypatch.setattr(stability, "lu_factor", lambda b: calls.append(b.shape[0]) or original(b))
+    checked = 0
+    systems = [_grouped_case(case) for case, want in GROUPED_CASES.items() if want == "vectors"]
+    for seed, system in enumerate(systems + [_planted_system(7000 + t, "none") for t in range(60)]):
+        cond = condense(system)
+        spectra = analyze_all_blocks(cond)
+        report = verdict(cond, spectra)
+        if report.verdict is not Verdict.MARGINALLY_STABLE:
+            continue
+        calls.clear()
+        vectors = np.array(steady_state_basis(cond, spectra, report).vectors)
+        size = np.diff(cond.bounds)
+        reached = [k for k in np.flatnonzero(size > 1).tolist() if vectors[:, cond.block(k).nodes].any()
+                   and spectra.classification[k] is BlockClass.SUB_CRITICAL]
+        assert sorted(calls) == sorted(size[reached].tolist()), seed
+        checked += bool(reached)
+    assert checked >= 10
+
+
 def _mixed_system():
     """300 singletons plus two multi-node blocks: node 0 (critical) feeds the
     sub-critical cycle {1, 2}, which feeds a chain of 150 singletons; the
@@ -602,11 +733,11 @@ def test_no_block_is_built_for_a_singleton(monkeypatch, tmp_path, capsys):
     assert cond.h == 303 and len(multi) == 2
     assert requested == []  # multi-node blocks are solved in stacks, straight from cond.matrices
     assert report.verdict is Verdict.MARGINALLY_STABLE and report.free.sum() == 2
-    sub_cycle = int(cond.node_to_block[1])
     requested.clear()
     basis = steady_state_basis(cond, spectra, report)
-    assert requested == [sub_cycle]  # the one multi-node solve in a cone
+    assert requested == []  # the sub-critical cycle {1, 2} is solved straight from cond.matrices too
     assert all(v[cond.block(k).nodes].min() > 0 for k, v in zip(basis.free_blocks, basis.vectors))
+    assert basis.vectors[basis.free_blocks.index(int(cond.node_to_block[0]))][[1, 2]].min() > 0
 
     path = tmp_path / "mixed.mtx"
     path.write_text(to_matrix_market(system))
@@ -614,7 +745,7 @@ def test_no_block_is_built_for_a_singleton(monkeypatch, tmp_path, capsys):
     for command in ("analyze", "steady-state"):
         assert main([command, str(path)]) == 0
     capsys.readouterr()
-    assert requested == [sub_cycle]
+    assert requested == []
 
     columns = (spectra.mu, spectra.tolerance, spectra.classification, *spectra.phi,
                report.trivial, report.free)

@@ -208,12 +208,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_BY_VERDICT[report.verdict]
 
 
-def _basis_text(system, basis: SteadyStateBasis, opts, forced: bool) -> str:
-    """`_dumps` of the steady-state payload, written from the basis array
-    without building the payload: a vector's values are a copy of one run of
-    "0.0" strings with only its support (sign bit included, so -0.0 stays)
-    overwritten by `float.__repr__`. A value that is not finite is a
-    numeric failure before any text exists."""
+def _column_texts(n: int, indptr: np.ndarray, nodes: np.ndarray, values: np.ndarray):
+    """Yield each CSC column's JSON list items as an n-vector: only stored values are formatted,
+    each after a repeated "0.0, " for the zeros before it, and a column is joined in one step."""
+    gap = np.diff(nodes, prepend=-1) - 1
+    top = indptr[:-1][np.diff(indptr) > 0]  # each column's first entry
+    gap[top] = nodes[top]
+    for a, b in zip(indptr.tolist(), indptr[1:].tolist()):
+        text = list(map(float.__repr__, values[a:b].tolist()))
+        for e in np.flatnonzero(gap[a:b]).tolist():
+            text[e] = "0.0, " * int(gap[a + e]) + text[e]
+        yield ", ".join(text) + ", 0.0" * (n - 1 - int(nodes[b - 1])) if text else ", ".join(["0.0"] * n)
+
+
+def _write_basis(system, basis: SteadyStateBasis, opts, forced: bool, out) -> None:
+    """Write `_dumps` of the steady-state payload and a newline to `out` from the CSC columns,
+    without building the payload; a residual or value not finite fails before the first byte."""
+    residuals = [nullspace_residual(system, vec) for vec in basis.vectors]
+    if not (np.isfinite(residuals).all() and np.isfinite(basis.csc[2]).all()):
+        raise NonFiniteResult("output contains a value that is not finite")
     head = {"labels": list(system.node_labels), "n": system.n,
             "tolerances": _tolerances_dict(opts)}
     tail = {"version": __version__}
@@ -222,22 +235,15 @@ def _basis_text(system, basis: SteadyStateBasis, opts, forced: bool) -> str:
             "forced nullspace of an unstable system: these are zero-eigenvectors, "
             "not stable equilibria"
         )
-    zeros = np.full(system.n, "0.0", dtype=object)
-    vectors = []
-    for name, k, vec in zip(basis.free_parameters, basis.free_blocks, basis.vectors):
-        residual = nullspace_residual(system, vec)
-        support = ((vec != 0) | np.signbit(vec)).nonzero()[0]
-        if not (np.isfinite(residual) and np.isfinite(vec[support]).all()):
-            raise NonFiniteResult("output contains a value that is not finite")
-        strings = zeros.copy()
-        strings[support] = list(map(float.__repr__, vec[support].tolist()))
-        vectors.append(
-            f'{{"alpha": {encode_basestring_ascii(name)}, "free_block": {k:d}, '
-            f'"residual_inf": {float.__repr__(residual)}, '
-            f'"values": [{", ".join(strings.tolist())}]}}'
-        )
     # "vectors" sorts between "tolerances" and "version".
-    return f'{_dumps(head)[:-1]}, "vectors": [{", ".join(vectors)}], {_dumps(tail)[1:]}'
+    out.write(f'{_dumps(head)[:-1]}, "vectors": [')
+    for c, (name, k, residual, text) in enumerate(zip(
+            basis.free_parameters, basis.free_blocks, residuals, _column_texts(system.n, *basis.csc))):
+        out.write(
+            f'{", " if c else ""}{{"alpha": {encode_basestring_ascii(name)}, "free_block": {k:d}, '
+            f'"residual_inf": {float.__repr__(residual)}, "values": [{text}]}}'
+        )
+    out.write(f"], {_dumps(tail)[1:]}\n")
 
 
 def cmd_steady_state(args: argparse.Namespace) -> int:
@@ -266,7 +272,7 @@ def cmd_steady_state(args: argparse.Namespace) -> int:
             for label, value in zip(system.node_labels, vec.tolist()):
                 print(f"  {label}: {value:.12g}")
     else:
-        print(_basis_text(system, basis, opts, forced))
+        _write_basis(system, basis, opts, forced, sys.stdout)
     return 0
 
 

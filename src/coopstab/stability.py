@@ -9,19 +9,15 @@ multiplicities and the witness path all come from one forward and one
 backward sweep over the block DAG.
 
 A basis vector for free block k is zero outside the cone downstream of k and
-carries the block's positive eigenvector on k itself. All basis vectors are
-propagated together, as the columns of one array, one DAG level at a time:
-the blocks of a level depend on lower levels only, so all their couplings
-are gathered in one step and all their singletons solved by one division;
-its multi-node blocks go in groups of one size, one array step per group
-for the gathers, checks and scatter, and only LAPACK runs per block (one
-factorization for all free parameters) and per column. The alternating
-path-sum form of the same propagation, which enumerates block paths, is a
-cross-check in the oracle module.
+carries the block's positive eigenvector on k itself. All of them propagate
+together as sparse entries, one DAG level at a time, solving the blocks of a
+level in groups of one size. The alternating path-sum form of the same
+propagation is a cross-check in the oracle module.
 """
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,17 +71,33 @@ class StabilityReport:
 
 
 @dataclass(frozen=True, eq=False)
-class SteadyStateBasis:
-    """Non-negative nullspace basis, one full-length vector per free block;
-    the vectors are read-only column views of one n x F array.
+class SteadyStateBasis(Sequence):
+    """Non-negative nullspace basis, one column per free block, as read-only
+    CSC arrays `csc` = (indptr, nodes, values): column c holds the values
+    values[indptr[c]:indptr[c + 1]] at those nodes, ascending, and +0.0 at
+    the other of the n nodes. The basis is the sequence of its `vectors`,
+    each built as a read-only dense vector when it is read; the general
+    steady state is sum over c of alpha_c * vectors[c]."""
 
-    The general steady state is sum over k of alpha_k * vectors[k] with free
-    parameters named in free_parameters.
-    """
-
-    vectors: tuple[np.ndarray, ...]
+    n: int
+    csc: tuple[np.ndarray, np.ndarray, np.ndarray]
     free_blocks: tuple[int, ...]
     free_parameters: tuple[str, ...]
+
+    @property
+    def vectors(self) -> Sequence[np.ndarray]:
+        return self
+
+    def __len__(self) -> int:
+        return len(self.free_blocks)
+
+    def __getitem__(self, c: int) -> np.ndarray:
+        indptr, nodes, values = self.csc
+        at = slice(*indptr[range(len(self))[c]:][:2].tolist())
+        vector = np.zeros(self.n)
+        vector[nodes[at]] = values[at]
+        vector.setflags(write=False)
+        return vector
 
 
 def _block_dag(cond: Condensation, crit: list[bool]) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -183,25 +195,22 @@ def full_analysis(
     return cond, spectra, verdict(cond, spectra)
 
 
-def _solve_multi_node(cond: Condensation, x: np.ndarray, rows: np.ndarray, inflow: np.ndarray,
-                      failures: dict[int, Exception], residual_tol: float) -> None:
-    """Solve B_l X = -x[nodes of l] in place for the level's multi-node blocks,
-    in groups of one size. Only the (block, column) pairs with a nonzero
-    right-hand side are gathered, found among the nonzero cells of `inflow`,
-    the level's contributions to x[rows]. Each block is factorized once and
-    each column solved on its own (a multi-column solve rounds differently); a
-    column that is not finite has no finite solution."""
-    size, f = np.diff(cond.bounds), x.shape[1]
-    cell, col = np.nonzero(inflow)
-    node = rows[cell]
-    block = cond.node_to_block[node]
-    keep = (size[block] > 1) & (x[node, col] != 0)
-    block, col = np.divmod(np.unique(block[keep] * f + col[keep]), f)
-    for d in np.unique(size[block]).tolist():
-        blk, c = block[size[block] == d], col[size[block] == d]
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges [starts[i], starts[i] + counts[i]) in turn, and the i of each item."""
+    of = np.repeat(np.arange(len(counts)), counts)
+    return np.arange(len(of)) + (starts - np.cumsum(counts) + counts)[of], of
+
+
+def _solve(cond: Condensation, spectra: Spectra, blk: np.ndarray, col: np.ndarray, rhs: np.ndarray,
+           failures: dict[int, Exception], residual_tol: float):
+    """Solve B_k x = rhs[p] for (block k, column) pairs p of one block size, record failures and
+    return the pairs solved with their clamped solutions. A block is factorized once and each
+    column solved alone (more at once round differently); a column not finite gets inf."""
+    d = rhs.shape[1]
+    if d == 1:
+        sol = rhs / spectra.mu[blk, None]  # a singleton's mu is its diagonal entry
+    else:
         ks, at = np.unique(blk, return_inverse=True)
-        nodes = cond.permutation[cond.bounds[blk, None] + np.arange(d)]
-        rhs = -x[nodes, c[:, None]]
         b = cond.matrices[cond.matrix_bounds[ks, None] + np.arange(d * d)].reshape(-1, d, d)
         factors = [lu_factor(m) for m in b]  # the module name, so tracing can count the calls
         singular = np.abs([lu.diagonal() for lu, _ in factors]).min(axis=1) <= TINY_PIVOT_REL * np.maximum(
@@ -211,36 +220,17 @@ def _solve_multi_node(cond: Condensation, x: np.ndarray, rows: np.ndarray, inflo
         sol = np.full(rhs.shape, np.inf)
         for p in np.flatnonzero(live & np.isfinite(rhs).all(axis=1)).tolist():
             sol[p] = _GETRS(*factors[at[p]], rhs[p])[0]
-        blk, c, nodes, sol = blk[live], c[live], nodes[live], sol[live]
-        bad = sol < -10.0 * residual_tol * np.maximum(1.0, abs(sol).max(axis=1, keepdims=True))
-        hit = np.flatnonzero(bad.any(axis=1))
+        blk, col, sol = blk[live], col[live], sol[live]
+    bad = sol < -10.0 * residual_tol * np.maximum(1.0, abs(sol).max(axis=1, keepdims=True))
+    hit = np.flatnonzero(bad.any(axis=1))
+    if hit.size:
         ks, first = np.unique(blk[hit], return_index=True)  # a block's first bad column
         p = hit[first]
         worst = sol[p].argmin(axis=1)
-        failures.update((k, NegativeSteadyStateEntry(k, i, v)) for k, i, v in
-                        zip(ks.tolist(), nodes[p, worst].tolist(), sol[p, worst].tolist()))
-        sol[sol < 0] = 0.0
-        x[nodes, c[:, None]] = sol
-
-
-def _levels(cond: Condensation, sub: np.ndarray):
-    """Yield the couplings into sub-critical blocks as (rows, cols, vals) and
-    the blocks they feed, one DAG level at a time. Every source of a block
-    lies on a lower level, so it is final before the block is solved; other
-    blocks are never solved and sit on level 0. Stable sorts keep the order
-    of `cond.cross` within every row and ascending block indices within
-    every level."""
-    target, rows, cols, vals = (a[sub[cond.cross[0]]] for a in cond.cross)
-    depth = np.where(sub, cond.level, 0)
-    top = int(depth.max(initial=0))
-
-    def by_level(level: np.ndarray) -> list[np.ndarray]:
-        ends = np.cumsum(np.bincount(level, minlength=top + 1))[:-1]
-        return np.split(np.argsort(level, kind="stable"), ends)
-
-    cells, blocks = by_level(depth[target]), by_level(depth)
-    for d in range(1, top + 1):
-        yield rows[cells[d]], cols[cells[d]], vals[cells[d]], blocks[d]
+        failures.update((k, NegativeSteadyStateEntry(k, i, v)) for k, i, v in zip(
+            ks.tolist(), cond.permutation[cond.bounds[ks] + worst].tolist(), sol[p, worst].tolist()))
+    sol[sol < 0] = 0.0
+    return blk, col, sol
 
 
 def steady_state_basis(
@@ -277,60 +267,85 @@ def steady_state_basis(
             f"critical blocks {witness.upstream_block} and {witness.downstream_block} "
             f"are connected by a path"
         )
-    final = np.flatnonzero(report.free).tolist()
-
-    size = np.diff(cond.bounds)
-    first_node = cond.permutation[cond.bounds[:-1]]
-    sub = spectra.classification == BlockClass.SUB_CRITICAL
-
-    # One column per free block.
-    x = np.zeros((len(cond.node_to_block), len(final)), order="F")
-    for col, k in enumerate(final):
-        x[cond.permutation[cond.bounds[k]:cond.bounds[k + 1]], col] = spectra.phi[k]
+    final = np.flatnonzero(report.free)
+    f, n, size = len(final), len(cond.node_to_block), np.diff(cond.bounds)
+    local = np.empty(n, dtype=np.intp)  # each node's place in its block
+    local[cond.permutation] = np.arange(n) - np.repeat(cond.bounds[:-1], size)
+    # Node j has count[j] entries from start[j] on in (column, value) buffers; first the free blocks.
+    nodes = cond.permutation[_ranges(cond.bounds[final], size[final])[0]]
+    start, count = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    start[nodes], count[nodes], used = np.arange(len(nodes)), 1, len(nodes)
+    buf = [np.repeat(np.arange(f), size[final]), np.concatenate([spectra.phi[k] for k in final.tolist()])]
+    # Couplings into sub-critical blocks by level (a source lies lower), in `cond.cross` order.
+    # A target node's code in a column is base + column * step: (block, column, node) order.
+    sub = np.flatnonzero((spectra.classification == BlockClass.SUB_CRITICAL)[cond.cross[0]])
+    sub = sub[np.argsort(cond.level[cond.cross[0][sub]], kind="stable")]
+    target, rows, cols, vals = (a[sub] for a in cond.cross)
+    ends = [0, *(np.flatnonzero(np.diff(cond.level[target])) + 1).tolist(), len(target)]
+    base, step = cond.bounds[target] * f + local[rows], size[target]
     failures: dict[int, Exception] = {}
     # An overflow here is reported by the finiteness check on the result.
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, cols, vals, level in _levels(cond, sub):
-            inflow = vals[:, None] * x[cols]
-            np.add.at(x, rows, inflow)
-
-            single = level[size[level] == 1]
-            nodes = first_node[single]
-            sol = -x[nodes] / spectra.mu[single, None]  # a singleton's mu is its diagonal entry
-            bad = sol < -10.0 * residual_tol * np.maximum(1.0, abs(sol))
-            if bad.any():
-                t = int(bad.any(axis=1).argmax())
-                failures[int(single[t])] = NegativeSteadyStateEntry(
-                    int(single[t]), int(nodes[t]), float(sol[t, bad[t].argmax()])
-                )
-            sol[sol < 0] = 0.0
-            x[nodes] = sol
-
-            if (size[level] > 1).any():
-                _solve_multi_node(cond, x, rows, inflow, failures, residual_tol)
+        for a, b in zip(ends, ends[1:]):
+            # Sources' entries summed per (target node, column) in coupling order, as into zeros.
+            at, cell = _ranges(start[cols[a:b]], count[cols[a:b]])
+            cell += a
+            weight = vals[cell] * buf[1][at]
+            key, at = np.unique(base[cell] + buf[0][at] * step[cell], return_inverse=True)
+            total = np.bincount(at, weight, len(key))
+            key, total = key[total != 0], total[total != 0]  # the rest stays +0.0, unsolved
+            k = cond.node_to_block[cond.permutation[key // f]]
+            col, i = np.divmod(key - cond.bounds[k] * f, size[k])
+            one = size[k] == 1  # a singleton's (block, column) pair is its entry
+            groups = [(k[one], col[one], -total[one, None])]
+            if not one.all():
+                key, k, col, i, total = key[~one], k[~one], col[~one], i[~one], total[~one]
+                new = np.flatnonzero(np.diff(key - i, prepend=-1))  # each (block, column) pair's first
+                blk, col, d = k[new], col[new], size[k[new]]
+                rhs = np.full(d.sum(), -0.0)  # -x, and x is +0.0 without inflow
+                offset = np.cumsum(d) - d
+                rhs[np.repeat(offset, np.diff(new, append=len(key))) + i] = -total
+                groups += [(blk[d == m], col[d == m], rhs[offset[d == m, None] + np.arange(m)])
+                           for m in np.flatnonzero(np.bincount(d)).tolist()]
+            for group in groups:
+                blk, col, sol = _solve(cond, spectra, *group, failures, residual_tol)
+                # Stored node by node: node i of every (block, column) pair, then node i + 1.
+                (p, m), end = sol.shape, used + sol.size
+                first = np.flatnonzero(blk != np.concatenate(([-1], blk[:-1])))
+                nodes = cond.permutation[cond.bounds[blk[first], None] + np.arange(m)]
+                start[nodes] = used + first[:, None] + np.arange(m) * p
+                count[nodes] = (np.append(first[1:], p) - first)[:, None]
+                if end > len(buf[0]):
+                    buf = [np.concatenate((x[:used], np.empty(max(end, n), x.dtype))) for x in buf]
+                buf[0][used:end].reshape(m, p)[:], buf[1][used:end].reshape(m, p)[:] = col, sol.T
+                used = end
     if failures:
         raise failures[min(failures)]
-    overflow = ~np.isfinite(x).all(axis=1)
-    if overflow.any():
-        node = int(overflow.argmax())
+    at, of = _ranges(start[count > 0], count[count > 0])
+    node, col, val = np.flatnonzero(count)[of], buf[0][at], buf[1][at]
+    overflow = node[~np.isfinite(val)]
+    if overflow.size:
+        node = overflow.min()
         raise NonFiniteResult(
-            f"steady-state entry for node {node} (block {cond.node_to_block[node]}) "
-            f"is not finite"
-        )
-    x.setflags(write=False)
-
-    return SteadyStateBasis(
-        vectors=tuple(x.T),
-        free_blocks=tuple(final),
-        free_parameters=tuple(f"alpha_{k}" for k in final),
-    )
+            f"steady-state entry for node {node} (block {cond.node_to_block[node]}) is not finite")
+    order = np.argsort(col * n + node)
+    csc = (np.bincount(col + 1, minlength=f + 1).cumsum(), node[order], val[order])
+    for a in csc:
+        a.setflags(write=False)
+    return SteadyStateBasis(n=n, csc=csc, free_blocks=tuple(final.tolist()),
+                            free_parameters=tuple(f"alpha_{k}" for k in final.tolist()))
 
 
 def nullspace_residual(system: CooperativeSystem, vector: np.ndarray) -> float:
-    """Infinity norm of A v, the defect of v as a fixed point."""
+    """Infinity norm of A v, the defect of v as a fixed point. Only the columns in the support
+    of v are read, each row's terms in input order: the support's entries sorted, or all of
+    them when a sort would cost more (a term skipped is finite times +-0.0)."""
     rows, cols, vals = system.coo
-    out = np.bincount(rows, weights=vals * np.asarray(vector)[cols], minlength=system.n)
-    return float(np.max(np.abs(out))) if system.n else 0.0
+    vector, (indptr, order) = np.asarray(vector), system.by_column
+    support = np.flatnonzero(vector != 0)  # NaN included
+    size = indptr[support + 1] - indptr[support]
+    at = np.sort(order[_ranges(indptr[support], size)[0]]) if 8 * size.sum() < len(order) else slice(None)
+    return float(np.abs(np.bincount(rows[at], weights=vals[at] * vector[cols[at]])).max(initial=0.0))
 
 
 def find_traps(cond: Condensation, spectra: Spectra) -> tuple[int, ...]:

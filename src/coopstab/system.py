@@ -13,7 +13,6 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,10 +46,10 @@ class CooperativeSystem:
     node_labels: tuple[str, ...]
 
     @cached_property
-    def entries(self) -> Mapping[Coord, float]:
-        """Read-only {(i, j): a_ij} view of `coo`, in the same order."""
-        rows, cols, vals = self.coo
-        return MappingProxyType(dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist())))
+    def by_column(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, order): column j's entries of `coo` are order[indptr[j]:indptr[j + 1]]."""
+        cols = self.coo[1]
+        return np.bincount(cols + 1, minlength=self.n + 1).cumsum(), np.argsort(cols, kind="stable")
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))

@@ -66,6 +66,12 @@ def reference_entries(raw_entries, n: int) -> dict:
     return entries
 
 
+def entry_dict(system) -> dict[tuple[int, int], float]:
+    """The {(i, j): a_ij} dict of `system.coo`, in the same order."""
+    rows, cols, vals = system.coo
+    return dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
+
+
 def graph_edges(system) -> list[tuple[int, int]]:
     """Graph edges as sorted (src, dst) pairs: entry a_ij yields edge j -> i."""
     rows, cols, _ = system.coo
@@ -398,6 +404,16 @@ def _reference_solve_block(cond, l: int, rhs: np.ndarray) -> np.ndarray:
     ])
 
 
+def basis_from_vectors(n: int, vectors, free_blocks, free_parameters) -> SteadyStateBasis:
+    """A basis holding dense n-vectors as its CSC columns: every entry that
+    is not +0.0 is stored, -0.0 and non-finite ones included."""
+    vectors = np.array(vectors, dtype=float).reshape(len(vectors), n)
+    col, node = np.nonzero((vectors != 0) | np.signbit(vectors))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=len(vectors)))))
+    return SteadyStateBasis(n=n, csc=(indptr, node, vectors[col, node]),
+                            free_blocks=tuple(free_blocks), free_parameters=tuple(free_parameters))
+
+
 def block_nodes(cond) -> list[tuple[int, ...]]:
     """The nodes of every block as a tuple, in block order."""
     return [tuple(cond.block(k).nodes.tolist()) for k in range(cond.h)]
@@ -479,12 +495,7 @@ def reference_steady_state_basis(
             f"steady-state entry for node {node} (block {cond.node_to_block[node]}) "
             f"is not finite"
         )
-    x.setflags(write=False)
-    return SteadyStateBasis(
-        vectors=tuple(x.T),
-        free_blocks=tuple(final),
-        free_parameters=tuple(f"alpha_{k}" for k in final),
-    )
+    return basis_from_vectors(len(x), x.T, final, [f"alpha_{k}" for k in final])
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_basis_payload, reference_report_payload
+from conftest import basis_from_vectors, reference_basis_payload, reference_report_payload
 from coopstab import (
     BlockClass,
     CriticalPath,
     NonFiniteResult,
-    SteadyStateBasis,
     SuperCriticalBlock,
     Verdict,
     condense,
@@ -27,7 +26,7 @@ from coopstab import (
     validate,
 )
 from coopstab import cli
-from coopstab.cli import _basis_text, _write_report, main
+from coopstab.cli import _write_basis, _write_report, main
 from coopstab.spectral import DEFAULT_OPTIONS
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"
@@ -801,6 +800,12 @@ EXTREME_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.2250738585072
                   0.1, 1 / 3]
 
 
+def _basis_text(system, basis, forced):
+    out = io.StringIO()
+    _write_basis(system, basis, DEFAULT_OPTIONS, forced, out)
+    return out.getvalue()
+
+
 def _assert_writer_matches_reference(system, basis, forced):
     # Huge vectors overflow in the residual; both sides must then refuse.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -808,12 +813,14 @@ def _assert_writer_matches_reference(system, basis, forced):
             expected = json.dumps(
                 reference_basis_payload(system, basis, DEFAULT_OPTIONS, forced),
                 sort_keys=True, allow_nan=False,
-            )
+            ) + "\n"
         except ValueError:
+            out = io.StringIO()
             with pytest.raises(NonFiniteResult):
-                _basis_text(system, basis, DEFAULT_OPTIONS, forced)
+                _write_basis(system, basis, DEFAULT_OPTIONS, forced, out)
+            assert out.getvalue() == ""
             return
-        assert _basis_text(system, basis, DEFAULT_OPTIONS, forced) == expected
+        assert _basis_text(system, basis, forced) == expected
 
 
 def test_basis_text_keeps_sign_repr_and_ascii_escapes():
@@ -822,12 +829,10 @@ def test_basis_text_keeps_sign_repr_and_ascii_escapes():
     sparse = np.zeros(n)
     sparse[[0, 2, 3, 7]] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
     dense = np.linspace(-1.0, 1.0, n)
-    basis = SteadyStateBasis(
-        vectors=(sparse, dense), free_blocks=(3, 0), free_parameters=("alpha_\u00e9", '"')
-    )
+    basis = basis_from_vectors(n, (sparse, dense), (3, 0), ("alpha_\u00e9", '"'))
     for forced in (False, True):
         _assert_writer_matches_reference(system, basis, forced)
-    text = _basis_text(system, basis, DEFAULT_OPTIONS, False)
+    text = _basis_text(system, basis, False)
     assert '"values": [-0.0, 0.0, 5e-324, 1.7976931348623157e+308, 0.0, 0.0, 0.0, 0.1, ' in text
     assert '"alpha": "alpha_\\u00e9"' in text
 
@@ -851,11 +856,8 @@ def basis_cases(draw):
         ]))
     if vectors and draw(st.integers(0, 9)) == 0:
         vectors[-1][draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-    basis = SteadyStateBasis(
-        vectors=tuple(vectors),
-        free_blocks=tuple(draw(st.integers(0, 10**6)) for _ in vectors),
-        free_parameters=tuple(draw(text) for _ in vectors),
-    )
+    basis = basis_from_vectors(n, vectors, [draw(st.integers(0, 10**6)) for _ in vectors],
+                               [draw(text) for _ in vectors])
     return system, basis, draw(st.booleans())
 
 
@@ -863,6 +865,19 @@ def basis_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_basis_text_matches_json_dumps_of_the_reference_payload(case):
     _assert_writer_matches_reference(*case)
+
+
+@pytest.mark.parametrize("bad", ["value", "residual"])
+def test_basis_writer_writes_nothing_when_a_value_or_a_residual_is_not_finite(monkeypatch, bad):
+    # No entry reads node 2, so an infinite value there leaves every residual finite.
+    system = validate([(0, 0, -1.0), (1, 0, 0.5)], 3)
+    vectors = [[1.0, 0.5, 0.0], [0.0, 0.0, np.inf if bad == "value" else 2.0]]
+    if bad == "residual":
+        monkeypatch.setattr(cli, "nullspace_residual", lambda system, vec: np.nan if vec[2] else 0.0)
+    out = io.StringIO()
+    with pytest.raises(NonFiniteResult):
+        _write_basis(system, basis_from_vectors(3, vectors, (0, 2), ("a", "b")), DEFAULT_OPTIONS, False, out)
+    assert out.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import block_nodes, dag_edges, strongly_connected, upstream_reachability
+from conftest import block_nodes, dag_edges, entry_dict, strongly_connected, upstream_reachability
 from coopstab import (
     BadBlockOrder,
     condense,
@@ -249,7 +249,7 @@ def test_cross_entries_keep_input_order_with_sorted_cells(seed):
     pos = {node: p for nodes in block_nodes(cond) for p, node in enumerate(nodes)}
     block = cond.node_to_block.tolist()
     expected = {}
-    for (i, j), v in system.entries.items():
+    for (i, j), v in entry_dict(system).items():
         if block[i] != block[j]:
             expected.setdefault((block[i], block[j]), []).append((pos[i], pos[j], block[i], i, j, v))
     # (k, l) groups in order of first appearance, cells sorted by local position

@@ -10,6 +10,7 @@ from conftest import (
     cross_entries,
     dag_csr,
     dag_edges,
+    entry_dict,
     reference_steady_state_basis,
     reference_verdict,
 )
@@ -330,11 +331,103 @@ def test_sweep_matches_per_free_block_reference_bitwise(seed):
 def test_nullspace_residual_matches_entry_loop_bitwise(seed):
     rng = np.random.default_rng(seed)
     system = generate(GeneratorSpec(num_blocks=(3, 8), block_size=(1, 4), seed=seed))
-    vector = rng.normal(size=system.n)
-    out = np.zeros(system.n)
-    for (i, j), v in system.entries.items():
-        out[i] += v * vector[j]
-    assert nullspace_residual(system, vector) == float(np.max(np.abs(out)))
+    for kind in ("dense", "sparse", "signed zeros", "infinite", "empty"):
+        vector = rng.normal(size=system.n)
+        if kind != "dense":  # a support of about a quarter of the nodes
+            vector[rng.random(system.n) < 0.75] = -0.0 if kind == "signed zeros" else 0.0
+        if kind == "infinite":
+            vector[rng.integers(system.n)] = np.inf
+        if kind == "empty":
+            vector[:] = 0.0
+        out = np.zeros(system.n)
+        with np.errstate(invalid="ignore"):  # inf * 0.0 in the loop; the residual skips zeros
+            for (i, j), v in entry_dict(system).items():
+                out[i] += v * vector[j]
+        assert nullspace_residual(system, vector) == float(np.max(np.abs(out))), kind
+
+
+def test_nullspace_residual_sums_each_row_in_input_order():
+    # Row 0 reads columns 3, 1, 2 in input order: 1.0 + 1e16 - 1e16 is 0.0, while
+    # column order gives 1.0. Thirty diagonal entries elsewhere make the three
+    # support entries few enough to be gathered and sorted (the system is not
+    # validated, so a coupling may be negative).
+    rows, cols = np.array([0, 0, 0, *range(4, 34)]), np.array([3, 1, 2, *range(4, 34)])
+    vals = np.array([1.0, 1e16, -1e16, *[-1.0] * 30])
+    system = CooperativeSystem(n=34, coo=(rows, cols, vals), node_labels=tuple(map(str, range(34))))
+    vector = np.zeros(34)
+    vector[1:4] = 1.0
+    assert nullspace_residual(system, vector) == 0.0
+
+
+def _paired_blocks(pairs: int) -> CooperativeSystem:
+    """`pairs` free critical 2-node blocks, each feeding its own sub-critical
+    2-node block by one link: n = 4 * pairs and one basis column per pair."""
+    b = 4 * np.arange(pairs)
+    rows = np.concatenate([b + 1, b, b + 3, b + 2, b + 2, b, b + 1, b + 2, b + 3])
+    cols = np.concatenate([b, b + 1, b + 2, b + 3, b + 1, b, b + 1, b + 2, b + 3])
+    vals = np.concatenate([np.ones(5 * pairs), np.full(2 * pairs, -1.0), np.full(2 * pairs, -2.0)])
+    return validate((rows, cols, vals), 4 * pairs)
+
+
+def test_basis_memory_follows_the_stored_entries_not_n_times_f():
+    system = _paired_blocks(1000)
+    cond, spectra, report = full_analysis(system)
+    assert report.verdict is Verdict.MARGINALLY_STABLE and report.free.sum() == 1000
+    tracemalloc.start()
+    try:
+        basis = steady_state_basis(cond, spectra, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak  # an n x F array alone is 32 MB
+    indptr, nodes, values = basis.csc
+    assert np.diff(indptr).tolist() == [4] * 1000 and values.min() > 0
+    vector = basis.vectors[-1]
+    assert vector.shape == (4000,) and vector[-4:].min() > 0 and not vector[:-4].any()
+
+
+def _signed_zero_system() -> CooperativeSystem:
+    """Free singleton 0 feeds the sub-critical block {1, 2} by a negative
+    coupling of -5e-324 (the system is not validated). Its solve gives
+    [-0.0, -5e-324]; the tiny negative entry is clamped to +0.0, the -0.0
+    stays."""
+    cells = {(1, 1): -2.1144096457611505, (1, 2): 1.312335398111254,
+             (2, 1): 1.3800981213040697, (2, 2): -2.2790663035336154, (2, 0): -5e-324}
+    keys = sorted(cells)
+    return CooperativeSystem(
+        n=3,
+        coo=(np.array([i for i, _ in keys]), np.array([j for _, j in keys]),
+             np.array([cells[key] for key in keys])),
+        node_labels=("a", "b", "c"),
+    )
+
+
+def test_csc_stores_every_nonzero_and_negative_zero_of_the_reference():
+    systems = [_signed_zero_system()] + [_planted_system(7000 + t, "none") for t in range(40)]
+    systems += [generate_marginally_stable(GeneratorSpec(seed=t)) for t in range(10)]
+    signed_zeros = 0
+    for system in systems:
+        cond, spectra, report = full_analysis(system)
+        if report.verdict is Verdict.UNSTABLE and isinstance(report.unstable_reason, SuperCriticalBlock):
+            continue
+        if report.verdict is Verdict.ASYMPTOTICALLY_STABLE:
+            continue
+        basis = steady_state_basis(cond, spectra, report, force=True)
+        want = np.array(reference_steady_state_basis(cond, spectra, report, force=True).vectors)
+        indptr, nodes, values = basis.csc
+        assert not any(a.flags.writeable for a in basis.csc)
+        assert indptr[0] == 0 and len(indptr) == len(want) + 1 and (np.diff(indptr) >= 0).all()
+        stored = np.zeros(want.shape, dtype=bool)
+        for c, (a, b) in enumerate(zip(indptr, indptr[1:])):
+            assert (np.diff(nodes[a:b]) > 0).all()  # ascending within a column
+            assert values[a:b].tobytes() == want[c, nodes[a:b]].tobytes()
+            stored[c, nodes[a:b]] = True
+        assert not (~stored & ((want != 0) | np.signbit(want))).any()  # the rest is +0.0
+        signed_zeros += int((np.signbit(values) & (values == 0)).sum())
+        got = basis.vectors
+        assert len(got) == len(want) and np.array(got).tobytes() == want.tobytes()
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    assert signed_zeros == 1
 
 
 # ---------------------------------------------------------------------------

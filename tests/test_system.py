@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_edges, reference_entries, reference_load_matrix_market
+from conftest import entry_dict, graph_edges, reference_entries, reference_load_matrix_market
 from coopstab import (
     DuplicateEntry,
     IndexOutOfRange,
@@ -35,7 +35,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def test_single_node_negative_diagonal_is_valid():
     s = validate({(0, 0): -1.0}, 1)
     assert s.n == 1
-    assert dict(s.entries) == {(0, 0): -1.0}
+    assert entry_dict(s) == {(0, 0): -1.0}
     assert graph_edges(s) == []
 
 
@@ -63,7 +63,7 @@ def test_duplicate_triple_rejected():
 
 def test_zero_entries_dropped():
     s = validate([(0, 1, 0.0), (1, 0, 3.0)], 2)
-    assert dict(s.entries) == {(1, 0): 3.0}
+    assert entry_dict(s) == {(1, 0): 3.0}
 
 
 @pytest.mark.parametrize("n", [0, -3, True, False, 2.0])
@@ -100,7 +100,7 @@ MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
 def test_mm_basic():
     s = load_matrix_market(f"{MM_HEADER}\n2 2 2\n1 1 -1\n2 1 1\n")
-    assert dict(s.entries) == {(0, 0): -1.0, (1, 0): 1.0}
+    assert entry_dict(s) == {(0, 0): -1.0, (1, 0): 1.0}
 
 
 def test_mm_non_square():
@@ -117,7 +117,7 @@ def test_mm_negative_off_diagonal():
 def test_mm_comments_and_blank_lines_skipped():
     text = f"{MM_HEADER}\n% a comment\n\n2 2 1\n% another\n2 1 0.25\n"
     s = load_matrix_market(text)
-    assert dict(s.entries) == {(1, 0): 0.25}
+    assert entry_dict(s) == {(1, 0): 0.25}
 
 
 @pytest.mark.parametrize(
@@ -267,13 +267,13 @@ def test_mm_parse_peak_memory():
 def test_json_basic():
     text = '{"n": 2, "edges": [{"from": 0, "to": 1, "weight": 1}], "self": [{"node": 1, "weight": -2}]}'
     s = load_edge_list_json(text)
-    assert dict(s.entries) == {(1, 0): 1.0, (1, 1): -2.0}
+    assert entry_dict(s) == {(1, 0): 1.0, (1, 1): -2.0}
 
 
 def test_json_empty_single_node():
     s = load_edge_list_json('{"n": 1, "edges": [], "self": []}')
     assert s.n == 1
-    assert dict(s.entries) == {}
+    assert entry_dict(s) == {}
 
 
 def test_json_zero_weight_edge_rejected():
@@ -288,7 +288,7 @@ def test_json_labels_resolve_and_unknown_label():
         ' "edges": [{"from": "src", "to": "dst", "weight": 2.5}], "self": []}'
     )
     s = load_edge_list_json(text)
-    assert dict(s.entries) == {(1, 0): 2.5}
+    assert entry_dict(s) == {(1, 0): 2.5}
     with pytest.raises(UnknownLabel):
         load_edge_list_json(
             '{"n": 1, "labels": ["a"], "edges": [{"from": "b", "to": "a", "weight": 1}], "self": []}'
@@ -316,7 +316,7 @@ def test_json_unknown_field():
 
 def test_json_self_weight_alias():
     s = load_edge_list_json('{"n": 1, "edges": [], "self": [{"node": 0, "self_weight": -4}]}')
-    assert dict(s.entries) == {(0, 0): -4.0}
+    assert entry_dict(s) == {(0, 0): -4.0}
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def test_matrix_market_round_trip(system):
         if len(system.coo[2]):  # an empty body has no entry line for either path
             mp.setattr(system_module, "_entries_by_line", _no_line_loop)
         again = load_matrix_market(to_matrix_market(system))
-    assert dict(again.entries) == dict(system.entries)
+    assert entry_dict(again) == entry_dict(system)
     assert again.n == system.n
 
 
@@ -357,14 +357,14 @@ def test_matrix_market_round_trip(system):
 @settings(max_examples=60, deadline=None)
 def test_edge_list_round_trip(system):
     again = load_edge_list_json(to_edge_list_json(system))
-    assert dict(again.entries) == dict(system.entries)
+    assert entry_dict(again) == entry_dict(system)
     assert again.node_labels == system.node_labels
 
 
 @given(small_systems())
 @settings(max_examples=60, deadline=None)
 def test_graph_matrix_duality(system):
-    expected = sorted((j, i) for (i, j) in system.entries if i != j)
+    expected = sorted((j, i) for (i, j) in entry_dict(system) if i != j)
     assert graph_edges(system) == expected
 
 
@@ -373,13 +373,13 @@ def test_graph_matrix_duality(system):
 def test_coo_arrays_match_entry_loops_bitwise(system):
     rows, cols, vals = system.coo
     assert list(zip(rows.tolist(), cols.tolist(), vals.tolist())) == [
-        (i, j, v) for (i, j), v in system.entries.items()
+        (i, j, v) for (i, j), v in entry_dict(system).items()
     ]
     assert system.coo is system.coo
     assert not (rows.flags.writeable or cols.flags.writeable or vals.flags.writeable)
     dense = np.zeros((system.n, system.n))
     row_sums = np.zeros(system.n)
-    for (i, j), v in system.entries.items():
+    for (i, j), v in entry_dict(system).items():
         dense[i, j] = v
         row_sums[i] += abs(v)
     assert system.to_dense().tobytes() == dense.tobytes()
@@ -390,7 +390,7 @@ def test_labels_survive_edge_list_round_trip():
     s = validate({(1, 0): 2.0}, 2, node_labels=("source", "sink"))
     again = load_edge_list_json(to_edge_list_json(s))
     assert again.node_labels == ("source", "sink")
-    assert dict(again.entries) == {(1, 0): 2.0}
+    assert entry_dict(again) == {(1, 0): 2.0}
 
 
 @pytest.mark.parametrize(

@@ -71,13 +71,12 @@ class StabilityReport:
 
 
 @dataclass(frozen=True, eq=False)
-class SteadyStateBasis(Sequence):
+class SteadyStateBasis:
     """Non-negative nullspace basis, one column per free block, as read-only
     CSC arrays `csc` = (indptr, nodes, values): column c holds the values
     values[indptr[c]:indptr[c + 1]] at those nodes, ascending, and +0.0 at
-    the other of the n nodes. The basis is the sequence of its `vectors`,
-    each built as a read-only dense vector when it is read; the general
-    steady state is sum over c of alpha_c * vectors[c]."""
+    the other of the n nodes. `vectors` reads the columns as dense vectors;
+    the general steady state is sum over c of alpha_c * vectors[c]."""
 
     n: int
     csc: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -86,16 +85,24 @@ class SteadyStateBasis(Sequence):
 
     @property
     def vectors(self) -> Sequence[np.ndarray]:
-        return self
+        return _Columns(self.n, self.csc)
+
+
+class _Columns(Sequence):
+    """The columns of CSC arrays as read-only dense n-vectors, each built when read."""
+
+    def __init__(self, n: int, csc: tuple[np.ndarray, np.ndarray, np.ndarray]):
+        self.n, self.csc = n, csc
 
     def __len__(self) -> int:
-        return len(self.free_blocks)
+        return len(self.csc[0]) - 1
 
-    def __getitem__(self, c: int) -> np.ndarray:
-        indptr, nodes, values = self.csc
-        at = slice(*indptr[range(len(self))[c]:][:2].tolist())
+    def __getitem__(self, c):
+        if isinstance(c, slice):
+            return tuple(self[i] for i in range(len(self))[c])
+        (indptr, nodes, values), c = self.csc, range(len(self))[c]
         vector = np.zeros(self.n)
-        vector[nodes[at]] = values[at]
+        vector[nodes[indptr[c]:indptr[c + 1]]] = values[indptr[c]:indptr[c + 1]]
         vector.setflags(write=False)
         return vector
 
@@ -201,6 +208,12 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.arange(len(of)) + (starts - np.cumsum(counts) + counts)[of], of
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable") for non-negative integer keys, taken in the smallest
+    unsigned type that holds them: NumPy radix-sorts keys of up to 16 bits."""
+    return np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))), kind="stable")
+
+
 def _solve(cond: Condensation, spectra: Spectra, blk: np.ndarray, col: np.ndarray, rhs: np.ndarray,
            failures: dict[int, Exception], residual_tol: float):
     """Solve B_k x = rhs[p] for (block k, column) pairs p of one block size, record failures and
@@ -222,8 +235,8 @@ def _solve(cond: Condensation, spectra: Spectra, blk: np.ndarray, col: np.ndarra
             sol[p] = _GETRS(*factors[at[p]], rhs[p])[0]
         blk, col, sol = blk[live], col[live], sol[live]
     bad = sol < -10.0 * residual_tol * np.maximum(1.0, abs(sol).max(axis=1, keepdims=True))
-    hit = np.flatnonzero(bad.any(axis=1))
-    if hit.size:
+    if bad.any():
+        hit = np.flatnonzero(bad.any(axis=1))
         ks, first = np.unique(blk[hit], return_index=True)  # a block's first bad column
         p = hit[first]
         worst = sol[p].argmin(axis=1)
@@ -277,25 +290,36 @@ def steady_state_basis(
     start[nodes], count[nodes], used = np.arange(len(nodes)), 1, len(nodes)
     buf = [np.repeat(np.arange(f), size[final]), np.concatenate([spectra.phi[k] for k in final.tolist()])]
     # Couplings into sub-critical blocks by level (a source lies lower), in `cond.cross` order.
-    # A target node's code in a column is base + column * step: (block, column, node) order.
     sub = np.flatnonzero((spectra.classification == BlockClass.SUB_CRITICAL)[cond.cross[0]])
-    sub = sub[np.argsort(cond.level[cond.cross[0][sub]], kind="stable")]
+    sub = sub[_stable_order(cond.level[cond.cross[0][sub]])]
     target, rows, cols, vals = (a[sub] for a in cond.cross)
-    ends = [0, *(np.flatnonzero(np.diff(cond.level[target])) + 1).tolist(), len(target)]
-    base, step = cond.bounds[target] * f + local[rows], size[target]
+    ends = [*np.flatnonzero(np.diff(cond.level[target], prepend=-1)).tolist(), len(target)]
+    # With the blocks laid out level by level, block k from place[k] on, a target node's code in
+    # a column is base + column * step, in (block, column, node) order; a level's codes are the
+    # range [f * edge[level], f * edge[level + 1]).
+    by_level = _stable_order(cond.level)
+    place, block_at = np.empty_like(size), np.repeat(by_level, size[by_level])
+    place[by_level] = np.cumsum(size[by_level]) - size[by_level]
+    edge = f * np.concatenate(([0], np.cumsum(np.bincount(cond.level[cond.node_to_block]))))
+    base, step = place[target] * f + local[rows], size[target]
+    levels = cond.level[target[ends[:-1]]]
+    spans = zip(ends, ends[1:], edge[levels].tolist(), edge[levels + 1].tolist())
     failures: dict[int, Exception] = {}
     # An overflow here is reported by the finiteness check on the result.
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in zip(ends, ends[1:]):
+        for a, b, lo, hi in spans:
             # Sources' entries summed per (target node, column) in coupling order, as into zeros.
             at, cell = _ranges(start[cols[a:b]], count[cols[a:b]])
             cell += a
-            weight = vals[cell] * buf[1][at]
-            key, at = np.unique(base[cell] + buf[0][at] * step[cell], return_inverse=True)
+            weight, code = vals[cell] * buf[1][at], base[cell] + buf[0][at] * step[cell]
+            if hi - lo <= len(code):  # no more codes than terms: sum into all of them, unsorted
+                key, at = np.arange(lo, hi), code - lo
+            else:
+                key, at = np.unique(code, return_inverse=True)
             total = np.bincount(at, weight, len(key))
             key, total = key[total != 0], total[total != 0]  # the rest stays +0.0, unsolved
-            k = cond.node_to_block[cond.permutation[key // f]]
-            col, i = np.divmod(key - cond.bounds[k] * f, size[k])
+            k = block_at[key // f]
+            col, i = np.divmod(key - place[k] * f, size[k])
             one = size[k] == 1  # a singleton's (block, column) pair is its entry
             groups = [(k[one], col[one], -total[one, None])]
             if not one.all():
@@ -328,7 +352,7 @@ def steady_state_basis(
         node = overflow.min()
         raise NonFiniteResult(
             f"steady-state entry for node {node} (block {cond.node_to_block[node]}) is not finite")
-    order = np.argsort(col * n + node)
+    order = _stable_order(col)  # the nodes ascend already
     csc = (np.bincount(col + 1, minlength=f + 1).cumsum(), node[order], val[order])
     for a in csc:
         a.setflags(write=False)
@@ -337,14 +361,17 @@ def steady_state_basis(
 
 
 def nullspace_residual(system: CooperativeSystem, vector: np.ndarray) -> float:
-    """Infinity norm of A v, the defect of v as a fixed point. Only the columns in the support
-    of v are read, each row's terms in input order: the support's entries sorted, or all of
-    them when a sort would cost more (a term skipped is finite times +-0.0)."""
+    """Infinity norm of A v, the defect of v as a fixed point, each row's terms summed in input
+    order. When under an eighth of the nodes are in the support of v, only the entries of those
+    columns are read, put back in input order by a sort (a term skipped is finite times +-0.0);
+    from about that share on, reading every entry costs less than the sort."""
     rows, cols, vals = system.coo
-    vector, (indptr, order) = np.asarray(vector), system.by_column
+    vector = np.asarray(vector)
     support = np.flatnonzero(vector != 0)  # NaN included
-    size = indptr[support + 1] - indptr[support]
-    at = np.sort(order[_ranges(indptr[support], size)[0]]) if 8 * size.sum() < len(order) else slice(None)
+    at = slice(None)
+    if 8 * len(support) < len(vector):
+        indptr, order = system.by_column
+        at = np.sort(order[_ranges(indptr[support], indptr[support + 1] - indptr[support])[0]])
     return float(np.abs(np.bincount(rows[at], weights=vals[at] * vector[cols[at]])).max(initial=0.0))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -430,9 +431,19 @@ def cross_entries(cond) -> dict[tuple[int, int], tuple[tuple[int, int, float], .
     return {key: tuple(cells) for key, cells in groups.items()}
 
 
+@dataclass(frozen=True, eq=False)
+class ReferenceBasis:
+    """The reference sweep's result: `vectors` are the read-only columns of
+    the dense n x F array it fills, independent of `SteadyStateBasis`."""
+
+    vectors: tuple[np.ndarray, ...]
+    free_blocks: tuple[int, ...]
+    free_parameters: tuple[str, ...]
+
+
 def reference_steady_state_basis(
     cond, spectra, report=None, *, force=False, residual_tol=1e-10
-) -> SteadyStateBasis:
+) -> ReferenceBasis:
     """The block-by-block sweep: every sub-critical block with a source in
     some cone is solved in index order from `cross_entries`, and the first
     failing block raises. Unlike the sweep it stood for, a non-finite column
@@ -495,7 +506,8 @@ def reference_steady_state_basis(
             f"steady-state entry for node {node} (block {cond.node_to_block[node]}) "
             f"is not finite"
         )
-    return basis_from_vectors(len(x), x.T, final, [f"alpha_{k}" for k in final])
+    x.setflags(write=False)
+    return ReferenceBasis(tuple(x.T), tuple(final), tuple(f"alpha_{k}" for k in final))
 
 
 # ---------------------------------------------------------------------------

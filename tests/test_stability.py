@@ -330,13 +330,16 @@ def test_sweep_matches_per_free_block_reference_bitwise(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_nullspace_residual_matches_entry_loop_bitwise(seed):
     rng = np.random.default_rng(seed)
-    system = generate(GeneratorSpec(num_blocks=(3, 8), block_size=(1, 4), seed=seed))
-    for kind in ("dense", "sparse", "signed zeros", "infinite", "empty"):
+    system = generate(GeneratorSpec(num_blocks=(9, 16), block_size=(1, 4), seed=seed))
+    kinds = ("dense", "quarter", "sparse", "signed zeros", "infinite", "empty")
+    for kind in kinds:
         vector = rng.normal(size=system.n)
-        if kind != "dense":  # a support of about a quarter of the nodes
-            vector[rng.random(system.n) < 0.75] = -0.0 if kind == "signed zeros" else 0.0
+        if kind == "quarter":  # a support of over a quarter of the nodes: every entry is read
+            vector[rng.permutation(system.n)[system.n // 4 + 1:]] = 0.0
+        elif kind != "dense":  # a support under an eighth of the nodes: only its columns are read
+            vector[rng.permutation(system.n)[system.n // 9:]] = -0.0 if kind == "signed zeros" else 0.0
         if kind == "infinite":
-            vector[rng.integers(system.n)] = np.inf
+            vector[np.flatnonzero(vector)[0]] = np.inf
         if kind == "empty":
             vector[:] = 0.0
         out = np.zeros(system.n)
@@ -344,19 +347,22 @@ def test_nullspace_residual_matches_entry_loop_bitwise(seed):
             for (i, j), v in entry_dict(system).items():
                 out[i] += v * vector[j]
         assert nullspace_residual(system, vector) == float(np.max(np.abs(out))), kind
+        # The column order of the entries is built on the first sparse support only.
+        assert ("by_column" in vars(system)) is (kinds.index(kind) >= kinds.index("sparse")), kind
 
 
 def test_nullspace_residual_sums_each_row_in_input_order():
     # Row 0 reads columns 3, 1, 2 in input order: 1.0 + 1e16 - 1e16 is 0.0, while
-    # column order gives 1.0. Thirty diagonal entries elsewhere make the three
-    # support entries few enough to be gathered and sorted (the system is not
-    # validated, so a coupling may be negative).
+    # column order gives 1.0. With 34 nodes, the three support nodes are few
+    # enough for only their columns to be read (the system is not validated,
+    # so a coupling may be negative).
     rows, cols = np.array([0, 0, 0, *range(4, 34)]), np.array([3, 1, 2, *range(4, 34)])
     vals = np.array([1.0, 1e16, -1e16, *[-1.0] * 30])
     system = CooperativeSystem(n=34, coo=(rows, cols, vals), node_labels=tuple(map(str, range(34))))
     vector = np.zeros(34)
     vector[1:4] = 1.0
     assert nullspace_residual(system, vector) == 0.0
+    assert "by_column" in vars(system)
 
 
 def _paired_blocks(pairs: int) -> CooperativeSystem:
@@ -384,6 +390,28 @@ def test_basis_memory_follows_the_stored_entries_not_n_times_f():
     assert np.diff(indptr).tolist() == [4] * 1000 and values.min() > 0
     vector = basis.vectors[-1]
     assert vector.shape == (4000,) and vector[-4:].min() > 0 and not vector[:-4].any()
+
+
+def test_basis_vectors_read_the_csc_columns_as_a_sequence():
+    cond, spectra, report = full_analysis(_paired_blocks(3))
+    basis = steady_state_basis(cond, spectra, report)
+    vectors = basis.vectors
+    indptr, nodes, values = basis.csc
+    want = np.zeros((3, 12))
+    for c in range(3):
+        want[c, nodes[indptr[c]:indptr[c + 1]]] = values[indptr[c]:indptr[c + 1]]
+    assert len(vectors) == 3 and np.array(vectors).tobytes() == want.tobytes()
+    assert [v.tobytes() for v in vectors] == [w.tobytes() for w in want]
+    assert vectors[-1].tobytes() == vectors[np.int64(2)].tobytes() == want[2].tobytes()
+    for cut in (slice(1, None), slice(None, None, -2), slice(5, 9)):
+        got = vectors[cut]
+        assert isinstance(got, tuple) and [v.tobytes() for v in got] == [w.tobytes() for w in want[cut]]
+    assert not any(v.flags.writeable for v in vectors)
+    assert vectors[0] is not vectors[0]  # built on every read, so `in` compares arrays
+    with pytest.raises(IndexError):
+        vectors[3]
+    with pytest.raises(ValueError, match="ambiguous"):
+        vectors[0] in vectors
 
 
 def _signed_zero_system() -> CooperativeSystem:

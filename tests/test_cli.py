@@ -543,6 +543,34 @@ def test_steady_state_golden_corpus(fixture, tag, extra, capsys):
     assert rc == int((FIXTURES / "golden" / f"{fixture}.{tag}.exit").read_text())
 
 
+@pytest.mark.parametrize(
+    "fixture", sorted(p.name for p in FIXTURES.iterdir() if p.is_file())
+)
+def test_condense_golden_corpus(fixture, capsys):
+    """condense DOT output and exit code are byte-identical to the stored golden."""
+    rc = main(["condense", str(FIXTURES / fixture)])
+    out = capsys.readouterr().out
+    assert out == (FIXTURES / "golden" / f"{fixture}.condense.out").read_text()
+    assert rc == int((FIXTURES / "golden" / f"{fixture}.condense.exit").read_text())
+
+
+@pytest.mark.parametrize(
+    "fixture", sorted(p.name for p in FIXTURES.iterdir() if p.is_file())
+)
+def test_limit_check_golden_corpus(fixture, capsys):
+    """oracle limit-check --block k: stdout, stderr and exit code of every block k are
+    byte-identical to the stored golden, a JSON list with one entry per block."""
+    want = json.loads((FIXTURES / "golden" / f"{fixture}.limit-check.json").read_text())
+    got = []
+    for k in range(len(want)):
+        rc = main(["oracle", "limit-check", str(FIXTURES / fixture), "--block", str(k)])
+        captured = capsys.readouterr()
+        got.append({"exit": rc, "stderr": captured.err, "stdout": captured.out})
+    assert got == want
+    # the golden covers every block: the next number is out of range
+    assert main(["oracle", "limit-check", str(FIXTURES / fixture), "--block", str(len(want))]) == 64
+
+
 def test_analyze_json_input(tmp_path, capsys):
     from coopstab import to_edge_list_json
 

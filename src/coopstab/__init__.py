@@ -4,7 +4,7 @@ components of the dependence graph."""
 
 __version__ = "0.1.0"
 
-from .condensation import Block, Condensation, condense, to_dot
+from .condensation import Condensation, condense, to_dot
 from .errors import (
     BadBlockOrder,
     CondensationError,

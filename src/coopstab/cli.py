@@ -329,7 +329,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         cond = condense(system)
         if not 0 <= args.block < cond.h:
             raise ValidationError(f"--block {args.block} outside [0,{cond.h})")
-        result = expm_limit_check(cond.block(args.block), opts=_spectral_options(args))
+        result = expm_limit_check(cond.matrix(args.block), block=args.block, opts=_spectral_options(args))
         print(_dumps({
             "block": args.block,
             "residual": result.residual,

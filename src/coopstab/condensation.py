@@ -21,25 +21,12 @@ from .system import CooperativeSystem
 
 
 @dataclass(frozen=True, eq=False)
-class Block:
-    """One SCC: original node ids (ascending) and the dense induced submatrix."""
-
-    index: int
-    nodes: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass(frozen=True, eq=False)
 class Condensation:
     """Blocks in topological order plus the sparse cross-block structure.
 
     All arrays are read-only. Block k has the nodes
     permutation[bounds[k]:bounds[k + 1]] and its dense matrix, row-major, in
-    matrices[matrix_bounds[k]:matrix_bounds[k + 1]]; `block(k)` views both.
+    matrices[matrix_bounds[k]:matrix_bounds[k + 1]], which `matrix(k)` reads.
     `dag` = (indptr, successors) is the block DAG as CSR sorted by source,
     then target; an edge l -> k, l < k, means some entry couples block l
     into block k. `level[k]` is the length of the longest DAG path into k.
@@ -58,12 +45,13 @@ class Condensation:
     permutation: np.ndarray
     cross: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    def block(self, k: int) -> Block:
-        """Block k, built on demand as views of the stored arrays."""
-        k = range(self.h)[k]  # an IndexError outside [-h, h), as for a sequence
-        (s, e), o = self.bounds[k:k + 2].tolist(), self.matrix_bounds[k]
-        return Block(index=k, nodes=self.permutation[s:e],
-                     matrix=self.matrices[o:o + (e - s) ** 2].reshape(e - s, e - s))
+    def matrix(self, k, d: int | None = None) -> np.ndarray:
+        """Block k's dense matrix (d x d), or for an array k of blocks of d nodes each, their
+        stack (len(k) x d x d); a copy gathered from `matrices`."""
+        if d is None:
+            k = range(self.h)[k]  # an IndexError outside [-h, h), as for a sequence
+            d = int(self.bounds[k + 1] - self.bounds[k])
+        return self.matrices[self.matrix_bounds[k, None] + np.arange(d * d)].reshape(*np.shape(k), d, d)
 
 
 def _tarjan(n: int, indptr: np.ndarray, indices: np.ndarray) -> list[int]:

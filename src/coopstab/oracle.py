@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .condensation import Block, Condensation, condense
-from .errors import (BadBlockOrder, GapTooSmall, InfeasibleSpec, TooLargeForDense,
-                     TooManyBlocks, ValidationError)
+from .condensation import Condensation, condense
+from .errors import (BadBlockOrder, GapTooSmall, InfeasibleSpec, NonFiniteResult,
+                     TooLargeForDense, TooManyBlocks, ValidationError)
 from .spectral import BlockClass, SpectralOptions, Spectra, dominant_eigenpair
 from .stability import Verdict
 from .system import CooperativeSystem, from_dense, state_vector, validate
@@ -105,19 +105,21 @@ class LimitCheckResult:
 
 
 def expm_limit_check(
-    block: Block,
+    matrix,
     *,
+    block: int = 0,
     opts: SpectralOptions | None = None,
     gap_min: float = 1e-8,
     t_cap: float = 1e4,
 ) -> LimitCheckResult:
-    """For a critical irreducible block, check that the left dominant vector u
-    is fixed by e^(tB) at a horizon where every other mode has decayed.
+    """For a critical irreducible block matrix B, check that the left dominant
+    vector u is fixed by e^(tB) at a horizon where every other mode has decayed.
 
     The horizon is 50 over the spectral gap, capped; finite-t residuals are
     all a numeric check can certify, so the horizon is reported alongside.
+    A gap that is not finite certifies nothing; errors name `block`.
     """
-    b = np.asarray(block.matrix, dtype=float)
+    b = np.asarray(matrix, dtype=float)
     d = b.shape[0]
     if d == 1:
         t_big = 1.0
@@ -130,14 +132,15 @@ def expm_limit_check(
     order = np.argsort(eigs.real)[::-1]
     mu = float(eigs[order[0]].real)
     second = float(eigs[order[1]].real)
-    gap = mu - second
+    gap = mu - second  # Python floats: inf or nan without a warning
+    if not math.isfinite(gap):
+        raise NonFiniteResult(f"block {block}: eigenvalues or spectral gap not finite")
     if gap < gap_min:
         raise GapTooSmall(gap)
     t_big = min(50.0 / gap, t_cap)
 
     l = expm(b * t_big)
-    transposed = Block(index=block.index, nodes=block.nodes, matrix=b.T.copy())
-    _, u = dominant_eigenpair(transposed, opts)
+    _, u = dominant_eigenpair(b.T.copy(), opts, block)
     res = float(np.max(np.abs(u @ l - u))) / float(np.max(np.abs(u)))
     return LimitCheckResult(residual=res, t_big=t_big, gap=gap)
 
@@ -154,7 +157,7 @@ def extract_coupling(cond: Condensation, k: int, l: int) -> np.ndarray:
         raise BadBlockOrder(f"need 0 <= l < k < h, got l={l}, k={k}, h={cond.h}")
     target, rows, cols, vals = cond.cross
     pick = (target == k) & (cond.node_to_block[cols] == l)
-    into, out_of = cond.block(k).nodes, cond.block(l).nodes
+    into, out_of = (cond.permutation[cond.bounds[b]:cond.bounds[b + 1]] for b in (k, l))
     mat = np.zeros((len(into), len(out_of)))
     mat[np.searchsorted(into, rows[pick]), np.searchsorted(out_of, cols[pick])] = vals[pick]
     mat.setflags(write=False)
@@ -186,10 +189,10 @@ def path_sum_matrix(
 
     def inv_block(b: int) -> np.ndarray:
         if b not in inv_cache:
-            inv_cache[b] = np.linalg.inv(cond.block(b).matrix)
+            inv_cache[b] = np.linalg.inv(cond.matrix(b))
         return inv_cache[b]
 
-    total = np.zeros((cond.block(k).size, cond.block(l).size))
+    total = np.zeros(np.diff(cond.bounds)[[k, l]])
     stack: list[list[int]] = [[l]]
     while stack:
         path = stack.pop()
@@ -216,18 +219,17 @@ def steady_state_by_path_sum(
 ) -> np.ndarray:
     """Basis vector for one free block evaluated through the path-sum form;
     cross-validates the recursive propagation."""
-    n = len(cond.node_to_block)
-    x = np.zeros(n)
-    phi = spectra.phi[free_block]
-    x[cond.block(free_block).nodes] = phi
+    x = np.zeros(len(cond.node_to_block))
+    s, e = cond.bounds[free_block:free_block + 2]
+    phi = spectra.phi[s:e]
+    x[cond.permutation[s:e]] = phi
     for k in range(free_block + 1, cond.h):
         if spectra.classification[k] is not BlockClass.SUB_CRITICAL:
             continue
         p = path_sum_matrix(cond, spectra, k, free_block, max_blocks=max_blocks)
         if not p.any():
             continue
-        block = cond.block(k)
-        x[block.nodes] = -np.linalg.inv(block.matrix) @ (p @ phi)
+        x[cond.permutation[cond.bounds[k]:cond.bounds[k + 1]]] = -np.linalg.inv(cond.matrix(k)) @ (p @ phi)
     x.setflags(write=False)
     return x
 
@@ -536,7 +538,7 @@ def spectrum_match_error(system: CooperativeSystem, cond=None) -> float:
     whole = list(np.linalg.eigvals(system.to_dense()))
     parts: list[complex] = []
     for k in range(cond.h):
-        parts.extend(np.linalg.eigvals(cond.block(k).matrix))
+        parts.extend(np.linalg.eigvals(cond.matrix(k)))
     if len(whole) != len(parts):
         raise ValidationError(f"condensation has {len(parts)} nodes, system has {len(whole)}")
     worst = 0.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condensation import Block, Condensation
+from .condensation import Condensation
 from .errors import NoConvergence, NonFiniteResult, ValidationError
 
 
@@ -59,13 +59,14 @@ DEFAULT_OPTIONS = SpectralOptions()
 @dataclass(frozen=True, eq=False)
 class Spectra:
     """Read-only columns, one entry per block: the dominant eigenvalue `mu`,
-    the criticality `tolerance` used, the `classification` (BlockClass
-    members) and the positive eigenvector `phi` of unit entry sum."""
+    the criticality `tolerance` used and the `classification` (BlockClass
+    members); and `phi`, one entry per node in the order of `cond.permutation`:
+    block k's positive eigenvector of unit entry sum is phi[bounds[k]:bounds[k + 1]]."""
 
     mu: np.ndarray
     tolerance: np.ndarray
     classification: np.ndarray
-    phi: tuple[np.ndarray, ...]
+    phi: np.ndarray
 
 
 def _inf_norm(m: np.ndarray) -> np.ndarray:
@@ -73,10 +74,6 @@ def _inf_norm(m: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         return np.max(np.sum(np.abs(m), axis=2), axis=1)
 
-
-# The eigenvector of every singleton block, shared and read-only.
-_SINGLETON_PHI = np.ones(1)
-_SINGLETON_PHI.flags.writeable = False
 
 # Matrix entries per stack (8 MB of float64); a size group is solved in chunks of
 # it. Peak per chunk of 64-node blocks, by tracemalloc: 34 MB (stack, shift, eig).
@@ -152,17 +149,18 @@ def _perron(
     return mu, phi, failures
 
 
-def dominant_eigenpair(block: Block, opts: SpectralOptions | None = None) -> tuple[float, np.ndarray]:
+def dominant_eigenpair(matrix, opts: SpectralOptions | None = None,
+                       block: int = 0) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue (real, simple) and positive eigenvector of an
-    irreducible Metzler block, normalized to unit entry sum: `_perron` on a
-    stack of one. Raises NoConvergence when neither power iteration nor the
-    polished dense eigensolve reaches the residual target."""
-    b = np.asarray(block.matrix, dtype=float)
+    irreducible Metzler matrix, normalized to unit entry sum: `_perron` on a
+    stack of one, its errors naming `block`. Raises NoConvergence when neither
+    power iteration nor the polished dense eigensolve reaches the residual target."""
+    b = np.asarray(matrix, dtype=float)
     if b.shape[0] == 1:
         return float(b[0, 0]), np.ones(1)
-    mu, phi, failures = _perron(b[None], np.array([block.index]), opts or DEFAULT_OPTIONS)
+    mu, phi, failures = _perron(b[None], np.array([block]), opts or DEFAULT_OPTIONS)
     if failures:
-        raise failures[block.index]
+        raise failures[block]
     return float(mu[0]), phi[0]
 
 
@@ -186,7 +184,7 @@ def analyze_all_blocks(cond: Condensation, opts: SpectralOptions | None = None) 
     opts = opts or DEFAULT_OPTIONS
     mu = cond.matrices[cond.matrix_bounds[:-1]]  # a singleton's only entry
     scale = np.abs(mu)
-    phi = [_SINGLETON_PHI] * cond.h
+    phi = np.ones(len(cond.permutation))  # a singleton's eigenvector is [1]
     failures: dict[int, Exception] = {}
     size = np.diff(cond.bounds)
     for d in np.unique(size[size > 1]).tolist():
@@ -194,22 +192,20 @@ def analyze_all_blocks(cond: Condensation, opts: SpectralOptions | None = None) 
         per = 1 if d > opts.dense_cutoff and opts.max_iter else max(1, _CHUNK_ENTRIES // (d * d))
         for ks in np.split(group, range(per, group.size, per)):
             ks = ks[ks < min(failures, default=cond.h)]  # blocks past a failure cannot raise
-            b = cond.matrices[cond.matrix_bounds[ks, None] + np.arange(d * d)].reshape(-1, d, d)
+            b = cond.matrix(ks, d)
             scale[ks] = _inf_norm(b)
             ok = np.isfinite(scale[ks])
             failures.update((k, NonFiniteResult(f"block {k}: absolute row sum overflows"))
                             for k in ks[~ok].tolist())
             ks = ks[ok]
             mu[ks], x, more = _perron(b if ok.all() else b[ok], ks, opts)
+            phi[cond.bounds[ks, None] + np.arange(d)] = x
             failures.update(more)
-            x.setflags(write=False)  # each phi[k] is a row view of it
-            for k, row in zip(ks.tolist(), x):
-                phi[k] = row
     if failures:
         exc = failures[k := min(failures)]
         raise NoConvergence(exc.iterations, exc.last_residual, k) if isinstance(exc, NoConvergence) else exc
     classification = classify(mu, scale, opts)
     tolerance = opts.crit_tol_rel * np.maximum(1.0, scale)
-    for a in (mu, tolerance, classification):
+    for a in (mu, tolerance, classification, phi):
         a.setflags(write=False)
-    return Spectra(mu=mu, tolerance=tolerance, classification=classification, phi=tuple(phi))
+    return Spectra(mu=mu, tolerance=tolerance, classification=classification, phi=phi)

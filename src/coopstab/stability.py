@@ -30,6 +30,7 @@ from .errors import (
     NotMarginallyStable,
     SingularSubCriticalSolve,
     SuperCriticalPresent,
+    ValidationError,
 )
 from .spectral import BlockClass, SpectralOptions, Spectra, analyze_all_blocks
 from .system import CooperativeSystem
@@ -224,7 +225,7 @@ def _solve(cond: Condensation, spectra: Spectra, blk: np.ndarray, col: np.ndarra
         sol = rhs / spectra.mu[blk, None]  # a singleton's mu is its diagonal entry
     else:
         ks, at = np.unique(blk, return_inverse=True)
-        b = cond.matrices[cond.matrix_bounds[ks, None] + np.arange(d * d)].reshape(-1, d, d)
+        b = cond.matrix(ks, d)
         factors = [lu_factor(m) for m in b]  # the module name, so tracing can count the calls
         singular = np.abs([lu.diagonal() for lu, _ in factors]).min(axis=1) <= TINY_PIVOT_REL * np.maximum(
             1e-300, np.abs(b).sum(axis=2).max(axis=1))
@@ -285,10 +286,11 @@ def steady_state_basis(
     local = np.empty(n, dtype=np.intp)  # each node's place in its block
     local[cond.permutation] = np.arange(n) - np.repeat(cond.bounds[:-1], size)
     # Node j has count[j] entries from start[j] on in (column, value) buffers; first the free blocks.
-    nodes = cond.permutation[_ranges(cond.bounds[final], size[final])[0]]
+    at = _ranges(cond.bounds[final], size[final])[0]  # places in cond.permutation and spectra.phi
+    nodes = cond.permutation[at]
     start, count = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
     start[nodes], count[nodes], used = np.arange(len(nodes)), 1, len(nodes)
-    buf = [np.repeat(np.arange(f), size[final]), np.concatenate([spectra.phi[k] for k in final.tolist()])]
+    buf = [np.repeat(np.arange(f), size[final]), spectra.phi[at]]
     # Couplings into sub-critical blocks by level (a source lies lower), in `cond.cross` order.
     sub = np.flatnonzero((spectra.classification == BlockClass.SUB_CRITICAL)[cond.cross[0]])
     sub = sub[_stable_order(cond.level[cond.cross[0][sub]])]
@@ -367,6 +369,8 @@ def nullspace_residual(system: CooperativeSystem, vector: np.ndarray) -> float:
     from about that share on, reading every entry costs less than the sort."""
     rows, cols, vals = system.coo
     vector = np.asarray(vector)
+    if vector.shape != (system.n,):
+        raise ValidationError(f"vector has shape {vector.shape}, expected ({system.n},)")
     support = np.flatnonzero(vector != 0)  # NaN included
     at = slice(None)
     if 8 * len(support) < len(vector):

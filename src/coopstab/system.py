@@ -197,9 +197,8 @@ def from_dense(matrix: np.ndarray | list, node_labels: Iterable[str] | None = No
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    triples = [(int(i), int(j), float(a[i, j])) for i, j in zip(*np.nonzero(a))]
-    return validate(triples, n, node_labels)
+    i, j = np.nonzero(a)
+    return validate((i, j, a[i, j]), a.shape[0], node_labels)
 
 
 def state_vector(values: Iterable[float], n: int | None = None, *, nonnegative: bool = False) -> np.ndarray:

@@ -232,9 +232,9 @@ def _reference_dense_perron(m: np.ndarray, tol: float):
     return (*best, max(2 * d, 50))
 
 
-def reference_dominant_eigenpair(block, opts):
+def reference_dominant_eigenpair(matrix, opts, block=0):
     """`dominant_eigenpair` over the two reference loops."""
-    b = np.asarray(block.matrix, dtype=float)
+    b = np.asarray(matrix, dtype=float)
     d = b.shape[0]
     if d == 1:
         return float(b[0, 0]), np.ones(1)
@@ -244,7 +244,7 @@ def reference_dominant_eigenpair(block, opts):
         m = b + shift * np.eye(d)
         tol = opts.eig_tol * max(1.0, float(np.max(np.sum(np.abs(m), axis=1))))
     if not math.isfinite(tol):
-        raise NonFiniteResult(f"block {block.index}: shifted matrix overflows")
+        raise NonFiniteResult(f"block {block}: shifted matrix overflows")
 
     iters = 0
     if d > opts.dense_cutoff:
@@ -261,19 +261,21 @@ def reference_dominant_eigenpair(block, opts):
 def reference_analyze_all_blocks(cond, opts):
     """`analyze_all_blocks` as the per-block loop it once was: blocks in
     order, each over `reference_dominant_eigenpair`, the first failure raising.
-    Returns the columns mu, tolerance, classification and phi."""
+    Returns the columns mu, tolerance, classification and phi, the last one
+    block k's eigenvector at phi[bounds[k]:bounds[k + 1]]."""
     mu, scale, phi = np.zeros(cond.h), np.zeros(cond.h), []
     for k in range(cond.h):
-        block = cond.block(k)
+        matrix = matrix_of(cond, k)
         with np.errstate(over="ignore"):
-            scale[k] = np.max(np.sum(np.abs(block.matrix), axis=1))
+            scale[k] = np.max(np.sum(np.abs(matrix), axis=1))
         if not math.isfinite(scale[k]):
             raise NonFiniteResult(f"block {k}: absolute row sum overflows")
         try:
-            mu[k], vector = reference_dominant_eigenpair(block, opts)
+            mu[k], vector = reference_dominant_eigenpair(matrix, opts, k)
         except NoConvergence as exc:
             raise NoConvergence(exc.iterations, exc.last_residual, block_index=k) from None
         phi.append(vector)
+    phi = np.concatenate(phi)
     return mu, opts.crit_tol_rel * np.maximum(1.0, scale), classify(mu, scale, opts), phi
 
 
@@ -391,7 +393,7 @@ def _reference_solve_block(cond, l: int, rhs: np.ndarray) -> np.ndarray:
     """Solve B_l X = rhs column by column (a multi-column LU solve rounds
     differently); a singleton divides by its diagonal. A column that is not
     finite gets an infinite solution, where lu_solve would raise."""
-    b = cond.block(l).matrix
+    b = matrix_of(cond, l)
     if b.shape == (1, 1):
         return rhs / b[0, 0]
     lu, piv = lu_factor(b)
@@ -415,9 +417,25 @@ def basis_from_vectors(n: int, vectors, free_blocks, free_parameters) -> SteadyS
                             free_blocks=tuple(free_blocks), free_parameters=tuple(free_parameters))
 
 
+def nodes_of(cond, k: int) -> np.ndarray:
+    """Block k's nodes, ascending: its slice of `cond.permutation`."""
+    return cond.permutation[cond.bounds[k]:cond.bounds[k + 1]]
+
+
+def matrix_of(cond, k: int) -> np.ndarray:
+    """Block k's dense matrix, a view of its slice of `cond.matrices`."""
+    d = int(cond.bounds[k + 1] - cond.bounds[k])
+    return cond.matrices[cond.matrix_bounds[k]:cond.matrix_bounds[k + 1]].reshape(d, d)
+
+
+def phi_of(cond, spectra, k: int) -> np.ndarray:
+    """Block k's eigenvector: its slice of `spectra.phi`."""
+    return spectra.phi[cond.bounds[k]:cond.bounds[k + 1]]
+
+
 def block_nodes(cond) -> list[tuple[int, ...]]:
     """The nodes of every block as a tuple, in block order."""
-    return [tuple(cond.block(k).nodes.tolist()) for k in range(cond.h)]
+    return [tuple(nodes_of(cond, k).tolist()) for k in range(cond.h)]
 
 
 def cross_entries(cond) -> dict[tuple[int, int], tuple[tuple[int, int, float], ...]]:
@@ -473,17 +491,17 @@ def reference_steady_state_basis(
     x = np.zeros((len(cond.node_to_block), len(final)), order="F")
     in_cone = [False] * cond.h
     for col, k in enumerate(final):
-        x[cond.block(k).nodes, col] = spectra.phi[k]
+        x[nodes_of(cond, k), col] = phi_of(cond, spectra, k)
         in_cone[k] = True
     for l in range(cond.h):
         cone_sources = [s for s in sources_of.get(l, ()) if in_cone[s]]
         if classes[l] is not BlockClass.SUB_CRITICAL or not cone_sources:
             continue
-        block = cond.block(l)
-        rhs = np.zeros((block.size, len(final)))
+        nodes = nodes_of(cond, l)
+        rhs = np.zeros((len(nodes), len(final)))
         with np.errstate(over="ignore", invalid="ignore"):
             for src in cone_sources:
-                src_nodes = cond.block(src).nodes
+                src_nodes = nodes_of(cond, src)
                 for li, lj, v in coupling[(l, src)]:
                     rhs[li] += v * x[src_nodes[lj]]
         cols = rhs.any(axis=0).nonzero()[0]
@@ -495,9 +513,9 @@ def reference_steady_state_basis(
         if too_negative.any():
             col = too_negative.any(axis=0).argmax()
             worst = int(sol[:, col].argmin())
-            raise NegativeSteadyStateEntry(l, block.nodes[worst], float(sol[worst, col]))
+            raise NegativeSteadyStateEntry(l, nodes[worst], float(sol[worst, col]))
         sol[sol < 0] = 0.0
-        x[block.nodes[:, None], cols] = sol
+        x[nodes[:, None], cols] = sol
         in_cone[l] = True
     overflow = ~np.isfinite(x).all(axis=1)
     if overflow.any():

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 
-from conftest import nullspace_projector, spectral_gap
+from conftest import nodes_of, nullspace_projector, spectral_gap
 from coopstab import (
     GeneratorSpec,
     Verdict,
@@ -26,7 +26,6 @@ from coopstab import (
     steady_state_by_path_sum,
     trivial_blocks,
 )
-from coopstab.condensation import Block
 
 TOPOLOGIES = ("chain", "diamond", "forest", "random-dag")
 CLASS_MIXES = (
@@ -141,7 +140,7 @@ def test_criterion_5_trivial_blocks_match_basis_support():
         basis = steady_state_basis(cond, spectra, report)
         support_zero = set()
         for k in range(cond.h):
-            nodes = cond.block(k).nodes
+            nodes = nodes_of(cond, k)
             if all(np.max(np.abs(vec[nodes])) <= 1e-13 for vec in basis.vectors):
                 support_zero.add(k)
         assert predicted == support_zero
@@ -209,8 +208,7 @@ def test_criterion_7_left_vector_fixed_by_limit():
         d = 2 + (checked % 9)
         matrix = random_critical_matrix(d, seed=5000 + seed)
         seed += 1
-        block = Block(index=0, nodes=np.arange(d), matrix=matrix)
-        result = expm_limit_check(block)
+        result = expm_limit_check(matrix)
         assert result.residual < 1e-6
         worst = max(worst, result.residual)
         checked += 1

@@ -468,6 +468,22 @@ def test_oracle_limit_check_reads_the_spectral_flags(capsys):
     assert captured.err == "error: eig_tol = -1.0 must be finite and non-negative\n"
 
 
+@pytest.mark.parametrize("entries, block, error", [
+    # +-1e308: an infinite gap, where the horizon 50 / gap would be 0
+    ("2 2 2\n1 2 1e308\n2 1 1e308", 0, "block 0: eigenvalues or spectral gap not finite"),
+    # block 1 is {2, 3}, whose 1e308 diagonal overflows the shift
+    ("3 3 4\n2 2 1e308\n2 3 1\n3 2 1\n2 1 1", 1, "block 1: shifted matrix overflows"),
+], ids=["infinite-gap", "shift-overflow"])
+@pytest.mark.filterwarnings("error")
+def test_oracle_limit_check_non_finite_exit_70(tmp_path, capsys, entries, block, error):
+    path = tmp_path / "huge.mtx"
+    path.write_text(f"{MM_HEADER}\n{entries}\n")
+    assert main(["oracle", "limit-check", str(path), "--block", str(block)]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 @pytest.mark.parametrize("block", ["2", "9", "-1"])
 def test_oracle_limit_check_rejects_block_out_of_range(capsys, block):
     path = str(FIXTURES / "feed.mtx")  # two blocks

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import block_nodes, dag_edges, entry_dict, strongly_connected, upstream_reachability
+from conftest import (block_nodes, dag_edges, entry_dict, matrix_of, nodes_of, strongly_connected,
+                      upstream_reachability)
 from coopstab import (
     BadBlockOrder,
     condense,
@@ -26,7 +27,7 @@ def test_two_cycle_is_one_block():
     cond = condense(from_dense([[0, 1], [1, 0]]))
     assert cond.h == 1
     assert block_nodes(cond) == [(0, 1)]
-    np.testing.assert_array_equal(cond.block(0).matrix, [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(cond.matrix(0), [[0, 1], [1, 0]])
     assert dag_edges(cond) == []
 
 
@@ -39,20 +40,25 @@ def test_chain_into_two_cycle():
     assert dag_edges(cond) == [(0, 1)]
 
 
-def test_block_views_the_stored_arrays():
-    cond = condense(validate({(1, 0): 1.0, (2, 1): 1.0, (1, 2): 1.0, (2, 2): -3.0}, 3))
+def test_matrix_gathers_from_the_stored_arrays():
+    cond = condense(validate({(1, 0): 1.0, (2, 1): 1.0, (1, 2): 1.0, (2, 2): -3.0, (0, 0): -1.0}, 3))
     assert cond.bounds.tolist() == [0, 1, 3]
     assert cond.matrix_bounds.tolist() == [0, 1, 5]
-    block = cond.block(1)
-    assert (block.index, block.size, block.nodes.tolist()) == (1, 2, [1, 2])
-    np.testing.assert_array_equal(block.matrix, [[0, 1], [1, -3]])
-    assert np.shares_memory(block.nodes, cond.permutation)
-    assert np.shares_memory(block.matrix, cond.matrices)
-    assert not block.nodes.flags.writeable and not block.matrix.flags.writeable
-    assert cond.block(-1).index == 1  # sequence indexing, as the blocks tuple had
+    assert cond.permutation[cond.bounds[1]:cond.bounds[2]].tolist() == [1, 2]
+    np.testing.assert_array_equal(cond.matrix(1), [[0, 1], [1, -3]])
+    np.testing.assert_array_equal(cond.matrix(0), [[-1]])
+    matrix = cond.matrix(1)
+    assert not np.shares_memory(matrix, cond.matrices)
+    matrix[0, 0] = 7.0  # a copy: the stored matrices stay as they are
+    np.testing.assert_array_equal(cond.matrix(1), [[0, 1], [1, -3]])
+    np.testing.assert_array_equal(cond.matrix(-1), [[0, 1], [1, -3]])  # sequence indexing
     for k in (2, -3):
         with pytest.raises(IndexError):
-            cond.block(k)
+            cond.matrix(k)
+    # a stack of blocks of one size, one per index, and an empty one
+    np.testing.assert_array_equal(cond.matrix(np.array([1, 1]), 2), [[[0, 1], [1, -3]]] * 2)
+    np.testing.assert_array_equal(cond.matrix(np.array([0]), 1), [[[-1]]])
+    assert cond.matrix(np.array([], dtype=np.intp), 2).shape == (0, 2, 2)
 
 
 def test_reachability_of_chain():
@@ -171,12 +177,11 @@ def test_condensation_invariants_random(seed):
     cond = condense(system)
 
     # partition
-    blocks = [cond.block(k) for k in range(cond.h)]
-    all_nodes = sorted(node for b in blocks for node in b.nodes.tolist())
+    all_nodes = sorted(node for k in range(cond.h) for node in nodes_of(cond, k).tolist())
     assert all_nodes == list(range(n))
     assert 1 <= cond.h <= n
-    for b in blocks:
-        assert cond.node_to_block[b.nodes[0]] == b.index
+    for k in range(cond.h):
+        assert cond.node_to_block[nodes_of(cond, k)[0]] == k
 
     # triangularity under the reported permutation
     a = system.to_dense()
@@ -189,8 +194,10 @@ def test_condensation_invariants_random(seed):
             assert not upper.any()
 
     # every multi-node block is strongly connected
-    for b in blocks:
-        assert strongly_connected(b.matrix)
+    for k in range(cond.h):
+        assert strongly_connected(cond.matrix(k))
+        np.testing.assert_array_equal(cond.matrix(k), matrix_of(cond, k))
+        np.testing.assert_array_equal(cond.matrix(k), a[np.ix_(nodes_of(cond, k), nodes_of(cond, k))])
 
     # the stored DAG: CSR rows ascend strictly, edges point forward, and the
     # edge set is the cross-block entries mapped through node_to_block

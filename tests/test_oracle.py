@@ -8,6 +8,7 @@ from coopstab import (
     GapTooSmall,
     GeneratorSpec,
     InfeasibleSpec,
+    NonFiniteResult,
     TooLargeForDense,
     ValidationError,
     Verdict,
@@ -25,12 +26,11 @@ from coopstab import (
     steady_state_basis,
     validate,
 )
-from coopstab.condensation import Block
 
 
 def _block(matrix):
-    m = np.asarray(matrix, dtype=float)
-    return Block(index=0, nodes=np.arange(m.shape[0]), matrix=m)
+    """A block's dense matrix, as `expm_limit_check` takes it."""
+    return np.asarray(matrix, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +163,12 @@ def test_limit_check_random_critical(seed):
     d = 2 + seed % 4
     result = expm_limit_check(_block(random_critical_matrix(d, seed=seed)))
     assert result.residual < 1e-6
+
+
+def test_limit_check_refuses_an_infinite_gap():
+    # eigenvalues +-1e308: the gap overflows, and a horizon of 50 / inf = 0 would certify nothing
+    with pytest.raises(NonFiniteResult, match=r"^block 3: eigenvalues or spectral gap not finite$"):
+        expm_limit_check(_block([[0, 1e308], [1e308, 0]]), block=3)
 
 
 def test_limit_check_gap_too_small():

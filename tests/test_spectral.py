@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_analyze_all_blocks, reference_dominant_eigenpair
+from conftest import nodes_of, phi_of, reference_analyze_all_blocks, reference_dominant_eigenpair
 from coopstab import (
     BlockClass,
     NoConvergence,
@@ -21,13 +21,12 @@ from coopstab import (
     validate,
 )
 from coopstab import spectral
-from coopstab.condensation import Block
 from coopstab.spectral import DEFAULT_OPTIONS
 
 
 def _block(matrix):
-    m = np.asarray(matrix, dtype=float)
-    return Block(index=0, nodes=np.arange(m.shape[0]), matrix=m)
+    """A block's dense matrix, as `dominant_eigenpair` takes it."""
+    return np.asarray(matrix, dtype=float)
 
 
 def test_one_by_one():
@@ -56,7 +55,7 @@ def test_asymmetric_two_by_two_closed_form():
     assert abs(mu - exact) < 1e-12
     # mu * (3 + mu) = 1, so the sum-normalized eigenvector is (mu, 1 - mu)
     np.testing.assert_allclose(phi, [exact, 1 - exact], atol=1e-12)
-    res = np.max(np.abs(b.matrix @ phi - mu * phi))
+    res = np.max(np.abs(b @ phi - mu * phi))
     assert res <= 1e-12 * 4
 
 
@@ -193,7 +192,7 @@ def _spectra_outcome(solve, cond, opts):
         residual = None if residual is None else np.float64(residual).tobytes()
         return ("raised", type(exc), str(exc), getattr(exc, "block_index", None),
                 getattr(exc, "iterations", None), residual)
-    return mu.tobytes(), tolerance.tobytes(), list(classification), [p.tobytes() for p in phi]
+    return mu.tobytes(), tolerance.tobytes(), list(classification), phi.tobytes()
 
 
 def _stacked(cond, opts):
@@ -232,7 +231,7 @@ def test_stacked_solves_match_the_per_block_reference_bitwise(kind, eig_tol):
                 assert got == _spectra_outcome(reference_analyze_all_blocks, cond, opts), (cutoff, max_iter)
                 if got[0] != "raised":
                     break
-                nodes = cond.block(got[3]).nodes
+                nodes = nodes_of(cond, got[3])
                 system = np.delete(np.delete(system, nodes, axis=0), nodes, axis=1)
 
 
@@ -242,6 +241,13 @@ def test_chunks_of_one_matrix_change_no_bit(monkeypatch):
     whole = _spectra_outcome(_stacked, cond, opts)
     monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", 1)
     assert _spectra_outcome(_stacked, cond, opts) == whole
+
+
+def test_dominant_eigenpair_names_the_block_it_is_given():
+    with pytest.raises(NonFiniteResult, match=r"^block 4: shifted matrix overflows$"):
+        dominant_eigenpair(_block([[1e308, 1], [1, 0]]), block=4)
+    with pytest.raises(NonFiniteResult, match=r"^block 0: shifted matrix overflows$"):
+        dominant_eigenpair(_block([[1e308, 1], [1, 0]]))
 
 
 def test_unreachable_tolerance_reports_no_convergence():
@@ -340,8 +346,8 @@ def test_residual_meets_contract():
         cond = condense(system)
         spectra = analyze_all_blocks(cond, opts)
         for k in range(cond.h):
-            block, mu, phi = cond.block(k), spectra.mu[k], spectra.phi[k]
-            scale = max(1.0, np.abs(block.matrix).sum(axis=1).max())
-            res = np.max(np.abs(block.matrix @ phi - mu * phi))
+            matrix, mu, phi = cond.matrix(k), spectra.mu[k], phi_of(cond, spectra, k)
+            scale = max(1.0, np.abs(matrix).sum(axis=1).max())
+            res = np.max(np.abs(matrix @ phi - mu * phi))
             assert res <= 10 * opts.residual_tol * scale
             assert spectra.tolerance[k] == opts.crit_tol_rel * scale

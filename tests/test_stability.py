@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,6 +12,8 @@ from conftest import (
     dag_csr,
     dag_edges,
     entry_dict,
+    nodes_of,
+    phi_of,
     reference_steady_state_basis,
     reference_verdict,
 )
@@ -27,6 +30,7 @@ from coopstab import (
     SuperCriticalBlock,
     SuperCriticalPresent,
     TooManyBlocks,
+    ValidationError,
     Verdict,
     condense,
     analyze_all_blocks,
@@ -293,20 +297,20 @@ def _basis_one_free_block_at_a_time(cond, spectra, residual_tol=1e-10):
     vectors = []
     for k in final:
         x = np.zeros(len(cond.node_to_block))
-        x[cond.block(k).nodes] = spectra.phi[k]
+        x[nodes_of(cond, k)] = phi_of(cond, spectra, k)
         for l in range(k + 1, cond.h):
             if classes[l] is not BlockClass.SUB_CRITICAL:
                 continue
-            block = cond.block(l)
-            rhs = np.zeros(block.size)
+            nodes = nodes_of(cond, l)
+            rhs = np.zeros(len(nodes))
             for src in sources_of.get(l, ()):
                 for li, lj, v in coupling[(l, src)]:
-                    rhs[li] += v * x[cond.block(src).nodes[lj]]
+                    rhs[li] += v * x[nodes_of(cond, src)[lj]]
             if rhs.any():
-                lu = scipy.linalg.lu_factor(block.matrix)
+                lu = scipy.linalg.lu_factor(cond.matrix(l))
                 sol = scipy.linalg.lu_solve(lu, -rhs)
                 sol[sol < 0] = 0.0
-                x[block.nodes] = sol
+                x[nodes] = sol
         vectors.append(x)
     return vectors
 
@@ -349,6 +353,14 @@ def test_nullspace_residual_matches_entry_loop_bitwise(seed):
         assert nullspace_residual(system, vector) == float(np.max(np.abs(out))), kind
         # The column order of the entries is built on the first sparse support only.
         assert ("by_column" in vars(system)) is (kinds.index(kind) >= kinds.index("sparse")), kind
+
+
+@pytest.mark.parametrize("shape", [(3,), (1,), (2, 1), (1, 2), ()])
+def test_nullspace_residual_refuses_a_vector_of_another_shape(shape):
+    system = from_dense([[-1.0, 1.0], [1.0, -1.0]])
+    with pytest.raises(ValidationError, match=rf"^vector has shape {re.escape(str(shape))}, expected \(2,\)$"):
+        nullspace_residual(system, np.ones(shape))
+    assert nullspace_residual(system, np.ones(2)) == 0.0
 
 
 def test_nullspace_residual_sums_each_row_in_input_order():
@@ -522,7 +534,7 @@ def test_nullspace_dimension_and_residuals(seed):
         assert np.all(vec >= 0)
         assert vec.max() > 0
         assert np.max(np.abs(a @ vec)) <= 1e-10 * scale * vec.max()
-        assert vec[cond.block(k).nodes].min() > 0
+        assert vec[nodes_of(cond, k)].min() > 0
     sv = np.linalg.svd(a, compute_uv=False)
     nullity = int(np.sum(sv <= 1e-10 * scale))
     assert len(basis.vectors) == report.geometric_multiplicity_zero == nullity
@@ -540,7 +552,7 @@ def test_sub_critical_zero_iff_all_immediate_sources_zero(seed):
     combined = np.sum(basis.vectors, axis=0)
 
     def block_zero(k):
-        return not combined[cond.block(k).nodes].any()
+        return not combined[nodes_of(cond, k)].any()
 
     preds = {k: [] for k in range(cond.h)}
     for l, k in dag_edges(cond):
@@ -821,7 +833,7 @@ def test_lu_factor_runs_once_per_multi_node_block_with_a_nonzero_right_hand_side
         calls.clear()
         vectors = np.array(steady_state_basis(cond, spectra, report).vectors)
         size = np.diff(cond.bounds)
-        reached = [k for k in np.flatnonzero(size > 1).tolist() if vectors[:, cond.block(k).nodes].any()
+        reached = [k for k in np.flatnonzero(size > 1).tolist() if vectors[:, nodes_of(cond, k)].any()
                    and spectra.classification[k] is BlockClass.SUB_CRITICAL]
         assert sorted(calls) == sorted(size[reached].tolist()), seed
         checked += bool(reached)
@@ -846,18 +858,22 @@ def test_no_block_is_built_for_a_singleton(monkeypatch, tmp_path, capsys):
     from coopstab.condensation import Condensation
 
     requested = []
-    original = Condensation.block
-    monkeypatch.setattr(Condensation, "block", lambda self, k: requested.append(k) or original(self, k))
+    original = Condensation.matrix
+
+    def spy(self, k, d=None):
+        requested.append(np.atleast_1d(k).tolist())
+        return original(self, k, d)
+    monkeypatch.setattr(Condensation, "matrix", spy)
     system = _mixed_system()
     cond, spectra, report = full_analysis(system)
     multi = np.flatnonzero(np.diff(cond.bounds) > 1).tolist()
     assert cond.h == 303 and len(multi) == 2
-    assert requested == []  # multi-node blocks are solved in stacks, straight from cond.matrices
+    assert requested == [multi[:1], multi[1:]]  # one stack per size, no singleton
     assert report.verdict is Verdict.MARGINALLY_STABLE and report.free.sum() == 2
     requested.clear()
     basis = steady_state_basis(cond, spectra, report)
-    assert requested == []  # the sub-critical cycle {1, 2} is solved straight from cond.matrices too
-    assert all(v[cond.block(k).nodes].min() > 0 for k, v in zip(basis.free_blocks, basis.vectors))
+    assert requested == [multi[:1]]  # only the sub-critical cycle {1, 2} is solved from its matrix
+    assert all(v[nodes_of(cond, k)].min() > 0 for k, v in zip(basis.free_blocks, basis.vectors))
     assert basis.vectors[basis.free_blocks.index(int(cond.node_to_block[0]))][[1, 2]].min() > 0
 
     path = tmp_path / "mixed.mtx"
@@ -866,10 +882,10 @@ def test_no_block_is_built_for_a_singleton(monkeypatch, tmp_path, capsys):
     for command in ("analyze", "steady-state"):
         assert main([command, str(path)]) == 0
     capsys.readouterr()
-    assert requested == []
+    assert requested == [multi[:1], multi[1:], multi[:1], multi[1:], multi[:1]]
 
-    columns = (spectra.mu, spectra.tolerance, spectra.classification, *spectra.phi,
+    columns = (spectra.mu, spectra.tolerance, spectra.classification, spectra.phi,
                report.trivial, report.free)
     assert not any(a.flags.writeable for a in columns)
-    assert not any(p.base.flags.writeable for p in spectra.phi if p.base is not None)  # stacks phi views
+    assert isinstance(spectra.phi, np.ndarray) and spectra.phi.shape == (system.n,)  # one column
     assert spectra.classification.tolist().count(BlockClass.CRITICAL) == 2

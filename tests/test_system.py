@@ -409,6 +409,21 @@ def test_from_dense_matches_validate():
     with pytest.raises(ValidationError):
         from_dense(np.zeros((2, 3)))
 
+    def outcome(build):
+        try:
+            return [c.tobytes() for c in build().coo]
+        except ValidationError as exc:
+            return type(exc), str(exc)
+    # With NaN and negative entries: the same coo bytes, or the same error and
+    # message, as validating the (i, j, value) triples one at a time.
+    rng = np.random.default_rng(0)
+    for t in range(200):
+        a = np.where(rng.random((6, 6)) < 0.5, 0.0, np.abs(rng.normal(size=(6, 6))))
+        a[np.diag_indices(6)] *= -1.0
+        a[tuple(rng.integers(0, 6, (2, t % 4)))] = (np.nan, -1.0, 0.0)[t % 3]
+        triples = [(int(i), int(j), float(a[i, j])) for i, j in zip(*np.nonzero(a))]
+        assert outcome(lambda: from_dense(a)) == outcome(lambda: validate(triples, 6))
+
 
 def test_is_compartmental():
     assert is_compartmental(from_dense([[-1.0, 0.0], [1.0, 0.0]]))

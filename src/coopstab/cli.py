@@ -92,10 +92,6 @@ def _spectral_options(args: argparse.Namespace) -> SpectralOptions:
     return SpectralOptions(**{name: getattr(args, name) for name in vars(DEFAULT_OPTIONS)})
 
 
-def _tolerances_dict(opts: SpectralOptions) -> dict:
-    return dict(vars(opts))
-
-
 def _dumps(payload: dict) -> str:
     """Strict JSON: a NaN or infinite number in the payload is a numeric failure."""
     try:
@@ -135,7 +131,7 @@ def _write_report(system, cond, spectra, report, opts, out) -> None:
         "geometric_multiplicity_zero": report.geometric_multiplicity_zero,
         "h": cond.h,
         "n": system.n,
-        "tolerances": _tolerances_dict(opts),
+        "tolerances": vars(opts),
         "unstable_reason": _reason_dict(report.unstable_reason),
         "verdict": report.verdict.value,
         "version": __version__,
@@ -228,7 +224,7 @@ def _write_basis(system, basis: SteadyStateBasis, opts, forced: bool, out) -> No
     if not (np.isfinite(residuals).all() and np.isfinite(basis.csc[2]).all()):
         raise NonFiniteResult("output contains a value that is not finite")
     head = {"labels": list(system.node_labels), "n": system.n,
-            "tolerances": _tolerances_dict(opts)}
+            "tolerances": vars(opts)}
     tail = {"version": __version__}
     if forced:
         tail["warning"] = (
@@ -302,7 +298,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.initial:
         source = f"--initial {args.initial}"
         values = _numbers(_read_text(args.initial, source).split(), source)
-        m0 = state_vector(values, system.n, nonnegative=True)
+        m0 = state_vector(values, system.n)
     else:
         m0 = np.ones(system.n)
     traj = simulate(system, m0, times)
@@ -357,13 +353,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     if args.compartmental:
-        system = generate_compartmental(
-            num_blocks=spec.num_blocks,
-            block_size=spec.block_size,
-            edge_density=spec.edge_density,
-            weight_range=spec.weight_range,
-            seed=spec.seed,
-        )
+        system = generate_compartmental(spec)
     elif args.marginal:
         system = generate_marginally_stable(spec)
     else:

@@ -151,10 +151,11 @@ def condense(system: CooperativeSystem) -> Condensation:
     _, min_node = np.unique(comp_of, return_index=True)
     c = len(min_node)
 
-    # Component DAG edges, once each, then blocks numbered in topological order.
-    ca, cb = comp_of[cols[off]], comp_of[rows[off]]
-    between = ca != cb
-    codes = np.unique(ca[between] * c + cb[between])
+    # The component DAG's edges, deduplicated once: they give the topological numbering of the
+    # blocks, the grouping of the couplings and the block DAG.
+    ca, cb = comp_of[cols], comp_of[rows]
+    cross = ca != cb
+    codes, first, group = np.unique(ca[cross] * c + cb[cross], return_index=True, return_inverse=True)
     topo, depth = _topological_order(min_node, codes // c, codes % c)
     new_of = np.empty(c, dtype=np.intp)
     new_of[topo] = np.arange(c)
@@ -170,22 +171,20 @@ def condense(system: CooperativeSystem) -> Condensation:
     # All block matrices live in one flat buffer, block k at matrix_bounds[k].
     k, l = node_block[rows], node_block[cols]
     li, lj = local[rows], local[cols]
-    inner = k == l
+    inner = ~cross
     matrix_bounds = np.concatenate(([0], np.cumsum(size * size)))
     matrices = np.zeros(matrix_bounds[-1])
     matrices[matrix_bounds[k[inner]] + li[inner] * size[k[inner]] + lj[inner]] = vals[inner]
 
     # Couplings grouped by (k, l) in order of first appearance, cells sorted.
-    cross = ~inner
     k, l, li, lj = k[cross], l[cross], li[cross], lj[cross]
     if np.any(l >= k):
         raise CondensationError("a coupling runs against the topological order")
-    keys, first, group = np.unique(k * c + l, return_index=True, return_inverse=True)
     rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(keys))
+    rank[np.argsort(first)] = np.arange(len(codes))
     order = np.lexsort((lj, li, rank[group]))
     arrays = (k[order], rows[cross][order], cols[cross][order], vals[cross][order])
-    dag, level = _csr(keys % c, keys // c, c), np.array(depth)[topo]
+    dag, level = _csr(new_of[codes // c], new_of[codes % c], c), np.array(depth)[topo]
     for a in (*arrays, *dag, level, node_block, permutation, bounds, matrices, matrix_bounds):
         a.flags.writeable = False
 
@@ -200,32 +199,19 @@ _CLASS_COLOR = {
 }
 
 
-def to_dot(
-    cond: Condensation,
-    spectra=None,
-    trivial: Sequence[bool] | None = None,
-    verdict_name: str | None = None,
-) -> str:
-    """Render the condensation as a DOT digraph, one node per block.
-
-    With spectral data (a `Spectra`) attached, nodes are labeled
+def to_dot(cond: Condensation, spectra, trivial: Sequence[bool], verdict_name: str) -> str:
+    """Render the condensation as a DOT digraph, one node per block, with the
+    verdict as a comment. From the `Spectra`, nodes are labeled
     ``B<k> (size, mu, class)`` and colored grey / blue / red for sub-critical /
     critical / super-critical; blocks flagged in `trivial` get a dashed outline.
     """
-    lines = ["digraph condensation {"]
-    if verdict_name is not None:
-        lines.append(f"  // verdict: {verdict_name}")
-    lines.append("  rankdir=LR;")
-    lines.append("  node [shape=ellipse];")
+    lines = ["digraph condensation {", f"  // verdict: {verdict_name}", "  rankdir=LR;",
+             "  node [shape=ellipse];"]
     for k, size in enumerate(np.diff(cond.bounds).tolist()):
-        if spectra is None:
-            attrs = [f'label="B{k} (size={size})"']
-        else:
-            cls = spectra.classification[k].value
-            label = f"B{k} (size={size}, mu={spectra.mu[k]:.6g}, {cls})"
-            style = '"filled,dashed"' if trivial is not None and trivial[k] else "filled"
-            attrs = [f'label="{label}"', f"style={style}", f"fillcolor={_CLASS_COLOR[cls]}"]
-        lines.append(f"  B{k} [{', '.join(attrs)}];")
+        cls = spectra.classification[k].value
+        label = f"B{k} (size={size}, mu={spectra.mu[k]:.6g}, {cls})"
+        style = '"filled,dashed"' if trivial[k] else "filled"
+        lines.append(f'  B{k} [label="{label}", style={style}, fillcolor={_CLASS_COLOR[cls]}];')
     indptr, succ = cond.dag
     for l, k in zip(np.repeat(np.arange(cond.h), np.diff(indptr)).tolist(), succ.tolist()):
         lines.append(f"  B{l} -> B{k};")

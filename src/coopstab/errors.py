@@ -137,6 +137,8 @@ class TooLargeForDense(CoopStabError):
 
 
 class GapTooSmall(CoopStabError):
+    MIN_GAP = 1e-8  # the smallest spectral gap the limit check certifies, as the message says
+
     def __init__(self, gap: float):
         self.gap = gap
         super().__init__(

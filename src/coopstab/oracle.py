@@ -10,7 +10,7 @@ decomposition must recover. No pipeline module imports this one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -19,11 +19,17 @@ from scipy.linalg import expm
 from .condensation import Condensation, condense
 from .errors import (BadBlockOrder, GapTooSmall, InfeasibleSpec, NonFiniteResult,
                      TooLargeForDense, TooManyBlocks, ValidationError)
-from .spectral import BlockClass, SpectralOptions, Spectra, dominant_eigenpair
+from .spectral import BlockClass, SpectralOptions, Spectra, _inf_norm, classify, dominant_eigenpair
 from .stability import Verdict
 from .system import CooperativeSystem, from_dense, state_vector, validate
 
 DENSE_LIMIT = 500
+# The dense verdict's bands: an eigenvalue within DENSE_ZERO_TOL * max(1, ||A||_inf) of zero
+# counts as zero, a singular value at most DENSE_RANK_TOL * ||A||_inf as rank-deficient.
+DENSE_ZERO_TOL = 1e-8
+DENSE_RANK_TOL = 1e-10
+HORIZON_CAP = 1e4  # the limit check's largest certification horizon
+PATH_SUM_LIMIT = 12  # the most blocks a path-sum enumeration takes
 
 TOPOLOGIES = ("chain", "diamond", "forest", "random-dag")
 CLASS_NAMES = ("critical", "sub-critical", "super-critical")
@@ -41,24 +47,19 @@ class DenseVerdict:
     verdict: Verdict
 
 
-def dense_verdict(
-    system: CooperativeSystem,
-    *,
-    eig_tol_rel: float = 1e-8,
-    rank_tol_rel: float = 1e-10,
-) -> DenseVerdict:
+def dense_verdict(system: CooperativeSystem) -> DenseVerdict:
     if system.n > DENSE_LIMIT:
         raise TooLargeForDense(system.n, DENSE_LIMIT)
     a = system.to_dense()
     scale = system.inf_norm()
-    tol = eig_tol_rel * max(1.0, scale)
+    tol = DENSE_ZERO_TOL * max(1.0, scale)
 
     eigs = np.linalg.eigvals(a)
     dominant = float(np.max(eigs.real))
     alg = int(np.sum((np.abs(eigs.real) <= tol) & (np.abs(eigs.imag) <= tol)))
 
     sv = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(sv > rank_tol_rel * scale))
+    rank = int(np.sum(sv > DENSE_RANK_TOL * scale))
     geo = system.n - rank
 
     if dominant > tol:
@@ -83,7 +84,7 @@ def simulate(
     """Trajectory e^(A t) m0 at the requested times, one row per time."""
     if system.n > DENSE_LIMIT:
         raise TooLargeForDense(system.n, DENSE_LIMIT)
-    m0 = state_vector(m0, system.n, nonnegative=True)
+    m0 = state_vector(m0, system.n)
     ts = [float(t) for t in times]
     if not all(map(math.isfinite, ts)):
         raise ValidationError(f"times must be finite, got {ts}")
@@ -104,41 +105,40 @@ class LimitCheckResult:
     gap: float
 
 
-def expm_limit_check(
-    matrix,
-    *,
-    block: int = 0,
-    opts: SpectralOptions | None = None,
-    gap_min: float = 1e-8,
-    t_cap: float = 1e4,
-) -> LimitCheckResult:
+def expm_limit_check(matrix, *, block: int = 0, opts: SpectralOptions | None = None) -> LimitCheckResult:
     """For a critical irreducible block matrix B, check that the left dominant
     vector u is fixed by e^(tB) at a horizon where every other mode has decayed.
 
     The horizon is 50 over the spectral gap, capped; finite-t residuals are
     all a numeric check can certify, so the horizon is reported alongside.
-    A gap that is not finite certifies nothing; errors name `block`.
+    A gap that is not finite certifies nothing. A block that `analyze` would
+    not call critical (the same eigensolve and band) is refused with a
+    ValidationError; errors name `block`.
     """
     b = np.asarray(matrix, dtype=float)
-    d = b.shape[0]
-    if d == 1:
+    gap = math.inf
+    if len(b) > 1:
+        eigs = np.linalg.eigvals(b)
+        order = np.argsort(eigs.real)[::-1]
+        gap = float(eigs[order[0]].real) - float(eigs[order[1]].real)  # Python floats: no warning
+        if not math.isfinite(gap):
+            raise NonFiniteResult(f"block {block}: eigenvalues or spectral gap not finite")
+        if gap < GapTooSmall.MIN_GAP:
+            raise GapTooSmall(gap)
+    scale = float(_inf_norm(b[None])[0])
+    if not math.isfinite(scale):
+        raise NonFiniteResult(f"block {block}: absolute row sum overflows")
+    klass = classify(dominant_eigenpair(b, opts, block)[0], scale, opts)
+    if klass is not BlockClass.CRITICAL:
+        raise ValidationError(f"block {block} is {klass.value}; the limit check needs a critical block")
+    if len(b) == 1:
         t_big = 1.0
         l = expm(b * t_big)
         u = np.ones(1)
         res = float(np.max(np.abs(u @ l - u)))
-        return LimitCheckResult(residual=res, t_big=t_big, gap=np.inf)
+        return LimitCheckResult(residual=res, t_big=t_big, gap=gap)
 
-    eigs = np.linalg.eigvals(b)
-    order = np.argsort(eigs.real)[::-1]
-    mu = float(eigs[order[0]].real)
-    second = float(eigs[order[1]].real)
-    gap = mu - second  # Python floats: inf or nan without a warning
-    if not math.isfinite(gap):
-        raise NonFiniteResult(f"block {block}: eigenvalues or spectral gap not finite")
-    if gap < gap_min:
-        raise GapTooSmall(gap)
-    t_big = min(50.0 / gap, t_cap)
-
+    t_big = min(50.0 / gap, HORIZON_CAP)
     l = expm(b * t_big)
     _, u = dominant_eigenpair(b.T.copy(), opts, block)
     res = float(np.max(np.abs(u @ l - u))) / float(np.max(np.abs(u)))
@@ -164,22 +164,16 @@ def extract_coupling(cond: Condensation, k: int, l: int) -> np.ndarray:
     return mat
 
 
-def path_sum_matrix(
-    cond: Condensation,
-    spectra: Spectra,
-    k: int,
-    l: int,
-    *,
-    max_blocks: int = 12,
-) -> np.ndarray:
+def path_sum_matrix(cond: Condensation, spectra: Spectra, k: int, l: int) -> np.ndarray:
     """Alternating sum over all directed block paths from l to k.
 
     Each path l -> b_1 -> ... -> b_{n-1} -> k of n edges contributes
     (-1)^(n-1) C[k, b_{n-1}] B_{b_{n-1}}^{-1} ... B_{b_1}^{-1} C[b_1, l].
-    Path enumeration is exponential in the block count.
+    Path enumeration is exponential in the block count, so a condensation of
+    more than PATH_SUM_LIMIT blocks is refused.
     """
-    if cond.h > max_blocks:
-        raise TooManyBlocks(cond.h, max_blocks)
+    if cond.h > PATH_SUM_LIMIT:
+        raise TooManyBlocks(cond.h, PATH_SUM_LIMIT)
     if not (0 <= l < k < cond.h):
         raise BadBlockOrder(f"need 0 <= l < k < h, got l={l}, k={k}, h={cond.h}")
 
@@ -210,13 +204,7 @@ def path_sum_matrix(
     return total
 
 
-def steady_state_by_path_sum(
-    cond: Condensation,
-    spectra: Spectra,
-    free_block: int,
-    *,
-    max_blocks: int = 12,
-) -> np.ndarray:
+def steady_state_by_path_sum(cond: Condensation, spectra: Spectra, free_block: int) -> np.ndarray:
     """Basis vector for one free block evaluated through the path-sum form;
     cross-validates the recursive propagation."""
     x = np.zeros(len(cond.node_to_block))
@@ -226,7 +214,7 @@ def steady_state_by_path_sum(
     for k in range(free_block + 1, cond.h):
         if spectra.classification[k] is not BlockClass.SUB_CRITICAL:
             continue
-        p = path_sum_matrix(cond, spectra, k, free_block, max_blocks=max_blocks)
+        p = path_sum_matrix(cond, spectra, k, free_block)
         if not p.any():
             continue
         x[cond.permutation[cond.bounds[k]:cond.bounds[k + 1]]] = -np.linalg.inv(cond.matrix(k)) @ (p @ phi)
@@ -458,38 +446,25 @@ def generate_marginally_stable(spec: GeneratorSpec) -> CooperativeSystem:
     return _assemble(plan, dag, rng, spec)
 
 
-def generate_compartmental(
-    *,
-    num_blocks: tuple[int, int] = (1, 4),
-    block_size: tuple[int, int] = (1, 3),
-    edge_density: float = 0.5,
-    weight_range: tuple[float, float] = (0.5, 1.5),
-    seed: int = 0,
-) -> CooperativeSystem:
+def generate_compartmental(spec: GeneratorSpec) -> CooperativeSystem:
     """Random compartmental matrix (all column sums <= 0) with exactly one
     trap: the last block keeps zero column sums and no outgoing links, every
-    other block leaks."""
-    spec = GeneratorSpec(
-        num_blocks=num_blocks,
-        block_size=block_size,
-        edge_density=edge_density,
-        weight_range=weight_range,
-        seed=seed,
-    )
-    _check_spec(spec)
-    rng = np.random.default_rng(seed)
-    h = int(rng.integers(num_blocks[0], num_blocks[1] + 1))
-    sizes = [int(rng.integers(block_size[0], block_size[1] + 1)) for _ in range(h)]
+    other block leaks. Block count and sizes come from the spec's ranges, its
+    `planted` list is ignored, and the blocks link as a random DAG."""
+    _check_spec(replace(spec, planted=None))
+    rng = np.random.default_rng(spec.seed)
+    h = int(rng.integers(spec.num_blocks[0], spec.num_blocks[1] + 1))
+    sizes = [int(rng.integers(spec.block_size[0], spec.block_size[1] + 1)) for _ in range(h)]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     n = int(offsets[-1])
-    wlo, whi = weight_range
+    wlo, whi = spec.weight_range
 
     a = np.zeros((n, n))
     for k, d in enumerate(sizes):
         base = offsets[k]
         if d > 1:
             a[base : base + d, base : base + d] = _nonneg_irreducible(d, rng, wlo, whi)
-    dag = _planted_edges("random-dag", h, edge_density, rng)
+    dag = _planted_edges("random-dag", h, spec.edge_density, rng)
     dag = {(l, k) for (l, k) in dag if l != h - 1}  # the trap keeps no outgoing links
     for l, k in sorted(dag):
         i = int(rng.integers(0, sizes[k]))

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor
+from scipy.linalg import get_lapack_funcs
 
 from .condensation import Condensation, condense
 from .errors import (
@@ -36,8 +36,9 @@ from .spectral import BlockClass, SpectralOptions, Spectra, analyze_all_blocks
 from .system import CooperativeSystem
 
 TINY_PIVOT_REL = 1e-13
-# LAPACK's dgetrs, the routine lu_solve calls, without lu_solve's checks.
-_GETRS, = get_lapack_funcs(("getrs",), dtype=np.float64)
+# LAPACK's dgetrf and dgetrs, called directly: `_solve` checks the pivots and the finiteness
+# itself. The factorization keeps the name lu_factor, the boundary that tracing wraps.
+lu_factor, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 class Verdict(enum.Enum):
@@ -226,7 +227,7 @@ def _solve(cond: Condensation, spectra: Spectra, blk: np.ndarray, col: np.ndarra
     else:
         ks, at = np.unique(blk, return_inverse=True)
         b = cond.matrix(ks, d)
-        factors = [lu_factor(m) for m in b]  # the module name, so tracing can count the calls
+        factors = [lu_factor(m)[:2] for m in b]  # (lu, piv); a zero pivot is caught below
         singular = np.abs([lu.diagonal() for lu, _ in factors]).min(axis=1) <= TINY_PIVOT_REL * np.maximum(
             1e-300, np.abs(b).sum(axis=2).max(axis=1))
         failures.update((k, SingularSubCriticalSolve(k)) for k in ks[singular].tolist())

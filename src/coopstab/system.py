@@ -201,18 +201,18 @@ def from_dense(matrix: np.ndarray | list, node_labels: Iterable[str] | None = No
     return validate((i, j, a[i, j]), a.shape[0], node_labels)
 
 
-def state_vector(values: Iterable[float], n: int | None = None, *, nonnegative: bool = False) -> np.ndarray:
-    """Validate a state vector; returns a float copy."""
+def state_vector(values: Iterable[float], n: int) -> np.ndarray:
+    """Validate a state vector of n finite non-negative entries; returns a float copy."""
     v = np.array(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
     if v.ndim != 1:
         raise ValidationError(f"state vector must be one-dimensional, got shape {v.shape}")
-    if n is not None and v.shape[0] != n:
+    if v.shape[0] != n:
         raise ValidationError(f"state vector has length {v.shape[0]}, system has {n} nodes")
     finite = np.isfinite(v)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ValidationError(f"state vector entry {bad} is not finite ({v[bad]})")
-    if nonnegative and np.any(v < 0):
+    if np.any(v < 0):
         bad = int(np.argmin(v))
         raise ValidationError(f"state vector entry {bad} is negative ({v[bad]})")
     return v
@@ -428,10 +428,10 @@ def _require_number(value, what: str) -> float:
         raise ParseError(0, f"{what} is not finite as a float") from None
 
 
-def is_compartmental(system: CooperativeSystem, tol_rel: float = 1e-12) -> bool:
+def is_compartmental(system: CooperativeSystem) -> bool:
     """True when every column sum is non-positive (a conserved quantity with
-    possible external leaks)."""
+    possible external leaks), to 1e-12 of max(1, the largest |entry|)."""
     _, cols, vals = system.coo
     col = np.bincount(cols, vals, system.n)
     scale = float(np.abs(vals).max(initial=0.0))
-    return bool(np.all(col <= tol_rel * max(1.0, scale)))
+    return bool(np.all(col <= 1e-12 * max(1.0, scale)))

@@ -33,7 +33,7 @@ from coopstab import (
     validate,
     verdict,
 )
-from coopstab.cli import _reason_dict, _tolerances_dict
+from coopstab.cli import _reason_dict
 from coopstab.stability import TINY_PIVOT_REL, _refuse_super_critical, nullspace_residual
 
 
@@ -541,7 +541,7 @@ def reference_report_payload(system, cond, spectra, report, opts) -> dict:
     trivial, free = report.trivial.tolist(), report.free.tolist()
     return {
         "version": __version__,
-        "tolerances": _tolerances_dict(opts),
+        "tolerances": vars(opts),
         "n": system.n,
         "h": cond.h,
         "verdict": report.verdict.value,
@@ -583,7 +583,7 @@ def reference_basis_payload(system, basis: SteadyStateBasis, opts, forced: bool)
         )
     payload = {
         "version": __version__,
-        "tolerances": _tolerances_dict(opts),
+        "tolerances": vars(opts),
         "n": system.n,
         "labels": list(system.node_labels),
         "vectors": vectors,

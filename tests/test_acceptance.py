@@ -219,7 +219,7 @@ def test_criterion_8_compartmental_trap():
     """A compartmental system with exactly one trap is marginally stable with
     a one-dimensional non-negative steady state."""
     for seed in range(100):
-        system = generate_compartmental(seed=seed)
+        system = generate_compartmental(GeneratorSpec(seed=seed))
         assert is_compartmental(system)
         cond, spectra, report = full_analysis(system)
         assert len(find_traps(cond, spectra)) == 1

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -473,7 +474,9 @@ def test_oracle_limit_check_reads_the_spectral_flags(capsys):
     ("2 2 2\n1 2 1e308\n2 1 1e308", 0, "block 0: eigenvalues or spectral gap not finite"),
     # block 1 is {2, 3}, whose 1e308 diagonal overflows the shift
     ("3 3 4\n2 2 1e308\n2 3 1\n3 2 1\n2 1 1", 1, "block 1: shifted matrix overflows"),
-], ids=["infinite-gap", "shift-overflow"])
+    # a finite gap (1e308), but the absolute row sum overflows: analyze's error, not a class
+    ("2 2 4\n1 1 -1e308\n1 2 1e308\n2 1 1\n2 2 -1", 0, "block 0: absolute row sum overflows"),
+], ids=["infinite-gap", "shift-overflow", "row-sum-overflow"])
 @pytest.mark.filterwarnings("error")
 def test_oracle_limit_check_non_finite_exit_70(tmp_path, capsys, entries, block, error):
     path = tmp_path / "huge.mtx"
@@ -482,6 +485,37 @@ def test_oracle_limit_check_non_finite_exit_70(tmp_path, capsys, entries, block,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "fixture", sorted(p.name for p in FIXTURES.iterdir() if p.is_file())
+)
+def test_oracle_limit_check_refuses_the_blocks_analyze_calls_not_critical(capsys, fixture):
+    main(["analyze", str(FIXTURES / fixture)])
+    classes = [block["class"] for block in json.loads(capsys.readouterr().out)["blocks"]]
+    for k, klass in enumerate(classes):
+        rc = main(["oracle", "limit-check", str(FIXTURES / fixture), "--block", str(k)])
+        captured = capsys.readouterr()
+        if klass == "critical":
+            assert (rc, captured.err) == (0, "")
+        else:
+            assert (rc, captured.out) == (64, "")
+            assert captured.err == f"error: block {k} is {klass}; the limit check needs a critical block\n"
+
+
+def test_steady_state_on_a_singular_sub_critical_block_prints_one_error_line(capsys):
+    # block 1 = [[-0.5, 2], [0.5, -2]] is singular; its computed mu, -4.4e-16, is sub-critical
+    # only in a band of width zero
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["steady-state", str(FIXTURES / "singular_sub.mtx"), "--crit-tol-rel", "0"])
+    captured = capsys.readouterr()
+    assert rc == 70
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: linear solve on block 1 hit a tiny pivot; the block was classified sub-critical "
+        "but is numerically singular (likely a borderline criticality call)"]
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("block", ["2", "9", "-1"])
@@ -540,7 +574,7 @@ def test_analyze_pretty_golden_corpus(fixture, capsys):
     # power-iteration path; later fixtures are appended, so that no case id
     # (which counts the cases) changes
     [(p.name, "steady", []) for p in sorted(FIXTURES.iterdir())
-     if p.is_file() and p.name not in ("large_scc.mtx", "grouped_levels.mtx")]
+     if p.is_file() and p.name not in ("large_scc.mtx", "grouped_levels.mtx", "singular_sub.mtx")]
     + [("critical_pair.mtx", "steady-forced", ["--force-nullspace"]),
        ("shared_cone.mtx", "steady-pretty", ["--pretty"]),
        ("critical_pair.mtx", "steady-pretty", ["--pretty", "--force-nullspace"]),
@@ -549,7 +583,9 @@ def test_analyze_pretty_golden_corpus(fixture, capsys):
        ("large_scc.mtx", "steady-max-iter-1", ["--max-iter", "1"]),
        ("large_scc.mtx", "steady-dense-cutoff-0", ["--dense-cutoff", "0"]),
        ("grouped_levels.mtx", "steady", []),
-       ("grouped_levels.mtx", "steady-pretty", ["--pretty"])],
+       ("grouped_levels.mtx", "steady-pretty", ["--pretty"]),
+       ("singular_sub.mtx", "steady", []),
+       ("singular_sub.mtx", "steady-crit-tol-rel-0", ["--crit-tol-rel", "0"])],
 )
 def test_steady_state_golden_corpus(fixture, tag, extra, capsys):
     """steady-state stdout and exit code are byte-identical to the stored golden."""
@@ -666,6 +702,9 @@ def test_oracle_generate_bad_config_is_an_input_error(tmp_path, capsys, config, 
         (["--classes", "foo"], "unknown class 'foo'"),
         (["--density", "2"], "edge density"),
         (["--topology", "ring"], "unknown topology"),
+        # the compartmental generator checks the fields it does not read as well
+        (["--classes", "foo", "--compartmental"], "unknown class 'foo'"),
+        (["--topology", "ring", "--compartmental"], "unknown topology"),
     ],
 )
 def test_oracle_generate_bad_flag_is_an_input_error(capsys, args, message):

@@ -162,8 +162,6 @@ def test_dot_export_shapes_and_colors():
     assert dot.count("[label=") == 8
     assert "fillcolor=blue" in dot  # zero-diagonal cycles are critical
     assert "// verdict:" in dot
-    bare = to_dot(cond)
-    assert "fillcolor" not in bare
 
 
 # ---------------------------------------------------------------------------

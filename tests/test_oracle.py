@@ -220,7 +220,7 @@ def test_critical_matrix_plants_zero_within_rounding():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_compartmental_has_one_trap(seed):
-    system = generate_compartmental(seed=seed)
+    system = generate_compartmental(GeneratorSpec(seed=seed))
     assert is_compartmental(system)
     cond, spectra, report = full_analysis(system)
     assert report.verdict is Verdict.MARGINALLY_STABLE

@@ -502,9 +502,11 @@ def test_path_sum_diamond_sums_both_routes():
 
 
 def test_path_sum_block_budget():
-    _, cond, spectra = _analyze([[0, 0, 0], [1, -1, 0], [0, 1, -1]])
+    a = np.diag([0.0] + [-1.0] * 12) + np.eye(13, k=-1)  # a chain of 13 singletons
+    _, cond, spectra = _analyze(a)
+    assert cond.h == 13
     with pytest.raises(TooManyBlocks):
-        path_sum_matrix(cond, spectra, 2, 0, max_blocks=2)
+        path_sum_matrix(cond, spectra, 12, 0)
 
 
 @pytest.mark.parametrize("seed", range(20))

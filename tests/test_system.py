@@ -78,7 +78,7 @@ def test_state_vector_checks():
     with pytest.raises(ValidationError):
         state_vector([1.0], 2)
     with pytest.raises(ValidationError):
-        state_vector([1.0, -0.1], 2, nonnegative=True)
+        state_vector([1.0, -0.1], 2)
 
 
 def test_validate_takes_the_coo_arrays():

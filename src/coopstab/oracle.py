@@ -109,9 +109,9 @@ def expm_limit_check(matrix, *, block: int = 0, opts: SpectralOptions | None = N
     """For a critical irreducible block matrix B, check that the left dominant
     vector u is fixed by e^(tB) at a horizon where every other mode has decayed.
 
-    The horizon is 50 over the spectral gap, capped; finite-t residuals are
-    all a numeric check can certify, so the horizon is reported alongside.
-    A gap that is not finite certifies nothing. A block that `analyze` would
+    The horizon is 50 over the spectral gap, capped at HORIZON_CAP; finite-t
+    residuals are all a numeric check can certify, so the horizon is reported
+    alongside. A gap that is not finite certifies nothing. A block that `analyze` would
     not call critical (the same eigensolve and band) is refused with a
     ValidationError; errors name `block`.
     """

@@ -63,6 +63,7 @@ from .stability import (
     find_traps,
     full_analysis,
     nullspace_residual,
+    nullspace_residuals,
     steady_state_basis,
     trivial_blocks,
     verdict,

@@ -43,6 +43,7 @@ from .stability import (
     Verdict,
     full_analysis,
     nullspace_residual,
+    nullspace_residuals,
     steady_state_basis,
 )
 from .system import (
@@ -220,7 +221,7 @@ def _column_texts(n: int, indptr: np.ndarray, nodes: np.ndarray, values: np.ndar
 def _write_basis(system, basis: SteadyStateBasis, opts, forced: bool, out) -> None:
     """Write `_dumps` of the steady-state payload and a newline to `out` from the CSC columns,
     without building the payload; a residual or value not finite fails before the first byte."""
-    residuals = [nullspace_residual(system, vec) for vec in basis.vectors]
+    residuals = nullspace_residuals(system, basis.csc)
     if not (np.isfinite(residuals).all() and np.isfinite(basis.csc[2]).all()):
         raise NonFiniteResult("output contains a value that is not finite")
     head = {"labels": list(system.node_labels), "n": system.n,
@@ -234,7 +235,7 @@ def _write_basis(system, basis: SteadyStateBasis, opts, forced: bool, out) -> No
     # "vectors" sorts between "tolerances" and "version".
     out.write(f'{_dumps(head)[:-1]}, "vectors": [')
     for c, (name, k, residual, text) in enumerate(zip(
-            basis.free_parameters, basis.free_blocks, residuals, _column_texts(system.n, *basis.csc))):
+            basis.free_parameters, basis.free_blocks, residuals.tolist(), _column_texts(system.n, *basis.csc))):
         out.write(
             f'{", " if c else ""}{{"alpha": {encode_basestring_ascii(name)}, "free_block": {k:d}, '
             f'"residual_inf": {float.__repr__(residual)}, "values": [{text}]}}'

@@ -109,16 +109,16 @@ def _tarjan(n: int, indptr: np.ndarray, indices: np.ndarray) -> list[int]:
     return comp_of
 
 
-def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Out-neighbour CSR of the edges src -> dst, neighbours ascending."""
-    order = np.lexsort((dst, src))
+def _csr(src: np.ndarray, dst: np.ndarray, n: int, order=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Out-neighbour CSR of the edges src -> dst taken in `order`, which groups them by source."""
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
     return indptr, dst[order]
 
 
 def _topological_order(min_node: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[list, list]:
     """Kahn's algorithm on the component DAG, always taking the ready
-    component with the smallest node; also each component's longest-path depth."""
+    component with the smallest node; also each component's longest-path depth.
+    The edges come grouped by source, in any order within it: the heap keys are unique."""
     c = len(min_node)
     indptr, succ = (a.tolist() for a in _csr(src, dst, c))
     indeg = np.bincount(dst, minlength=c).tolist()
@@ -147,12 +147,14 @@ def condense(system: CooperativeSystem) -> Condensation:
     n = system.n
     rows, cols, vals = system.coo
     off = rows != cols
-    comp_of = np.array(_tarjan(n, *_csr(cols[off], rows[off], n)), dtype=np.intp)
+    # Tarjan's visiting order changes only its component ids, which are renumbered below.
+    src, dst = cols[off], rows[off]
+    comp_of = np.array(_tarjan(n, *_csr(src, dst, n, np.argsort(src, kind="stable"))), dtype=np.intp)
     _, min_node = np.unique(comp_of, return_index=True)
     c = len(min_node)
 
-    # The component DAG's edges, deduplicated once: they give the topological numbering of the
-    # blocks, the grouping of the couplings and the block DAG.
+    # The component DAG's edges, deduplicated once and so sorted by source: they give the
+    # topological numbering of the blocks, the grouping of the couplings and the block DAG.
     ca, cb = comp_of[cols], comp_of[rows]
     cross = ca != cb
     codes, first, group = np.unique(ca[cross] * c + cb[cross], return_index=True, return_inverse=True)
@@ -184,7 +186,8 @@ def condense(system: CooperativeSystem) -> Condensation:
     rank[np.argsort(first)] = np.arange(len(codes))
     order = np.lexsort((lj, li, rank[group]))
     arrays = (k[order], rows[cross][order], cols[cross][order], vals[cross][order])
-    dag, level = _csr(new_of[codes // c], new_of[codes % c], c), np.array(depth)[topo]
+    src, dst = new_of[codes // c], new_of[codes % c]
+    dag, level = _csr(src, dst, c, np.lexsort((dst, src))), np.array(depth)[topo]
     for a in (*arrays, *dag, level, node_block, permutation, bounds, matrices, matrix_bounds):
         a.flags.writeable = False
 

@@ -449,9 +449,15 @@ def generate_marginally_stable(spec: GeneratorSpec) -> CooperativeSystem:
 def generate_compartmental(spec: GeneratorSpec) -> CooperativeSystem:
     """Random compartmental matrix (all column sums <= 0) with exactly one
     trap: the last block keeps zero column sums and no outgoing links, every
-    other block leaks. Block count and sizes come from the spec's ranges, its
-    `planted` list is ignored, and the blocks link as a random DAG."""
+    other block leaks. Block count and sizes come from the spec's ranges, and
+    the blocks link as a random DAG; the fields it does not read must keep
+    their defaults, or the spec is infeasible."""
     _check_spec(replace(spec, planted=None))
+    unread = [name for name in ("topology", "classes", "planted", "class_margin", "shuffle_nodes")
+              if getattr(spec, name) != getattr(GeneratorSpec, name)]
+    if unread:
+        raise InfeasibleSpec(f"the compartmental generator does not read {', '.join(unread)}; "
+                             "leave them at their defaults")
     rng = np.random.default_rng(spec.seed)
     h = int(rng.integers(spec.num_blocks[0], spec.num_blocks[1] + 1))
     sizes = [int(rng.integers(spec.block_size[0], spec.block_size[1] + 1)) for _ in range(h)]

@@ -363,21 +363,40 @@ def steady_state_basis(
                             free_parameters=tuple(f"alpha_{k}" for k in final.tolist()))
 
 
-def nullspace_residual(system: CooperativeSystem, vector: np.ndarray) -> float:
-    """Infinity norm of A v, the defect of v as a fixed point, each row's terms summed in input
-    order. When under an eighth of the nodes are in the support of v, only the entries of those
-    columns are read, put back in input order by a sort (a term skipped is finite times +-0.0);
-    from about that share on, reading every entry costs less than the sort."""
+def nullspace_residuals(system: CooperativeSystem, csc: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Infinity norm of A v, the defect of v as a fixed point, for each column v of the CSC arrays
+    `csc`, each row's terms summed in input order. The columns with under an eighth of the nodes
+    in their support read only those columns' entries (a term skipped is finite times +-0.0), all
+    in one pass, put in (column, input position) order by one sort. A column with more support
+    writes at least n / 8 values anyway, so it reads every entry, one column at a time."""
     rows, cols, vals = system.coo
+    indptr, nodes, values = csc
+    col = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    live = values != 0  # NaN included
+    sparse = 8 * np.bincount(col[live], minlength=len(indptr) - 1) < system.n
+    out = np.zeros(len(sparse))
+    for c in np.flatnonzero(~sparse).tolist():
+        out[c] = np.abs(np.bincount(rows, weights=vals * _Columns(system.n, csc)[c][cols])).max(initial=0.0)
+    if sparse.any():
+        live &= sparse[col]
+        by_ptr, by_order = system.by_column
+        j = nodes[live]
+        at, of = _ranges(by_ptr[j], by_ptr[j + 1] - by_ptr[j])
+        pos, col, x = by_order[at], col[live][of], values[live][of]
+        order = np.argsort(col * len(rows) + pos)
+        code, at = np.unique(col[order] * system.n + rows[pos[order]], return_inverse=True)
+        total = np.abs(np.bincount(at, vals[pos[order]] * x[order], len(code)))
+        first = np.flatnonzero(np.diff(code // system.n, prepend=-1))  # each column's first code
+        out[code[first] // system.n] = np.maximum.reduceat(total, first)
+    return out
+
+
+def nullspace_residual(system: CooperativeSystem, vector: np.ndarray) -> float:
+    """Infinity norm of A v, the defect of v as a fixed point: `nullspace_residuals` of one column."""
     vector = np.asarray(vector)
     if vector.shape != (system.n,):
         raise ValidationError(f"vector has shape {vector.shape}, expected ({system.n},)")
-    support = np.flatnonzero(vector != 0)  # NaN included
-    at = slice(None)
-    if 8 * len(support) < len(vector):
-        indptr, order = system.by_column
-        at = np.sort(order[_ranges(indptr[support], indptr[support + 1] - indptr[support])[0]])
-    return float(np.abs(np.bincount(rows[at], weights=vals[at] * vector[cols[at]])).max(initial=0.0))
+    return float(nullspace_residuals(system, (np.array([0, system.n]), np.arange(system.n), vector))[0])
 
 
 def find_traps(cond: Condensation, spectra: Spectra) -> tuple[int, ...]:

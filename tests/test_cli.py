@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import basis_from_vectors, reference_basis_payload, reference_report_payload
 from coopstab import (
     BlockClass,
+    CoopStabError,
     CriticalPath,
     NonFiniteResult,
     SuperCriticalBlock,
@@ -23,6 +24,9 @@ from coopstab import (
     from_dense,
     full_analysis,
     load_matrix_market,
+    nullspace_residual,
+    nullspace_residuals,
+    steady_state_basis,
     to_matrix_market,
     validate,
 )
@@ -168,7 +172,7 @@ def test_overflow_into_multi_node_block_exit_70(tmp_path, capsys):
 
 
 def test_non_finite_residual_exit_70(monkeypatch, marginal, capsys):
-    monkeypatch.setattr("coopstab.cli.nullspace_residual", lambda *args: float("inf"))
+    monkeypatch.setattr("coopstab.cli.nullspace_residuals", lambda system, csc: np.full(len(csc[0]) - 1, np.inf))
     assert main(["steady-state", marginal]) == 70
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -595,6 +599,25 @@ def test_steady_state_golden_corpus(fixture, tag, extra, capsys):
     assert rc == int((FIXTURES / "golden" / f"{fixture}.{tag}.exit").read_text())
 
 
+def test_batched_residuals_equal_the_one_vector_residual_on_every_fixture():
+    """The residuals `steady-state` prints, from one pass over the basis, equal
+    `nullspace_residual` of each column as a dense vector, forced bases included."""
+    built = []
+    for path in sorted(p for p in FIXTURES.iterdir() if p.is_file()):
+        system = cli._load_system(str(path), "auto")
+        cond, spectra, report = full_analysis(system)
+        try:
+            basis = steady_state_basis(cond, spectra, report, force=True)
+        except CoopStabError:
+            continue
+        residuals = nullspace_residuals(system, basis.csc)
+        assert len(residuals) == len(basis.vectors)
+        for c, vector in enumerate(basis.vectors):
+            assert float.hex(float(residuals[c])) == float.hex(nullspace_residual(system, vector)), (path.name, c)
+        built.append((path.name, report.verdict))
+    assert ("critical_pair.mtx", Verdict.UNSTABLE) in built and len(built) >= 7
+
+
 @pytest.mark.parametrize(
     "fixture", sorted(p.name for p in FIXTURES.iterdir() if p.is_file())
 )
@@ -692,6 +715,16 @@ def test_oracle_generate_bad_config_is_an_input_error(tmp_path, capsys, config, 
     assert message in captured.err
 
 
+def test_oracle_generate_compartmental_refuses_config_fields_it_does_not_read(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"planted": [[2, "critical"]], "class_margin": 1.0, "shuffle_nodes": false, "seed": 3}')
+    assert main(["oracle", "generate", "--compartmental", "--config", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the compartmental generator does not read planted, class_margin, "
+                            "shuffle_nodes; leave them at their defaults\n")
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -705,6 +738,9 @@ def test_oracle_generate_bad_config_is_an_input_error(tmp_path, capsys, config, 
         # the compartmental generator checks the fields it does not read as well
         (["--classes", "foo", "--compartmental"], "unknown class 'foo'"),
         (["--topology", "ring", "--compartmental"], "unknown topology"),
+        # and refuses valid values of them but the defaults
+        (["--topology", "chain", "--compartmental"], "does not read topology;"),
+        (["--classes", "super-critical", "--compartmental"], "does not read classes;"),
     ],
 )
 def test_oracle_generate_bad_flag_is_an_input_error(capsys, args, message):
@@ -956,7 +992,7 @@ def test_basis_writer_writes_nothing_when_a_value_or_a_residual_is_not_finite(mo
     system = validate([(0, 0, -1.0), (1, 0, 0.5)], 3)
     vectors = [[1.0, 0.5, 0.0], [0.0, 0.0, np.inf if bad == "value" else 2.0]]
     if bad == "residual":
-        monkeypatch.setattr(cli, "nullspace_residual", lambda system, vec: np.nan if vec[2] else 0.0)
+        monkeypatch.setattr(cli, "nullspace_residuals", lambda system, csc: np.array([0.0, np.nan]))
     out = io.StringIO()
     with pytest.raises(NonFiniteResult):
         _write_basis(system, basis_from_vectors(3, vectors, (0, 2), ("a", "b")), DEFAULT_OPTIONS, False, out)

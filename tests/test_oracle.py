@@ -230,6 +230,17 @@ def test_compartmental_has_one_trap(seed):
     assert len(find_traps(cond, spectra)) == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("topology", "chain"), ("classes", ("super-critical",)), ("planted", ((2, "critical"),)),
+    ("class_margin", 1.0), ("shuffle_nodes", False),
+])
+def test_compartmental_refuses_a_field_it_does_not_read(field, value):
+    with pytest.raises(InfeasibleSpec, match=rf"^the compartmental generator does not read {field};"):
+        generate_compartmental(GeneratorSpec(seed=3, **{field: value}))
+    # the fields it reads still vary the system
+    assert generate_compartmental(GeneratorSpec(seed=3, num_blocks=(5, 5), block_size=(2, 2))).n == 10
+
+
 def test_infeasible_specs_rejected():
     with pytest.raises(InfeasibleSpec):
         generate(GeneratorSpec(topology="ring"))

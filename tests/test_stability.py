@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     block_nodes,
@@ -40,6 +42,7 @@ from coopstab import (
     generate,
     generate_marginally_stable,
     nullspace_residual,
+    nullspace_residuals,
     path_sum_matrix,
     steady_state_basis,
     steady_state_by_path_sum,
@@ -331,6 +334,15 @@ def test_sweep_matches_per_free_block_reference_bitwise(seed):
         assert not got.flags.writeable
 
 
+def _entry_loop_residual(system, vector) -> float:
+    """max |A v| with every entry's term added to its row in input order."""
+    out = np.zeros(system.n)
+    with np.errstate(invalid="ignore"):  # inf - inf in the loop
+        for (i, j), v in entry_dict(system).items():
+            out[i] += v * vector[j]
+    return float(np.max(np.abs(out)))
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_nullspace_residual_matches_entry_loop_bitwise(seed):
     rng = np.random.default_rng(seed)
@@ -346,13 +358,51 @@ def test_nullspace_residual_matches_entry_loop_bitwise(seed):
             vector[np.flatnonzero(vector)[0]] = np.inf
         if kind == "empty":
             vector[:] = 0.0
-        out = np.zeros(system.n)
-        with np.errstate(invalid="ignore"):  # inf * 0.0 in the loop; the residual skips zeros
-            for (i, j), v in entry_dict(system).items():
-                out[i] += v * vector[j]
-        assert nullspace_residual(system, vector) == float(np.max(np.abs(out))), kind
+        assert nullspace_residual(system, vector) == _entry_loop_residual(system, vector), kind
         # The column order of the entries is built on the first sparse support only.
         assert ("by_column" in vars(system)) is (kinds.index(kind) >= kinds.index("sparse")), kind
+
+
+# Terms of both signs and sizes apart, so that summing a row out of input order shows.
+_TERMS = (1.0, -1.0, 0.5, 3.0, 1e16, -1e16)
+
+
+@st.composite
+def _residual_cases(draw):
+    """An unvalidated system of n nodes and a CSC of columns with 0, 1, the most a sparse support
+    has, the least a dense one has, or n stored values, up to two of them +-0.0, +-inf or NaN.
+    The entries lie in rows 0-3, so that a row often reads several nodes of a sparse support,
+    and the order of its terms shows."""
+    n = draw(st.integers(64, 128))
+    pairs = draw(st.permutations([(i, j) for i in range(4) for j in range(n)]))[:draw(st.integers(n, 3 * n))]
+    rows, cols = np.array(pairs).T
+    vals = np.array(draw(st.lists(st.sampled_from(_TERMS), min_size=len(pairs), max_size=len(pairs))))
+    system = CooperativeSystem(n=n, coo=(rows, cols, vals), node_labels=tuple(map(str, range(n))))
+    indptr, nodes, values = [0], [], []
+    sizes = (0, 1, (n - 1) // 8, (n - 1) // 8, (n + 7) // 8, n)
+    for size in draw(st.lists(st.sampled_from(sizes), min_size=1, max_size=6)):
+        nodes += sorted(draw(st.permutations(range(n)))[:size])
+        column = draw(st.lists(st.sampled_from(_TERMS), min_size=size, max_size=size))
+        for i in draw(st.lists(st.integers(0, size - 1), max_size=2)) if size else ():
+            column[i] = draw(st.sampled_from((0.0, -0.0, np.inf, -np.inf, np.nan)))
+        values += column
+        indptr.append(len(nodes))
+    return system, (np.array(indptr), np.array(nodes, dtype=np.intp), np.array(values))
+
+
+@given(_residual_cases())
+@settings(max_examples=100, deadline=None)
+def test_nullspace_residuals_match_the_entry_loop_bitwise(case):
+    system, csc = case
+    got = nullspace_residuals(system, csc)
+    indptr, nodes, values = csc
+    sparse = [8 * np.count_nonzero(values[a:b]) < system.n for a, b in zip(indptr, indptr[1:])]
+    # The column order of the entries is built only for a column with a sparse support.
+    assert ("by_column" in vars(system)) is any(sparse)
+    for c, (a, b) in enumerate(zip(indptr, indptr[1:])):
+        vector = np.zeros(system.n)
+        vector[nodes[a:b]] = values[a:b]
+        assert float.hex(float(got[c])) == float.hex(_entry_loop_residual(system, vector)), c
 
 
 @pytest.mark.parametrize("shape", [(3,), (1,), (2, 1), (1, 2), ()])

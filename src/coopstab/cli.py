@@ -36,7 +36,7 @@ from .oracle import (
     generate_marginally_stable,
     simulate,
 )
-from .spectral import DEFAULT_OPTIONS, SpectralOptions
+from .spectral import DEFAULT_OPTIONS, BlockClass, SpectralOptions
 from .stability import (
     SteadyStateBasis,
     SuperCriticalBlock,
@@ -115,14 +115,20 @@ def _reason_dict(reason) -> dict | None:
 
 
 # Blocks per write of the streamed `analyze` report: only one chunk's text exists at a time.
-_REPORT_CHUNK = 4096
+_REPORT_CHUNK = 1024
+# A block's JSON text, after the ", " before it: key texts, with None where a field's text goes.
+_BLOCK = [", ", None, None, None, None, ', "labels": [', None, '], "mu": ', None, ', "nodes": [', None,
+          '], "size": ', None, None]
+_CLASS = {cls: f'{{"class": "{cls.value}", "criticality_tolerance": ' for cls in BlockClass}
+_FREE = tuple(f', "free": {flag}, "index": ' for flag in ("false", "true"))
+_TRIVIAL = tuple(f', "trivial": {flag}}}' for flag in ("false", "true"))
 
 
 def _write_report(system, cond, spectra, report, opts, out) -> None:
     """Write `_dumps` of the report payload and a newline to `out`, from the
     block columns, without building the payload: the blocks go out in chunks
-    of `_REPORT_CHUNK`. A value that is not finite is a numeric failure
-    before anything is written."""
+    of `_REPORT_CHUNK`, each assembled field by field. A value that is not
+    finite is a numeric failure before anything is written."""
     if not (np.isfinite(spectra.mu).all() and np.isfinite(spectra.tolerance).all()):
         raise NonFiniteResult("output contains a value that is not finite")
     # JSON escapes every quote inside a string: only the key reads '"blocks": null'.
@@ -138,26 +144,30 @@ def _write_report(system, cond, spectra, report, opts, out) -> None:
         "version": __version__,
     }).split('"blocks": null')
     out.write(f'{head}"blocks": [')
-    flag = ("false", "true")
+    step = len(_BLOCK)
     for lo in range(0, cond.h, _REPORT_CHUNK):
         chunk = slice(lo, lo + _REPORT_CHUNK)
         bounds = cond.bounds[lo:lo + _REPORT_CHUNK + 1]
         nodes = cond.permutation[bounds[0]:bounds[-1]].tolist()
         node_text = list(map(int.__repr__, nodes))
-        label_text = [encode_basestring_ascii(system.node_labels[i]) for i in nodes]
-        ends = (bounds - bounds[0]).tolist()
-        out.write(", " if lo else "")
-        out.write(", ".join(
-            f'{{"class": "{cls.value}", "criticality_tolerance": {float.__repr__(tol)}, '
-            f'"free": {flag[free]}, "index": {k}, "labels": [{", ".join(label_text[a:b])}], '
-            f'"mu": {float.__repr__(mu)}, "nodes": [{", ".join(node_text[a:b])}], '
-            f'"size": {b - a}, "trivial": {flag[trivial]}}}'
-            for k, a, b, mu, tol, cls, trivial, free in zip(
-                range(lo, cond.h), ends, ends[1:], spectra.mu[chunk].tolist(),
-                spectra.tolerance[chunk].tolist(), spectra.classification[chunk],
-                report.trivial[chunk].tolist(), report.free[chunk].tolist(),
-            )
-        ))
+        label_text = list(map(encode_basestring_ascii, map(system.node_labels.__getitem__, nodes)))
+        sizes = np.diff(bounds).tolist()
+        if len(nodes) > len(sizes):  # a multi-node block: join each block's items into one text
+            ends = (bounds - bounds[0]).tolist()
+            node_text, label_text = ([", ".join(text[a:b]) for a, b in zip(ends, ends[1:])]
+                                     for text in (node_text, label_text))
+        pieces = _BLOCK * len(sizes)
+        pieces[0] = ", " if lo else ""
+        pieces[1::step] = map(_CLASS.__getitem__, spectra.classification[chunk].tolist())
+        pieces[2::step] = map(float.__repr__, spectra.tolerance[chunk].tolist())
+        pieces[3::step] = map(_FREE.__getitem__, report.free[chunk].tolist())
+        pieces[4::step] = map(int.__repr__, range(lo, lo + len(sizes)))
+        pieces[6::step] = label_text
+        pieces[8::step] = map(float.__repr__, spectra.mu[chunk].tolist())
+        pieces[10::step] = node_text
+        pieces[12::step] = map(int.__repr__, sizes)
+        pieces[13::step] = map(_TRIVIAL.__getitem__, report.trivial[chunk].tolist())
+        out.write("".join(pieces))
     out.write(f"]{tail}\n")
 
 

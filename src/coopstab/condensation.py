@@ -121,21 +121,26 @@ def _topological_order(min_node: np.ndarray, src: np.ndarray, dst: np.ndarray) -
     The edges come grouped by source, in any order within it: the heap keys are unique."""
     c = len(min_node)
     indptr, succ = (a.tolist() for a in _csr(src, dst, c))
-    indeg = np.bincount(dst, minlength=c).tolist()
-    key = min_node.tolist()
-    heap = [(key[a], a) for a in range(c) if indeg[a] == 0]
-    heapq.heapify(heap)
+    indeg = np.bincount(dst, minlength=c)
+    # The heap holds the rank of each component's smallest node: plain ints, sorted to start.
+    by_rank = np.argsort(min_node)
+    rank = np.empty(c, dtype=np.intp)
+    rank[by_rank] = np.arange(c)
+    heap = np.flatnonzero(indeg[by_rank] == 0).tolist()
+    by_rank, rank, indeg = by_rank.tolist(), rank.tolist(), indeg.tolist()
+    push, pop = heapq.heappush, heapq.heappop
     topo: list[int] = []
     depth = [0] * c
     while heap:
-        _, a = heapq.heappop(heap)
+        a = by_rank[pop(heap)]
         topo.append(a)
+        d = depth[a] + 1
         for b in succ[indptr[a]:indptr[a + 1]]:
-            if depth[b] <= depth[a]:
-                depth[b] = depth[a] + 1
+            if depth[b] < d:
+                depth[b] = d
             indeg[b] -= 1
             if indeg[b] == 0:
-                heapq.heappush(heap, (key[b], b))
+                push(heap, rank[b])
     if len(topo) != c:
         raise CondensationError("the component graph has a cycle")
     return topo, depth
@@ -149,7 +154,7 @@ def condense(system: CooperativeSystem) -> Condensation:
     off = rows != cols
     # Tarjan's visiting order changes only its component ids, which are renumbered below.
     src, dst = cols[off], rows[off]
-    comp_of = np.array(_tarjan(n, *_csr(src, dst, n, np.argsort(src, kind="stable"))), dtype=np.intp)
+    comp_of = np.array(_tarjan(n, *_csr(src, dst, n, np.argsort(src))), dtype=np.intp)
     _, min_node = np.unique(comp_of, return_index=True)
     c = len(min_node)
 
@@ -157,14 +162,15 @@ def condense(system: CooperativeSystem) -> Condensation:
     # topological numbering of the blocks, the grouping of the couplings and the block DAG.
     ca, cb = comp_of[cols], comp_of[rows]
     cross = ca != cb
+    # This key and the sort keys below are below n * n: they fit int64 as n <= system.MAX_NODES.
     codes, first, group = np.unique(ca[cross] * c + cb[cross], return_index=True, return_inverse=True)
     topo, depth = _topological_order(min_node, codes // c, codes % c)
     new_of = np.empty(c, dtype=np.intp)
     new_of[topo] = np.arange(c)
     node_block = new_of[comp_of]
 
-    # Nodes grouped by block, ascending within each; local position in block.
-    permutation = np.argsort(node_block, kind="stable")
+    # Nodes grouped by block, ascending within each (a unique key, so any sort); local position in block.
+    permutation = np.argsort(node_block * n + np.arange(n))
     size = np.bincount(node_block, minlength=c)
     bounds = np.concatenate(([0], np.cumsum(size)))
     local = np.empty(n, dtype=np.intp)
@@ -178,16 +184,19 @@ def condense(system: CooperativeSystem) -> Condensation:
     matrices = np.zeros(matrix_bounds[-1])
     matrices[matrix_bounds[k[inner]] + li[inner] * size[k[inner]] + lj[inner]] = vals[inner]
 
-    # Couplings grouped by (k, l) in order of first appearance, cells sorted.
+    # Couplings grouped by (k, l) in order of first appearance, cells sorted: each group
+    # (l -> k) owns size[k] * size[l] keys from its offset on, one per cell (li, lj).
     k, l, li, lj = k[cross], l[cross], li[cross], lj[cross]
     if np.any(l >= k):
         raise CondensationError("a coupling runs against the topological order")
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(codes))
-    order = np.lexsort((lj, li, rank[group]))
-    arrays = (k[order], rows[cross][order], cols[cross][order], vals[cross][order])
     src, dst = new_of[codes // c], new_of[codes % c]
-    dag, level = _csr(src, dst, c, np.lexsort((dst, src))), np.array(depth)[topo]
+    by_first = np.argsort(first)
+    span = (size[src] * size[dst])[by_first]
+    offset = np.empty_like(span)
+    offset[by_first] = np.cumsum(span) - span
+    order = np.argsort(offset[group] + li * size[l] + lj)  # unique keys: any sort will do
+    arrays = (k[order], rows[cross][order], cols[cross][order], vals[cross][order])
+    dag, level = _csr(src, dst, c, np.argsort(src * c + dst)), np.array(depth)[topo]
     for a in (*arrays, *dag, level, node_block, permutation, bounds, matrices, matrix_bounds):
         a.flags.writeable = False
 

@@ -32,6 +32,9 @@ Coord = tuple[int, int]
 
 EDGE_LIST_FIELDS = ("n", "labels", "edges", "self")
 
+# The largest n with (n + 1)**2 - 1 < 2**63: see `validate`.
+MAX_NODES = 3_037_000_498
+
 
 @dataclass(frozen=True, eq=False)
 class CooperativeSystem:
@@ -76,9 +79,15 @@ def validate(
     The first offending triple in input order is reported, checked in this
     order: index type, index range, duplicate coordinate, value conversion,
     finiteness, sign.
+
+    n is at most `MAX_NODES`, so that the duplicate check's int64 key
+    (rows + 1) * (n + 1) + cols + 1 cannot overflow, nor can any key of at
+    most n * n that later layers combine from two node or block indices.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"system dimension must be a positive integer, got {n!r}")
+    if n > MAX_NODES:
+        raise ValidationError(f"system dimension {n} exceeds the supported maximum {MAX_NODES}")
 
     if isinstance(raw_entries, tuple) and len(raw_entries) == 3 and all(
         isinstance(c, np.ndarray) for c in raw_entries
@@ -102,10 +111,12 @@ def validate(
     vals, not_float = _value_column(raw_vals)
     not_index = bad_row | bad_col
     in_range = (rows >= 0) & (cols >= 0)
-    order = np.lexsort((cols, rows))  # stable: a coordinate's first triple is not marked
-    repeat = (rows[order[1:]] == rows[order[:-1]]) & (cols[order[1:]] == cols[order[:-1]])
+    # One key in (rows, cols) order; the +1 keeps the -1 marks apart from real coordinates.
+    key = (rows + 1) * (n + 1) + cols + 1
+    order = np.argsort(key, kind="stable")  # a coordinate's first triple is not marked
+    key = key[order]
     duplicate = np.zeros(len(raw_rows), dtype=bool)
-    duplicate[order[1:][repeat]] = True
+    duplicate[order[1:][key[1:] == key[:-1]]] = True
     checks = (
         not_index,
         ~in_range & ~not_index,
@@ -220,7 +231,7 @@ def state_vector(values: Iterable[float], n: int) -> np.ndarray:
 
 def _checked_labels(node_labels: Iterable[str] | None, n: int) -> tuple[str, ...]:
     if node_labels is None:
-        return tuple(str(i) for i in range(n))
+        return tuple(map(str, range(n)))
     labels = tuple(node_labels)
     if len(labels) != n:
         raise ValidationError(f"{len(labels)} labels for {n} nodes")

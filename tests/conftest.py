@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from collections import deque
@@ -13,6 +14,7 @@ from scipy.linalg import lu_factor, lu_solve, null_space
 from coopstab import (
     __version__,
     BlockClass,
+    CondensationError,
     CriticalPath,
     DuplicateEntry,
     IndexOutOfRange,
@@ -35,6 +37,7 @@ from coopstab import (
 )
 from coopstab.cli import _reason_dict
 from coopstab.stability import TINY_PIVOT_REL, _refuse_super_critical, nullspace_residual
+from coopstab.system import _index_column, _raise_for, _value_column
 
 
 def reference_entries(raw_entries, n: int) -> dict:
@@ -65,6 +68,29 @@ def reference_entries(raw_entries, n: int) -> dict:
         if v != 0.0:
             entries[(i, j)] = v
     return entries
+
+
+def lexsort_validate(raw_rows, raw_cols, raw_vals, n: int) -> tuple[np.ndarray, ...]:
+    """`validate`'s array checks with the duplicate check by `np.lexsort` of
+    the two index columns: the accepted coo arrays, or the error of the first
+    offending triple."""
+    rows, bad_row = _index_column(raw_rows, n)
+    cols, bad_col = _index_column(raw_cols, n)
+    vals, not_float = _value_column(raw_vals)
+    not_index = bad_row | bad_col
+    in_range = (rows >= 0) & (cols >= 0)
+    order = np.lexsort((cols, rows))
+    repeat = (rows[order[1:]] == rows[order[:-1]]) & (cols[order[1:]] == cols[order[:-1]])
+    duplicate = np.zeros(len(raw_rows), dtype=bool)
+    duplicate[order[1:][repeat]] = True
+    checks = (not_index, ~in_range & ~not_index, duplicate & in_range, not_float,
+              ~np.isfinite(vals), (rows != cols) & (vals < 0))
+    failed = np.logical_or.reduce(checks)
+    if failed.any():
+        t = int(failed.argmax())
+        _raise_for((raw_rows[t], raw_cols[t], raw_vals[t]), [bool(c[t]) for c in checks], n)
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep]
 
 
 def entry_dict(system) -> dict[tuple[int, int], float]:
@@ -277,6 +303,58 @@ def reference_analyze_all_blocks(cond, opts):
         phi.append(vector)
     phi = np.concatenate(phi)
     return mu, opts.crit_tol_rel * np.maximum(1.0, scale), classify(mu, scale, opts), phi
+
+
+# ---------------------------------------------------------------------------
+# Reference orderings of `condense`: Kahn's loop with a heap of (key,
+# component) tuples, and the couplings and block DAG sorted by `np.lexsort`.
+# ---------------------------------------------------------------------------
+
+def reference_topological_order(min_node: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[list, list]:
+    """The components in Kahn's order, always taking the ready one with the
+    smallest key, and each one's longest-path depth; the edges come grouped
+    by source."""
+    c = len(min_node)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=c)))).tolist()
+    succ = dst.tolist()
+    indeg = np.bincount(dst, minlength=c).tolist()
+    key = min_node.tolist()
+    heap = [(key[a], a) for a in range(c) if indeg[a] == 0]
+    heapq.heapify(heap)
+    topo: list[int] = []
+    depth = [0] * c
+    while heap:
+        _, a = heapq.heappop(heap)
+        topo.append(a)
+        for b in succ[indptr[a]:indptr[a + 1]]:
+            if depth[b] <= depth[a]:
+                depth[b] = depth[a] + 1
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                heapq.heappush(heap, (key[b], b))
+    if len(topo) != c:
+        raise CondensationError("the component graph has a cycle")
+    return topo, depth
+
+
+def lexsort_cross_and_dag(system, cond) -> tuple[tuple, tuple]:
+    """`cond.cross` and `cond.dag` rebuilt from the system and the block
+    numbering: couplings grouped by (k, l) in order of first appearance, cells
+    by `np.lexsort` of (group rank, li, lj); DAG edges by `np.lexsort` of
+    (source, target)."""
+    rows, cols, vals = system.coo
+    k, l = cond.node_to_block[rows], cond.node_to_block[cols]
+    local = np.empty(system.n, dtype=np.intp)
+    local[cond.permutation] = np.arange(system.n) - np.repeat(cond.bounds[:-1], np.diff(cond.bounds))
+    cross = k != l
+    codes, first, group = np.unique(l[cross] * cond.h + k[cross], return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(codes))
+    order = np.lexsort((local[cols[cross]], local[rows[cross]], rank[group]))
+    src, dst = codes // cond.h, codes % cond.h
+    by_edge = np.lexsort((dst, src))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=cond.h))))
+    return (k[cross][order], rows[cross][order], cols[cross][order], vals[cross][order]), (indptr, dst[by_edge])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -31,6 +32,7 @@ from coopstab import (
     validate,
 )
 from coopstab import cli
+from coopstab import system as system_module
 from coopstab.cli import _write_basis, _write_report, main
 from coopstab.spectral import DEFAULT_OPTIONS
 
@@ -251,6 +253,22 @@ def test_boolean_dimension_exit_64(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 0: field 'n' must be an integer, got True\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "steady-state", "condense"])
+def test_dimension_above_the_key_bound_exit_64_at_once(tmp_path, capsys, monkeypatch, command):
+    def no_labels_for(node_labels, n):  # were the bound not checked first, n labels would be built
+        raise AssertionError(f"labels built for n = {n}")
+
+    monkeypatch.setattr(system_module, "_checked_labels", no_labels_for)
+    path = tmp_path / "huge.mtx"
+    path.write_text(f"{MM_HEADER}\n{2**32} {2**32} 1\n1 1 -1\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main([command, str(path)]) == 64
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: system dimension 4294967296 exceeds the supported maximum 3037000498\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -915,6 +933,8 @@ def test_analyze_contract_on_arbitrary_edge_list_json(tmp_path_factory, text):
 
 AWKWARD_TEXT = ['"vectors": null', 'q"uote', "back\\slash", "\x00\x1f\x7f\n", "caf\u00e9",
                 "\u65e5\u672c", "\U0001f600", "\u2028"]
+# Labels holding the texts the report writer splits on, joins with or assembles from.
+REPORT_TEXT = [*AWKWARD_TEXT, '"blocks": null', ", ", '"], "mu": ', '}, {"class": "critical", ', "null"]
 EXTREME_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.2250738585072014e-308,
                   0.1, 1 / 3]
 
@@ -1025,7 +1045,7 @@ def report_cases(draw):
     block columns and report fields: extreme values, now and then one that is
     not finite."""
     n = draw(st.integers(1, 12))
-    text = st.text() | st.sampled_from(AWKWARD_TEXT)
+    text = st.text() | st.sampled_from(REPORT_TEXT)
     labels = draw(st.lists(text, min_size=n, max_size=n, unique=True))
     cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n, unique=True))

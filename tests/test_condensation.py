@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (block_nodes, dag_edges, entry_dict, matrix_of, nodes_of, strongly_connected,
-                      upstream_reachability)
+from conftest import (block_nodes, dag_edges, entry_dict, lexsort_cross_and_dag, matrix_of, nodes_of,
+                      reference_topological_order, strongly_connected, upstream_reachability)
 from coopstab import (
     BadBlockOrder,
+    CondensationError,
     condense,
     extract_coupling,
     from_dense,
@@ -13,6 +16,7 @@ from coopstab import (
     to_dot,
     validate,
 )
+from coopstab.condensation import _topological_order
 
 
 def test_two_singletons_one_edge():
@@ -279,3 +283,61 @@ def test_condense_survives_long_chain():
     assert cond.h == n
     np.testing.assert_array_equal(cond.permutation, np.arange(n))
     np.testing.assert_array_equal(cond.level, np.arange(n))
+
+
+@st.composite
+def component_graphs(draw):
+    """Unique edges over c components, grouped by source in shuffled order within each
+    group, with shuffled unique keys; acyclic unless a back edge is planted."""
+    c = draw(st.integers(1, 25))
+    position = draw(st.permutations(range(c)))
+    pairs = st.tuples(st.integers(0, c - 1), st.integers(0, c - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=3 * c, unique=True))
+    if draw(st.integers(0, 4)):  # else any cycles stay
+        edges = list(dict.fromkeys((a, b) if position[a] < position[b] else (b, a) for a, b in edges))
+    edges = draw(st.permutations(edges))
+    src = np.array([a for a, _ in edges], dtype=np.intp)
+    dst = np.array([b for _, b in edges], dtype=np.intp)
+    grouped = np.argsort(src, kind="stable")
+    keys = np.array(draw(st.lists(st.integers(0, 10**6), min_size=c, max_size=c, unique=True)))
+    return keys, src[grouped], dst[grouped]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CondensationError as exc:
+        return type(exc), str(exc)
+
+
+@given(component_graphs())
+@settings(max_examples=300, deadline=None)
+def test_topological_order_matches_the_tuple_heap_loop(graph):
+    assert _outcome(_topological_order, *graph) == _outcome(reference_topological_order, *graph)
+
+
+@st.composite
+def systems_with_multi_node_blocks(draw):
+    """A random Metzler system in shuffled input order, with planted cycles."""
+    n = draw(st.integers(1, 14))
+    cell = st.integers(0, n - 1)
+    cells = draw(st.lists(st.tuples(cell, cell), max_size=3 * n, unique=True))
+    for _ in range(draw(st.integers(0, 3))):  # a two-cycle makes (or joins) a multi-node block
+        i, j = draw(cell), draw(cell)
+        cells += [(i, j), (j, i)]
+    cells = draw(st.permutations(list(dict.fromkeys(cells))))
+    value = st.floats(0.125, 4.0)
+    return validate([(i, j, -draw(value) if i == j else draw(value)) for i, j in cells], n)
+
+
+def _bits(arrays) -> list:
+    return [(a.dtype, a.tobytes()) for a in arrays]
+
+
+@given(systems_with_multi_node_blocks())
+@settings(max_examples=300, deadline=None)
+def test_cross_and_dag_match_the_lexsort_orders_bitwise(system):
+    cond = condense(system)
+    cross, dag = lexsort_cross_and_dag(system, cond)
+    assert _bits(cond.cross) == _bits(cross)
+    assert _bits(cond.dag) == _bits(dag)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import entry_dict, graph_edges, reference_entries, reference_load_matrix_market
+from conftest import (entry_dict, graph_edges, lexsort_validate, reference_entries,
+                      reference_load_matrix_market)
 from coopstab import (
     DuplicateEntry,
     IndexOutOfRange,
@@ -70,6 +71,27 @@ def test_zero_entries_dropped():
 def test_dimension_must_be_positive(n):
     with pytest.raises(ValidationError):
         validate({}, n)
+
+
+def _no_labels(node_labels, n):
+    """Stands in for `_checked_labels`: were the bound not checked first, n labels would be built."""
+    raise AssertionError(f"labels built for n = {n}")
+
+
+@pytest.mark.parametrize("n", [system_module.MAX_NODES + 1, 2**32, 2**63])
+def test_dimension_above_the_key_bound_is_refused(n, monkeypatch):
+    monkeypatch.setattr(system_module, "_checked_labels", _no_labels)
+    with pytest.raises(ValidationError, match="exceeds the supported maximum 3037000498"):
+        validate([(0, 0, -1.0)], n)
+
+
+def test_the_duplicate_key_fits_int64_up_to_the_bound():
+    def largest_key(n):  # of the row and column n - 1, computed as validate does
+        return (np.array([n - 1]) + 1) * (n + 1) + n
+
+    bound = system_module.MAX_NODES
+    assert largest_key(bound)[0] == (bound + 1) ** 2 - 1 <= np.iinfo(np.int64).max
+    assert (bound + 2) ** 2 - 1 > np.iinfo(np.int64).max
 
 
 def test_state_vector_checks():
@@ -496,3 +518,32 @@ def test_validate_matches_reference_loop(case, as_mapping):
         return [(i, j, v) for (i, j), v in reference_entries(raw, n).items()]
 
     assert _outcome(accepted) == _outcome(expected)
+
+
+@st.composite
+def index_triples(draw):
+    """Triples over n >= 1 with frequent duplicates, -1 and other out-of-range
+    indices, now and then a non-integer one; as lists, or as integer arrays."""
+    n = draw(st.integers(1, 6))
+    index = st.integers(-2, n + 1) | st.sampled_from([-1, n - 1])
+    value = st.sampled_from([0.0, -0.0, 1.5, -2.0, math.nan]) | st.floats(-3, 3)
+    triples = draw(st.lists(st.tuples(index, index, value), max_size=30))
+    rows, cols, vals = ([t[c] for t in triples] for c in range(3))
+    if draw(st.booleans()):
+        return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals), n
+    if rows and not draw(st.integers(0, 3)):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(ODD_INDICES)
+    return rows, cols, vals, n
+
+
+@given(index_triples())
+@settings(max_examples=400, deadline=None)
+def test_validate_matches_the_lexsort_reference(case):
+    rows, cols, vals, n = case
+    raw = (rows, cols, vals) if isinstance(rows, np.ndarray) else list(zip(rows, cols, vals))
+
+    def coo_bits(coo):
+        return [(a.dtype, a.tobytes()) for a in coo]
+
+    assert _outcome(lambda: coo_bits(validate(raw, n).coo)) == _outcome(
+        lambda: coo_bits(lexsort_validate(rows, cols, vals, n)))

@@ -115,24 +115,19 @@ def _csr(src: np.ndarray, dst: np.ndarray, n: int, order=slice(None)) -> tuple[n
     return indptr, dst[order]
 
 
-def _topological_order(min_node: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[list, list]:
-    """Kahn's algorithm on the component DAG, always taking the ready
-    component with the smallest node; also each component's longest-path depth.
-    The edges come grouped by source, in any order within it: the heap keys are unique."""
-    c = len(min_node)
+def _topological_order(c: int, src: np.ndarray, dst: np.ndarray) -> tuple[list, list]:
+    """Kahn's algorithm on the DAG of components 0..c-1, always taking the ready
+    component with the smallest number; also each component's longest-path depth.
+    The edges come grouped by source, in any order within it."""
     indptr, succ = (a.tolist() for a in _csr(src, dst, c))
     indeg = np.bincount(dst, minlength=c)
-    # The heap holds the rank of each component's smallest node: plain ints, sorted to start.
-    by_rank = np.argsort(min_node)
-    rank = np.empty(c, dtype=np.intp)
-    rank[by_rank] = np.arange(c)
-    heap = np.flatnonzero(indeg[by_rank] == 0).tolist()
-    by_rank, rank, indeg = by_rank.tolist(), rank.tolist(), indeg.tolist()
+    heap = np.flatnonzero(indeg == 0).tolist()  # ascending, so already a heap
+    indeg = indeg.tolist()
     push, pop = heapq.heappush, heapq.heappop
     topo: list[int] = []
     depth = [0] * c
     while heap:
-        a = by_rank[pop(heap)]
+        a = pop(heap)
         topo.append(a)
         d = depth[a] + 1
         for b in succ[indptr[a]:indptr[a + 1]]:
@@ -140,7 +135,7 @@ def _topological_order(min_node: np.ndarray, src: np.ndarray, dst: np.ndarray) -
                 depth[b] = d
             indeg[b] -= 1
             if indeg[b] == 0:
-                push(heap, rank[b])
+                push(heap, b)
     if len(topo) != c:
         raise CondensationError("the component graph has a cycle")
     return topo, depth
@@ -157,6 +152,9 @@ def condense(system: CooperativeSystem) -> Condensation:
     comp_of = np.array(_tarjan(n, *_csr(src, dst, n, np.argsort(src))), dtype=np.intp)
     _, min_node = np.unique(comp_of, return_index=True)
     c = len(min_node)
+    rank = np.empty(c, dtype=np.intp)
+    rank[np.argsort(min_node)] = np.arange(c)
+    comp_of = rank[comp_of]  # components numbered by their smallest node, the order Kahn's heap keeps
 
     # The component DAG's edges, deduplicated once and so sorted by source: they give the
     # topological numbering of the blocks, the grouping of the couplings and the block DAG.
@@ -164,7 +162,7 @@ def condense(system: CooperativeSystem) -> Condensation:
     cross = ca != cb
     # This key and the sort keys below are below n * n: they fit int64 as n <= system.MAX_NODES.
     codes, first, group = np.unique(ca[cross] * c + cb[cross], return_index=True, return_inverse=True)
-    topo, depth = _topological_order(min_node, codes // c, codes % c)
+    topo, depth = _topological_order(c, codes // c, codes % c)
     new_of = np.empty(c, dtype=np.intp)
     new_of[topo] = np.arange(c)
     node_block = new_of[comp_of]
@@ -195,6 +193,7 @@ def condense(system: CooperativeSystem) -> Condensation:
     offset = np.empty_like(span)
     offset[by_first] = np.cumsum(span) - span
     order = np.argsort(offset[group] + li * size[l] + lj)  # unique keys: any sort will do
+    del by_first, span, offset  # not held to the end, where the memory of condense peaks
     arrays = (k[order], rows[cross][order], cols[cross][order], vals[cross][order])
     dag, level = _csr(src, dst, c, np.argsort(src * c + dst)), np.array(depth)[topo]
     for a in (*arrays, *dag, level, node_block, permutation, bounds, matrices, matrix_bounds):

@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .condensation import Condensation, condense, to_dot
 from .errors import (
-    BadBlockOrder,
     CondensationError,
     CoopStabError,
     DuplicateEntry,
@@ -23,7 +22,6 @@ from .errors import (
     SingularSubCriticalSolve,
     SuperCriticalPresent,
     TooLargeForDense,
-    TooManyBlocks,
     UnknownLabel,
     ValidationError,
     ZeroWeightEdge,
@@ -34,17 +32,12 @@ from .oracle import (
     LimitCheckResult,
     dense_verdict,
     expm_limit_check,
-    extract_coupling,
     generate,
     generate_compartmental,
     generate_marginally_stable,
     generate_with_plan,
-    path_sum_matrix,
     random_critical_matrix,
-    random_metzler,
     simulate,
-    spectrum_match_error,
-    steady_state_by_path_sum,
 )
 from .spectral import (
     BlockClass,
@@ -65,7 +58,6 @@ from .stability import (
     nullspace_residual,
     nullspace_residuals,
     steady_state_basis,
-    trivial_blocks,
     verdict,
 )
 from .system import (

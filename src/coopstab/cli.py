@@ -29,6 +29,8 @@ from .errors import (
 )
 from .oracle import (
     GeneratorSpec,
+    _int_pair,
+    _spec_from_config,
     dense_verdict,
     expm_limit_check,
     generate,
@@ -359,7 +361,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             block_size=_int_pair(args.block_size, "--block-size"),
             classes=tuple(args.classes.split(",")),
             edge_density=args.density,
-            seed=args.seed if args.seed is not None else 0,
         )
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -374,57 +375,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     else:
         print(to_matrix_market(system), end="")
     return 0
-
-
-def _int_pair(text: str, flag: str) -> tuple[int, int]:
-    """`N` or `LO,HI` as an inclusive integer range."""
-    try:
-        parts = [int(p) for p in text.split(",")]
-    except ValueError:
-        parts = []
-    if not 1 <= len(parts) <= 2:
-        raise ValidationError(f"{flag} {text!r}: expected N or LO,HI integers")
-    return parts[0], parts[-1]
-
-
-# The JSON shape of each GeneratorSpec field in a --config file: a type, a
-# tuple of shapes (a list of that length) or a one-shape list (any length).
-_CONFIG_SHAPES = {
-    "topology": str, "num_blocks": (int, int), "block_size": (int, int), "classes": [str],
-    "planted": [(int, str)], "edge_density": float, "class_margin": float,
-    "weight_range": (float, float), "shuffle_nodes": bool, "seed": int,
-}
-
-
-def _conform(value, shape, what: str):
-    """`value` checked against `shape`, its lists turned into tuples."""
-    if isinstance(shape, (tuple, list)):
-        size = len(shape) if isinstance(shape, tuple) else None
-        if not isinstance(value, list) or size not in (None, len(value)):
-            raise ValidationError(f"{what} must be a list{f' of {size}' if size else ''}, got {value!r}")
-        shapes = shape if size else shape * len(value)
-        return tuple(_conform(v, s, f"{what}[{i}]") for i, (v, s) in enumerate(zip(value, shapes)))
-    if shape is float:
-        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    else:
-        ok = isinstance(value, shape)
-    if not ok or (isinstance(value, bool) and shape is not bool):
-        name = "a finite number" if shape is float else shape.__name__
-        raise ValidationError(f"{what} must be {name}, got {value!r}")
-    return value
-
-
-def _spec_from_config(raw, source: str) -> GeneratorSpec:
-    """A GeneratorSpec from a --config JSON object, every field shape-checked."""
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{source}: expected a JSON object, got {raw!r}")
-    fields = {}
-    for key, value in raw.items():
-        if key not in _CONFIG_SHAPES:
-            raise ValidationError(f"{source}: unknown key {key!r}; choose from {sorted(_CONFIG_SHAPES)}")
-        planted_none = key == "planted" and value is None
-        fields[key] = None if planted_none else _conform(value, _CONFIG_SHAPES[key], f"{source}: {key}")
-    return GeneratorSpec(**fields)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -68,10 +68,6 @@ class NonSquare(ParseError):
         super().__init__(line, f"matrix is {rows}x{cols}, expected square")
 
 
-class BadBlockOrder(CoopStabError):
-    """Coupling requested with source block not strictly upstream of target."""
-
-
 class CondensationError(CoopStabError):
     """The computed condensation breaks an invariant of its construction: a
     defect in the program, not in the input."""
@@ -120,13 +116,6 @@ class NegativeSteadyStateEntry(CoopStabError):
 
 class NonFiniteResult(CoopStabError):
     """A computed quantity overflowed or became NaN."""
-
-
-class TooManyBlocks(CoopStabError):
-    def __init__(self, h: int, limit: int):
-        self.h = h
-        self.limit = limit
-        super().__init__(f"path enumeration over {h} blocks exceeds the limit of {limit}")
 
 
 class TooLargeForDense(CoopStabError):

@@ -2,26 +2,24 @@
 
 Everything here takes a slow route of its own, so it can cross-check the
 decomposed pipeline: a full eigensolve on the dense matrix renders the
-textbook verdict, a matrix exponential simulates trajectories, an
-alternating sum over block paths gives each steady state without the level
-sweep, and seeded generators plant block classes and topologies that the
-decomposition must recover. No pipeline module imports this one.
+textbook verdict, a matrix exponential simulates trajectories, and seeded
+generators plant block classes and topologies that the decomposition must
+recover. No pipeline module imports this one.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .condensation import Condensation, condense
-from .errors import (BadBlockOrder, GapTooSmall, InfeasibleSpec, NonFiniteResult,
-                     TooLargeForDense, TooManyBlocks, ValidationError)
-from .spectral import BlockClass, SpectralOptions, Spectra, _inf_norm, classify, dominant_eigenpair
+from .errors import GapTooSmall, InfeasibleSpec, NonFiniteResult, TooLargeForDense, ValidationError
+from .spectral import BlockClass, SpectralOptions, _inf_norm, classify, dominant_eigenpair
 from .stability import Verdict
-from .system import CooperativeSystem, from_dense, state_vector, validate
+from .system import CooperativeSystem, state_vector, validate
 
 DENSE_LIMIT = 500
 # The dense verdict's bands: an eigenvalue within DENSE_ZERO_TOL * max(1, ||A||_inf) of zero
@@ -29,7 +27,6 @@ DENSE_LIMIT = 500
 DENSE_ZERO_TOL = 1e-8
 DENSE_RANK_TOL = 1e-10
 HORIZON_CAP = 1e4  # the limit check's largest certification horizon
-PATH_SUM_LIMIT = 12  # the most blocks a path-sum enumeration takes
 
 TOPOLOGIES = ("chain", "diamond", "forest", "random-dag")
 CLASS_NAMES = ("critical", "sub-critical", "super-critical")
@@ -146,83 +143,6 @@ def expm_limit_check(matrix, *, block: int = 0, opts: SpectralOptions | None = N
 
 
 # ---------------------------------------------------------------------------
-# Path-sum form of the steady state: each basis vector as an alternating sum
-# over block paths, exponential in the block count
-# ---------------------------------------------------------------------------
-
-def extract_coupling(cond: Condensation, k: int, l: int) -> np.ndarray:
-    """Dense read-only coupling matrix from block l into block k, rows over
-    k's nodes and columns over l's (zero when no edge), from `cond.cross`."""
-    if not (0 <= l < k < cond.h):
-        raise BadBlockOrder(f"need 0 <= l < k < h, got l={l}, k={k}, h={cond.h}")
-    target, rows, cols, vals = cond.cross
-    pick = (target == k) & (cond.node_to_block[cols] == l)
-    into, out_of = (cond.permutation[cond.bounds[b]:cond.bounds[b + 1]] for b in (k, l))
-    mat = np.zeros((len(into), len(out_of)))
-    mat[np.searchsorted(into, rows[pick]), np.searchsorted(out_of, cols[pick])] = vals[pick]
-    mat.setflags(write=False)
-    return mat
-
-
-def path_sum_matrix(cond: Condensation, spectra: Spectra, k: int, l: int) -> np.ndarray:
-    """Alternating sum over all directed block paths from l to k.
-
-    Each path l -> b_1 -> ... -> b_{n-1} -> k of n edges contributes
-    (-1)^(n-1) C[k, b_{n-1}] B_{b_{n-1}}^{-1} ... B_{b_1}^{-1} C[b_1, l].
-    Path enumeration is exponential in the block count, so a condensation of
-    more than PATH_SUM_LIMIT blocks is refused.
-    """
-    if cond.h > PATH_SUM_LIMIT:
-        raise TooManyBlocks(cond.h, PATH_SUM_LIMIT)
-    if not (0 <= l < k < cond.h):
-        raise BadBlockOrder(f"need 0 <= l < k < h, got l={l}, k={k}, h={cond.h}")
-
-    ptr, succ = (a.tolist() for a in cond.dag)
-
-    inv_cache: dict[int, np.ndarray] = {}
-
-    def inv_block(b: int) -> np.ndarray:
-        if b not in inv_cache:
-            inv_cache[b] = np.linalg.inv(cond.matrix(b))
-        return inv_cache[b]
-
-    total = np.zeros(np.diff(cond.bounds)[[k, l]])
-    stack: list[list[int]] = [[l]]
-    while stack:
-        path = stack.pop()
-        for nxt in succ[ptr[path[-1]]:ptr[path[-1] + 1]]:
-            if nxt == k:
-                full = path + [k]
-                n_edges = len(full) - 1
-                term = extract_coupling(cond, full[1], full[0])
-                for step in range(1, n_edges):
-                    c = extract_coupling(cond, full[step + 1], full[step])
-                    term = c @ inv_block(full[step]) @ term
-                total += (-1.0) ** (n_edges - 1) * term
-            elif nxt < k:
-                stack.append(path + [nxt])
-    return total
-
-
-def steady_state_by_path_sum(cond: Condensation, spectra: Spectra, free_block: int) -> np.ndarray:
-    """Basis vector for one free block evaluated through the path-sum form;
-    cross-validates the recursive propagation."""
-    x = np.zeros(len(cond.node_to_block))
-    s, e = cond.bounds[free_block:free_block + 2]
-    phi = spectra.phi[s:e]
-    x[cond.permutation[s:e]] = phi
-    for k in range(free_block + 1, cond.h):
-        if spectra.classification[k] is not BlockClass.SUB_CRITICAL:
-            continue
-        p = path_sum_matrix(cond, spectra, k, free_block)
-        if not p.any():
-            continue
-        x[cond.permutation[cond.bounds[k]:cond.bounds[k + 1]]] = -np.linalg.inv(cond.matrix(k)) @ (p @ phi)
-    x.setflags(write=False)
-    return x
-
-
-# ---------------------------------------------------------------------------
 # Seeded generators
 # ---------------------------------------------------------------------------
 
@@ -280,6 +200,68 @@ def _check_spec(spec: GeneratorSpec) -> None:
     wlo, whi = spec.weight_range
     if not (0 < wlo <= whi):
         raise InfeasibleSpec(f"bad weight range {spec.weight_range}")
+    sizes = [size for size, _ in spec.planted or ()]
+    for name, values in (("num_blocks", spec.num_blocks), ("block_size", spec.block_size),
+                         ("planted block size", sizes), ("seed", [spec.seed])):
+        for value in values:
+            if not 0 <= value < 2**63:
+                raise InfeasibleSpec(f"{name} must be in [0, 2**63), got {value}")
+    # A row or column sum the generators build adds at most as many weights as there are nodes.
+    nodes = sum(sizes) if spec.planted is not None else spec.num_blocks[1] * spec.block_size[1]
+    if not math.isfinite(nodes * float(whi)):  # a Python float: no overflow warning
+        raise InfeasibleSpec(f"weight_range {spec.weight_range} overflows: {nodes} nodes of weight "
+                             f"up to {whi} sum past the largest float")
+
+
+def _int_pair(text: str, flag: str) -> tuple[int, int]:
+    """`N` or `LO,HI` as an inclusive integer range."""
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
+    if not 1 <= len(parts) <= 2:
+        raise ValidationError(f"{flag} {text!r}: expected N or LO,HI integers")
+    return parts[0], parts[-1]
+
+
+# The JSON shape of each GeneratorSpec field in a --config file: a type, a
+# tuple of shapes (a list of that length) or a one-shape list (any length).
+_CONFIG_SHAPES = {
+    "topology": str, "num_blocks": (int, int), "block_size": (int, int), "classes": [str],
+    "planted": [(int, str)], "edge_density": float, "class_margin": float,
+    "weight_range": (float, float), "shuffle_nodes": bool, "seed": int,
+}
+
+
+def _conform(value, shape, what: str):
+    """`value` checked against `shape`, its lists turned into tuples."""
+    if isinstance(shape, (tuple, list)):
+        size = len(shape) if isinstance(shape, tuple) else None
+        if not isinstance(value, list) or size not in (None, len(value)):
+            raise ValidationError(f"{what} must be a list{f' of {size}' if size else ''}, got {value!r}")
+        shapes = shape if size else shape * len(value)
+        return tuple(_conform(v, s, f"{what}[{i}]") for i, (v, s) in enumerate(zip(value, shapes)))
+    if shape is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, shape)
+    if not ok or (isinstance(value, bool) and shape is not bool):
+        name = "a finite number" if shape is float else shape.__name__
+        raise ValidationError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
+def _spec_from_config(raw, source: str) -> GeneratorSpec:
+    """A GeneratorSpec from a --config JSON object, every field shape-checked."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{source}: expected a JSON object, got {raw!r}")
+    fields = {}
+    for key, value in raw.items():
+        if key not in _CONFIG_SHAPES:
+            raise ValidationError(f"{source}: unknown key {key!r}; choose from {sorted(_CONFIG_SHAPES)}")
+        planted_none = key == "planted" and value is None
+        fields[key] = None if planted_none else _conform(value, _CONFIG_SHAPES[key], f"{source}: {key}")
+    return GeneratorSpec(**fields)
 
 
 def _nonneg_irreducible(d: int, rng: np.random.Generator, wlo: float, whi: float) -> np.ndarray:
@@ -492,41 +474,3 @@ def generate_compartmental(spec: GeneratorSpec) -> CooperativeSystem:
     ]
     return validate(triples, n)
 
-
-def random_metzler(
-    n: int, *, density: float = 0.3, seed: int = 0,
-    diag_range: tuple[float, float] = (-2.0, 1.0),
-    weight_range: tuple[float, float] = (0.0, 2.0),
-) -> CooperativeSystem:
-    """Generic random Metzler matrix, no planted structure."""
-    rng = np.random.default_rng(seed)
-    a = np.zeros((n, n))
-    mask = rng.random((n, n)) < density
-    np.fill_diagonal(mask, False)
-    a[mask] = rng.uniform(weight_range[0], weight_range[1], size=int(mask.sum()))
-    diag = rng.uniform(diag_range[0], diag_range[1], size=n)
-    a[np.diag_indices(n)] = diag
-    return from_dense(a)
-
-
-def spectrum_match_error(system: CooperativeSystem, cond=None) -> float:
-    """Largest greedy nearest-neighbour distance between the spectrum of A and
-    the union of the block spectra (both dense)."""
-    if system.n > DENSE_LIMIT:
-        raise TooLargeForDense(system.n, DENSE_LIMIT)
-    if cond is None:
-        cond = condense(system)
-    whole = list(np.linalg.eigvals(system.to_dense()))
-    parts: list[complex] = []
-    for k in range(cond.h):
-        parts.extend(np.linalg.eigvals(cond.matrix(k)))
-    if len(whole) != len(parts):
-        raise ValidationError(f"condensation has {len(parts)} nodes, system has {len(whole)}")
-    worst = 0.0
-    pool = parts[:]
-    for lam in sorted(whole, key=lambda z: (z.real, z.imag)):
-        dists = [abs(lam - p) for p in pool]
-        best = int(np.argmin(dists))
-        worst = max(worst, dists[best])
-        pool.pop(best)
-    return worst

@@ -11,8 +11,7 @@ backward sweep over the block DAG.
 A basis vector for free block k is zero outside the cone downstream of k and
 carries the block's positive eigenvector on k itself. All of them propagate
 together as sparse entries, one DAG level at a time, solving the blocks of a
-level in groups of one size. The alternating path-sum form of the same
-propagation is a cross-check in the oracle module.
+level in groups of one size.
 """
 from __future__ import annotations
 
@@ -32,7 +31,7 @@ from .errors import (
     SuperCriticalPresent,
     ValidationError,
 )
-from .spectral import BlockClass, SpectralOptions, Spectra, analyze_all_blocks
+from .spectral import DEFAULT_OPTIONS, BlockClass, SpectralOptions, Spectra, _inf_norm, analyze_all_blocks
 from .system import CooperativeSystem
 
 TINY_PIVOT_REL = 1e-13
@@ -141,13 +140,6 @@ def _refuse_super_critical(report: StabilityReport) -> None:
         )
 
 
-def trivial_blocks(cond: Condensation, spectra: Spectra) -> set[int]:
-    """Blocks whose sub-vector is zero in every non-negative stable fixed point."""
-    report = verdict(cond, spectra)
-    _refuse_super_critical(report)
-    return set(np.flatnonzero(report.trivial).tolist())
-
-
 def verdict(cond: Condensation, spectra: Spectra) -> StabilityReport:
     """Apply the graph-theoretic criterion and report the evidence.
 
@@ -229,7 +221,7 @@ def _solve(cond: Condensation, spectra: Spectra, blk: np.ndarray, col: np.ndarra
         b = cond.matrix(ks, d)
         factors = [lu_factor(m)[:2] for m in b]  # (lu, piv); a zero pivot is caught below
         singular = np.abs([lu.diagonal() for lu, _ in factors]).min(axis=1) <= TINY_PIVOT_REL * np.maximum(
-            1e-300, np.abs(b).sum(axis=2).max(axis=1))
+            1e-300, _inf_norm(b))
         failures.update((k, SingularSubCriticalSolve(k)) for k in ks[singular].tolist())
         live = ~singular[at]
         sol = np.full(rhs.shape, np.inf)
@@ -254,7 +246,7 @@ def steady_state_basis(
     report: StabilityReport | None = None,
     *,
     force: bool = False,
-    residual_tol: float = 1e-10,
+    residual_tol: float = DEFAULT_OPTIONS.residual_tol,
 ) -> SteadyStateBasis:
     """Construct one non-negative nullspace basis vector per free block.
 

@@ -391,9 +391,9 @@ def load_edge_list_json(text: str) -> CooperativeSystem:
             raise ZeroWeightEdge(edge["from"], edge["to"])
         triples.append((dst, src, w))
     for selfw in _require_list(data.get("self", []), "self"):
-        _require_keys(selfw, ("node",), "self entry", optional=("weight", "self_weight"))
+        _require_keys(selfw, ("node",), "self entry", optional=("weight",))
         node = resolve(selfw["node"], "self 'node'")
-        w = _require_number(selfw.get("weight", selfw.get("self_weight", 0.0)), "self weight")
+        w = _require_number(selfw.get("weight", 0.0), "self weight")
         if w != 0.0:
             triples.append((node, node, w))
 

@@ -769,6 +769,41 @@ def test_oracle_generate_bad_flag_is_an_input_error(capsys, args, message):
     assert message in captured.err
 
 
+HUGE = 10**20  # past int64: NumPy's integer draws and sums once failed on it with exit 70
+GENERATOR_REFUSALS = [
+    (["--seed", "-1"], None, "seed must be in [0, 2**63), got -1"),
+    ([], {"seed": -3}, "seed must be in [0, 2**63), got -3"),
+    ([], {"seed": HUGE}, f"seed must be in [0, 2**63), got {HUGE}"),
+    (["--num-blocks", f"1,{HUGE}"], None, f"num_blocks must be in [0, 2**63), got {HUGE}"),
+    (["--block-size", f"1,{HUGE}"], None, f"block_size must be in [0, 2**63), got {HUGE}"),
+    ([], {"num_blocks": [1, HUGE]}, f"num_blocks must be in [0, 2**63), got {HUGE}"),
+    ([], {"block_size": [1, HUGE]}, f"block_size must be in [0, 2**63), got {HUGE}"),
+    ([], {"planted": [[HUGE, "critical"]]}, f"planted block size must be in [0, 2**63), got {HUGE}"),
+    # weights of 1e308 once overflowed in the generator with a RuntimeWarning
+    ([], {"weight_range": [1e308, 1.7e308]}, "weight_range (1e+308, 1.7e+308) overflows: 12 nodes"),
+    ([], {"weight_range": [1e307, 1e307], "block_size": [1, 5]}, "weight_range (1e+307, 1e+307) overflows"),
+]
+
+
+@pytest.mark.parametrize("compartmental", [[], ["--compartmental"]], ids=["default", "compartmental"])
+@pytest.mark.parametrize("args, config, message", GENERATOR_REFUSALS)
+def test_oracle_generate_refuses_out_of_range_numbers(tmp_path, capsys, compartmental, args, config, message):
+    if config is not None:
+        if compartmental and "planted" in config:
+            message = "does not read planted"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(config))
+        args = [*args, "--config", str(path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["oracle", "generate", *args, *compartmental])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (64, "")
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert message in captured.err
+    assert [str(w.message) for w in caught] == []
+
+
 # ---------------------------------------------------------------------------
 # The analyze contract on arbitrary Matrix Market text
 # ---------------------------------------------------------------------------

@@ -6,17 +6,15 @@ from hypothesis import strategies as st
 from conftest import (block_nodes, dag_edges, entry_dict, lexsort_cross_and_dag, matrix_of, nodes_of,
                       reference_topological_order, strongly_connected, upstream_reachability)
 from coopstab import (
-    BadBlockOrder,
     CondensationError,
     condense,
-    extract_coupling,
     from_dense,
     full_analysis,
-    random_metzler,
     to_dot,
     validate,
 )
 from coopstab.condensation import _topological_order
+from oracles import BadBlockOrder, extract_coupling, random_metzler
 
 
 def test_two_singletons_one_edge():

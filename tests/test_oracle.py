@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,14 +20,15 @@ from coopstab import (
     full_analysis,
     generate,
     generate_compartmental,
+    generate_marginally_stable,
     generate_with_plan,
     is_compartmental,
     random_critical_matrix,
-    random_metzler,
     simulate,
     steady_state_basis,
     validate,
 )
+from oracles import random_metzler
 
 
 def _block(matrix):
@@ -252,6 +255,21 @@ def test_infeasible_specs_rejected():
         generate(GeneratorSpec(num_blocks=(3, 2)))
     with pytest.raises(InfeasibleSpec):
         generate(GeneratorSpec(planted=((0, "critical"),)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_largest_accepted_weight_generates_finite_systems(seed):
+    # the default spec has up to 12 nodes, so a row or column sum holds at most 12 weights
+    whi = np.finfo(float).max / 12 * (1 - 1e-12)
+    spec = GeneratorSpec(weight_range=(whi / 2, whi), classes=("sub-critical", "critical", "super-critical"),
+                         seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for system in (generate(spec), generate_marginally_stable(spec),
+                       generate_compartmental(replace(spec, classes=GeneratorSpec.classes))):
+            assert np.isfinite(system.coo[2]).all()
+    with pytest.raises(InfeasibleSpec, match=r"^weight_range .* overflows: 12 nodes"):
+        generate(replace(spec, weight_range=(whi / 2, whi * 1.001)))
 
 
 def test_random_metzler_is_valid():

@@ -16,12 +16,11 @@ from coopstab import (
     dominant_eigenpair,
     from_dense,
     random_critical_matrix,
-    random_metzler,
-    spectrum_match_error,
     validate,
 )
 from coopstab import spectral
 from coopstab.spectral import DEFAULT_OPTIONS
+from oracles import random_metzler, spectrum_match_error
 
 
 def _block(matrix):

@@ -31,7 +31,6 @@ from coopstab import (
     SpectralOptions,
     SuperCriticalBlock,
     SuperCriticalPresent,
-    TooManyBlocks,
     ValidationError,
     Verdict,
     condense,
@@ -43,14 +42,12 @@ from coopstab import (
     generate_marginally_stable,
     nullspace_residual,
     nullspace_residuals,
-    path_sum_matrix,
     steady_state_basis,
-    steady_state_by_path_sum,
     to_matrix_market,
-    trivial_blocks,
     validate,
     verdict,
 )
+from oracles import TooManyBlocks, path_sum_matrix, steady_state_by_path_sum
 
 
 def _analyze(matrix, opts=None):
@@ -66,23 +63,17 @@ def _analyze(matrix, opts=None):
 
 def test_block_feeding_a_critical_is_trivial():
     _, cond, spectra = _analyze([[-1, 0], [1, 0]])
-    assert trivial_blocks(cond, spectra) == {0}
+    assert verdict(cond, spectra).trivial.tolist() == [True, False]
 
 
 def test_block_fed_by_a_critical_is_not_trivial():
     _, cond, spectra = _analyze([[0, 0], [1, -2]])
-    assert trivial_blocks(cond, spectra) == set()
+    assert verdict(cond, spectra).trivial.tolist() == [False, False]
 
 
 def test_isolated_sub_critical_is_trivial():
     _, cond, spectra = _analyze([[-1.0]])
-    assert trivial_blocks(cond, spectra) == {0}
-
-
-def test_trivial_blocks_requires_no_super_critical():
-    _, cond, spectra = _analyze([[0, 1], [1, 0]])
-    with pytest.raises(SuperCriticalPresent):
-        trivial_blocks(cond, spectra)
+    assert verdict(cond, spectra).trivial.tolist() == [True]
 
 
 # ---------------------------------------------------------------------------

@@ -336,9 +336,11 @@ def test_json_unknown_field():
         load_edge_list_json('{"n": 1, "matrix": []}')
 
 
-def test_json_self_weight_alias():
-    s = load_edge_list_json('{"n": 1, "edges": [], "self": [{"node": 0, "self_weight": -4}]}')
-    assert entry_dict(s) == {(0, 0): -4.0}
+@pytest.mark.parametrize("entry", ['{"node": 0, "self_weight": -4}',
+                                   '{"node": 0, "weight": -1, "self_weight": 4}'], ids=["alone", "beside-weight"])
+def test_json_self_weight_key_is_refused(entry):
+    with pytest.raises(ParseError, match="self entry has unknown key 'self_weight'"):
+        load_edge_list_json(f'{{"n": 1, "edges": [], "self": [{entry}]}}')
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,9 @@ def _write_report(system, cond, spectra, report, opts, out) -> None:
     }).split('"blocks": null')
     out.write(f'{head}"blocks": [')
     step = len(_BLOCK)
+    class_text = np.empty(cond.h, dtype=object)
+    for cls, text in _CLASS.items():
+        class_text[spectra.classification == cls] = text
     for lo in range(0, cond.h, _REPORT_CHUNK):
         chunk = slice(lo, lo + _REPORT_CHUNK)
         bounds = cond.bounds[lo:lo + _REPORT_CHUNK + 1]
@@ -160,7 +163,7 @@ def _write_report(system, cond, spectra, report, opts, out) -> None:
                                      for text in (node_text, label_text))
         pieces = _BLOCK * len(sizes)
         pieces[0] = ", " if lo else ""
-        pieces[1::step] = map(_CLASS.__getitem__, spectra.classification[chunk].tolist())
+        pieces[1::step] = class_text[chunk].tolist()
         pieces[2::step] = map(float.__repr__, spectra.tolerance[chunk].tolist())
         pieces[3::step] = map(_FREE.__getitem__, report.free[chunk].tolist())
         pieces[4::step] = map(int.__repr__, range(lo, lo + len(sizes)))

@@ -109,6 +109,41 @@ def _tarjan(n: int, indptr: np.ndarray, indices: np.ndarray) -> list[int]:
     return comp_of
 
 
+# The peel stops after a round that peels fewer than max(_PEEL_MIN, live // _PEEL_DIVISOR) of
+# its live nodes: a chain loses only its two ends per round, and a core only its last fringe.
+_PEEL_MIN = 32
+_PEEL_DIVISOR = 8
+
+
+def _components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarray]:
+    """The number of SCCs over the edges src -> dst, and every node's SCC, numbered
+    by smallest node. A node with no live in-edge or no live out-edge lies on no
+    cycle, so it is a singleton: such nodes are peeled in rounds of array steps,
+    and Tarjan runs only on the core of nodes left when the peel stops."""
+    core, live = np.ones(n, dtype=bool), n
+    while live:
+        has_out = np.zeros(n, dtype=bool)
+        has_out[src] = True
+        core = np.zeros(n, dtype=bool)
+        core[dst] = True
+        core &= has_out
+        both = core[src] & core[dst]
+        src, dst = src[both], dst[both]
+        live, before = int(np.count_nonzero(core)), live
+        if before - live < max(_PEEL_MIN, before // _PEEL_DIVISOR):
+            break
+    smallest = np.arange(n)
+    if live:
+        nodes, at = np.flatnonzero(core), np.cumsum(core) - 1  # at: each core node's index in nodes
+        src, dst = at[src], at[dst]
+        comp = np.array(_tarjan(live, *_csr(src, dst, live, np.argsort(src))), dtype=np.intp)
+        least = np.full(live, n)
+        np.minimum.at(least, comp, nodes)
+        smallest[nodes] = least[comp]
+    root = smallest == np.arange(n)
+    return int(np.count_nonzero(root)), (np.cumsum(root) - 1)[smallest]
+
+
 def _csr(src: np.ndarray, dst: np.ndarray, n: int, order=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Out-neighbour CSR of the edges src -> dst taken in `order`, which groups them by source."""
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
@@ -147,14 +182,7 @@ def condense(system: CooperativeSystem) -> Condensation:
     n = system.n
     rows, cols, vals = system.coo
     off = rows != cols
-    # Tarjan's visiting order changes only its component ids, which are renumbered below.
-    src, dst = cols[off], rows[off]
-    comp_of = np.array(_tarjan(n, *_csr(src, dst, n, np.argsort(src))), dtype=np.intp)
-    _, min_node = np.unique(comp_of, return_index=True)
-    c = len(min_node)
-    rank = np.empty(c, dtype=np.intp)
-    rank[np.argsort(min_node)] = np.arange(c)
-    comp_of = rank[comp_of]  # components numbered by their smallest node, the order Kahn's heap keeps
+    c, comp_of = _components(n, cols[off], rows[off])  # numbered by smallest node, the order Kahn's heap keeps
 
     # The component DAG's edges, deduplicated once and so sorted by source: they give the
     # topological numbering of the blocks, the grouping of the couplings and the block DAG.

@@ -27,6 +27,9 @@ DENSE_LIMIT = 500
 DENSE_ZERO_TOL = 1e-8
 DENSE_RANK_TOL = 1e-10
 HORIZON_CAP = 1e4  # the limit check's largest certification horizon
+# The most nodes a generator spec may draw: every dense array the generators build is at
+# most n x n floats (32 MB here), so a spec past it is refused before anything is drawn.
+GENERATOR_LIMIT = 2000
 
 TOPOLOGIES = ("chain", "diamond", "forest", "random-dag")
 CLASS_NAMES = ("critical", "sub-critical", "super-critical")
@@ -208,6 +211,9 @@ def _check_spec(spec: GeneratorSpec) -> None:
                 raise InfeasibleSpec(f"{name} must be in [0, 2**63), got {value}")
     # A row or column sum the generators build adds at most as many weights as there are nodes.
     nodes = sum(sizes) if spec.planted is not None else spec.num_blocks[1] * spec.block_size[1]
+    if nodes > GENERATOR_LIMIT:
+        raise InfeasibleSpec(f"the spec draws up to {nodes} nodes, over the generators' limit of "
+                             f"{GENERATOR_LIMIT} (their dense arrays are n x n)")
     if not math.isfinite(nodes * float(whi)):  # a Python float: no overflow warning
         raise InfeasibleSpec(f"weight_range {spec.weight_range} overflows: {nodes} nodes of weight "
                              f"up to {whi} sum past the largest float")

@@ -784,6 +784,11 @@ GENERATOR_REFUSALS = [
     # weights of 1e308 once overflowed in the generator with a RuntimeWarning
     ([], {"weight_range": [1e308, 1.7e308]}, "weight_range (1e+308, 1.7e+308) overflows: 12 nodes"),
     ([], {"weight_range": [1e307, 1e307], "block_size": [1, 5]}, "weight_range (1e+307, 1e+307) overflows"),
+    # sizes that fit int64 but not memory once ended in exit 70, or would ask for gigabytes
+    ([], {"planted": [[4_000_000_000, "critical"]]}, "the spec draws up to 4000000000 nodes, over the generators'"),
+    ([], {"planted": [[50_000, "critical"]]}, "the spec draws up to 50000 nodes"),
+    (["--num-blocks", f"1,{2**62}"], None, f"the spec draws up to {3 * 2**62} nodes"),
+    (["--block-size", "2001"], None, "the spec draws up to 8004 nodes"),
 ]
 
 

@@ -1,18 +1,23 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (block_nodes, dag_edges, entry_dict, lexsort_cross_and_dag, matrix_of, nodes_of,
-                      reference_topological_order, strongly_connected, upstream_reachability)
+from conftest import (bfs_reachable, block_nodes, dag_edges, entry_dict, lexsort_cross_and_dag, matrix_of,
+                      nodes_of, reference_topological_order, strongly_connected, upstream_reachability)
 from coopstab import (
     CondensationError,
     condense,
     from_dense,
     full_analysis,
+    load_matrix_market,
     to_dot,
     validate,
 )
+from coopstab import condensation
 from coopstab.condensation import _topological_order
 from oracles import BadBlockOrder, extract_coupling, random_metzler
 
@@ -345,3 +350,136 @@ def test_block_order_cross_and_dag_match_the_references(system):
     src = np.repeat(np.arange(cond.h), np.diff(indptr))
     topo, depth = reference_topological_order(cond.permutation[cond.bounds[:-1]], src, succ)
     assert topo == list(range(cond.h)) and depth == cond.level.tolist()
+
+
+# ---------------------------------------------------------------------------
+# The acyclic peel: the settings of its stop rule change only how much of the
+# graph Tarjan sees, never the condensation.
+# ---------------------------------------------------------------------------
+
+PEEL_SETTINGS = {  # (_PEEL_MIN, _PEEL_DIVISOR)
+    "fixpoint": (1, sys.maxsize),  # stop after a round that peels nothing
+    "one round": (sys.maxsize, 1),  # stop after the first round
+    "default": (condensation._PEEL_MIN, condensation._PEEL_DIVISOR),
+}
+
+
+def reference_peel(n: int, edges, minimum: int, divisor: int) -> tuple[int, set[int]]:
+    """Rounds and the core left by the peel, over Python sets: each round drops every
+    live node without a live in-edge or without a live out-edge, and the peel stops
+    after a round that drops fewer than max(minimum, live // divisor) of the live nodes."""
+    live, edges, rounds = set(range(n)), set(edges), 0
+    while live:
+        rounds += 1
+        kept = live & {b for _, b in edges} & {a for a, _ in edges}
+        edges = {(a, b) for a, b in edges if a in kept and b in kept}
+        before, live = len(live), kept
+        if before - len(live) < max(minimum, before // divisor):
+            break
+    return rounds, live
+
+
+def _condense_with(system, setting):
+    """condense under one stop-rule setting; also the node counts Tarjan was called on."""
+    real_tarjan, calls = condensation._tarjan, []
+
+    def tarjan(n, indptr, indices):
+        calls.append(n)
+        return real_tarjan(n, indptr, indices)
+
+    minimum, divisor = PEEL_SETTINGS[setting]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condensation, "_PEEL_MIN", minimum)
+        mp.setattr(condensation, "_PEEL_DIVISOR", divisor)
+        mp.setattr(condensation, "_tarjan", tarjan)
+        return condense(system), calls
+
+
+def _all_bits(cond) -> list:
+    return [cond.h] + _bits((cond.bounds, cond.matrices, cond.matrix_bounds, *cond.dag, cond.level,
+                             cond.node_to_block, cond.permutation, *cond.cross))
+
+
+def _edges(system) -> list[tuple[int, int]]:
+    rows, cols, _ = system.coo
+    return [(j, i) for i, j in zip(rows.tolist(), cols.tolist()) if i != j]
+
+
+def mutual_reachability_blocks(system) -> set[frozenset[int]]:
+    """The SCCs as the classes of mutual reachability, from breadth-first searches."""
+    fwd: list[list[int]] = [[] for _ in range(system.n)]
+    back: list[list[int]] = [[] for _ in range(system.n)]
+    for a, b in _edges(system):
+        fwd[a].append(b)
+        back[b].append(a)
+    blocks, done = set(), set()
+    for v in range(system.n):
+        if v not in done:
+            block = frozenset(bfs_reachable(fwd, v) & bfs_reachable(back, v))
+            blocks.add(block)
+            done |= block
+    return blocks
+
+
+@st.composite
+def fringed_systems(draw):
+    """Planted cycles (some linked), DAG fringes of layers above and below them,
+    chains and isolated nodes, plus a few random edges; shuffled node ids."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = 0
+
+    def new(k):
+        nonlocal count
+        count += k
+        return list(range(count - k, count))
+
+    edges = set()
+    cycles = [new(draw(st.integers(2, 6))) for _ in range(draw(st.integers(0, 4)))]
+    for cycle in cycles:
+        edges |= set(zip(cycle, cycle[1:] + cycle[:1]))
+    for a, b in zip(cycles, cycles[1:]):  # a path between two cycles stays in the core
+        if draw(st.booleans()):
+            path = [int(rng.choice(a)), *new(draw(st.integers(0, 3))), int(rng.choice(b))]
+            edges |= set(zip(path, path[1:]))
+    core = [v for cycle in cycles for v in cycle] or new(1)
+    for upstream in (True, False):
+        layers = [new(draw(st.integers(1, 40))) for _ in range(draw(st.integers(0, 5)))]
+        for a, b in zip(layers, layers[1:]):  # each node an edge to the next layer, and one from it
+            edges |= {(v, int(rng.choice(b))) for v in a} | {(int(rng.choice(a)), v) for v in b}
+        if layers:
+            ends = layers[-1] if upstream else layers[0]
+            edges |= {(v, int(rng.choice(core))) if upstream else (int(rng.choice(core)), v) for v in ends}
+    for _ in range(draw(st.integers(0, 2))):
+        chain = new(draw(st.integers(1, 40)))
+        edges |= set(zip(chain, chain[1:]))
+    new(draw(st.integers(0, 8)))  # isolated nodes
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = rng.integers(0, count, size=2).tolist()
+        if a != b:
+            edges.add((a, b))
+    perm = draw(st.permutations(range(count)))
+    entries = {(perm[b], perm[a]): 1.0 for a, b in edges}
+    entries.update({(perm[v], perm[v]): -2.0 for v in range(0, count, 3)})
+    return validate(entries, count)
+
+
+@given(fringed_systems())
+@settings(max_examples=150, deadline=None)
+def test_every_peel_setting_gives_the_same_condensation(system):
+    runs = {setting: _condense_with(system, setting) for setting in PEEL_SETTINGS}
+    bits = _all_bits(runs["default"][0])
+    for setting, (cond, calls) in runs.items():
+        assert _all_bits(cond) == bits, setting
+        rounds, core = reference_peel(system.n, _edges(system), *PEEL_SETTINGS[setting])
+        assert calls == ([len(core)] if core else [])  # Tarjan sees the core alone
+    assert set(map(frozenset, block_nodes(runs["default"][0]))) == mutual_reachability_blocks(system)
+
+
+def test_fringe_core_fixture_is_peeled_in_rounds_around_a_core():
+    path = Path(__file__).parent / "fixtures" / "fringe_core.mtx"
+    system = load_matrix_market(path.read_text(encoding="utf-8"))
+    rounds, core = reference_peel(system.n, _edges(system), *PEEL_SETTINGS["default"])
+    assert rounds >= 4 and 0 < len(core) < system.n // 4
+    cond, calls = _condense_with(system, "default")
+    assert calls == [len(core)]
+    assert set(map(frozenset, block_nodes(cond))) == mutual_reachability_blocks(system)

@@ -28,6 +28,7 @@ from coopstab import (
     steady_state_basis,
     validate,
 )
+from coopstab import oracle
 from oracles import random_metzler
 
 
@@ -270,6 +271,23 @@ def test_the_largest_accepted_weight_generates_finite_systems(seed):
             assert np.isfinite(system.coo[2]).all()
     with pytest.raises(InfeasibleSpec, match=r"^weight_range .* overflows: 12 nodes"):
         generate(replace(spec, weight_range=(whi / 2, whi * 1.001)))
+
+
+def test_specs_past_the_generator_limit_are_refused_before_drawing():
+    limit = oracle.GENERATOR_LIMIT
+    accepted = [GeneratorSpec(planted=((limit, "critical"),)), GeneratorSpec(planted=((limit // 2, "critical"),) * 2),
+                GeneratorSpec(num_blocks=(1, limit // 4), block_size=(2, 4))]
+    for spec in accepted:
+        oracle._check_spec(spec)
+    refused = [GeneratorSpec(planted=((limit + 1, "critical"),)), GeneratorSpec(planted=((limit, "critical"),) * 2),
+               GeneratorSpec(num_blocks=(1, limit + 1)), GeneratorSpec(block_size=(1, 2**62))]
+    message = rf"^the spec draws up to \d+ nodes, over the generators' limit of {limit} "
+    for spec in refused:
+        for generator in (generate, generate_marginally_stable, generate_compartmental):
+            if generator is generate_compartmental and spec.planted:
+                continue  # refused for reading planted
+            with pytest.raises(InfeasibleSpec, match=message):
+                generator(spec)
 
 
 def test_random_metzler_is_valid():

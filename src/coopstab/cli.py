@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  argparse's gettext imports it on the first parser; pay that at import
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import GapTooSmall, InfeasibleSpec, NonFiniteResult, TooLargeForDense, ValidationError
 from .spectral import BlockClass, SpectralOptions, _inf_norm, classify, dominant_eigenpair
@@ -92,6 +91,8 @@ def simulate(
         raise ValidationError("times must be strictly increasing")
     if not ts:
         return np.zeros((0, system.n))
+    from scipy.linalg import expm  # not at module level: the CLI's analysis never imports scipy.linalg
+
     a = system.to_dense()
     return np.vstack([expm(a * t) @ m0 for t in ts])
 
@@ -115,6 +116,8 @@ def expm_limit_check(matrix, *, block: int = 0, opts: SpectralOptions | None = N
     not call critical (the same eigensolve and band) is refused with a
     ValidationError; errors name `block`.
     """
+    from scipy.linalg import expm  # see simulate
+
     b = np.asarray(matrix, dtype=float)
     gap = math.inf
     if len(b) > 1:
@@ -409,12 +412,14 @@ def generate_marginally_stable(spec: GeneratorSpec) -> CooperativeSystem:
     h = len(plan)
     dag = _planted_edges(spec.topology, h, spec.edge_density, rng)
 
+    succ: list[list[int]] = [[] for _ in range(h)]
+    for a, b in dag:
+        succ[a].append(b)
     reach = np.zeros((h, h), dtype=bool)
-    for l in reversed(range(h)):
-        for (a, b) in dag:
-            if a == l:
-                reach[l, b] = True
-                reach[l] |= reach[b]
+    for l in reversed(range(h)):  # every edge goes from a lower to a higher block
+        for b in succ[l]:
+            reach[l, b] = True
+            reach[l] |= reach[b]
 
     kept: list[int] = []
     for k in range(h):

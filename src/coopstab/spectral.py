@@ -187,7 +187,8 @@ def analyze_all_blocks(cond: Condensation, opts: SpectralOptions | None = None) 
     phi = np.ones(len(cond.permutation))  # a singleton's eigenvector is [1]
     failures: dict[int, Exception] = {}
     size = np.diff(cond.bounds)
-    for d in np.unique(size[size > 1]).tolist():
+    # the multi-node sizes, ascending; NumPy 2.4's np.unique would import numpy.ma on first use
+    for d in (np.flatnonzero(np.bincount(size)[2:]) + 2).tolist():
         group = np.flatnonzero(size == d)
         per = 1 if d > opts.dense_cutoff and opts.max_iter else max(1, _CHUNK_ENTRIES // (d * d))
         for ks in np.split(group, range(per, group.size, per)):

@@ -16,11 +16,15 @@ level in groups of one size.
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .condensation import Condensation, condense
 from .errors import (
@@ -35,9 +39,29 @@ from .spectral import DEFAULT_OPTIONS, BlockClass, SpectralOptions, Spectra, _in
 from .system import CooperativeSystem
 
 TINY_PIVOT_REL = 1e-13
+
+
+def _load_flapack():
+    """SciPy's compiled LAPACK wrappers, `scipy.linalg._flapack`, loaded from their file without
+    the `scipy.linalg` package import, whose array-API shim imports numpy.f2py, numpy.testing
+    and numpy.ma. Its dgetrf and dgetrs are the objects `get_lapack_funcs` returns for float64."""
+    name = "scipy.linalg._flapack"
+    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        raise ImportError(f"{name} not found under {scipy.__path__[0]}")
+    registered = name in sys.modules
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # CPython files a single-phase extension module in sys.modules as it creates it. Drop that
+    # entry, so that a later `import scipy.linalg` loads and binds its own copy as usual.
+    if not registered:
+        sys.modules.pop(name, None)
+    return module.dgetrf, module.dgetrs
+
+
 # LAPACK's dgetrf and dgetrs, called directly: `_solve` checks the pivots and the finiteness
 # itself. The factorization keeps the name lu_factor, the boundary that tracing wraps.
-lu_factor, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+lu_factor, _GETRS = _load_flapack()
 
 
 class Verdict(enum.Enum):

@@ -1,6 +1,9 @@
 import gc
+import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import warnings
@@ -557,6 +560,56 @@ def test_oracle_generate_round_trips(capsys):
 
     assert main(["oracle", "generate", "--seed", "5", "--marginal"]) == 0
     assert capsys.readouterr().out == text  # deterministic per seed
+
+
+@pytest.mark.parametrize("args, sha256", [
+    pytest.param("--seed 5", "14173f98d050286a0ba53617862dc0dfd5b32c01f8ff5d590bd1c55edb6a628b",
+                 id="default"),
+    pytest.param("--topology forest --num-blocks 30,40 --block-size 1,4 --seed 11",
+                 "20e27b0c78fc61a9c815a38db3642a839af138f209cd462511f29d850069c6e8", id="forest"),
+    pytest.param("--block-size 1 --num-blocks 300,300 --seed 3",
+                 "193e0e3f43b58c6fa9e65e0d5fd84c3011159b4a0558958b10fb51e129d359f5", id="random-dag-300"),
+])
+def test_oracle_generate_marginal_output_is_pinned(args, sha256, capsys):
+    """The marginal generator's output, hashed as written before its reachability sweep read
+    successor lists instead of scanning the whole DAG once per block."""
+    assert main(["oracle", "generate", *args.split(), "--marginal"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+_IMPORT_PROBE = """
+import io, sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+import coopstab.cli as cli
+heavy = [m for m in ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma") if m in sys.modules]
+assert not heavy, heavy
+runs = 0
+for path in sorted(p for p in Path(sys.argv[1]).iterdir() if p.is_file()):
+    for command in ("analyze", "steady-state"):
+        before = set(sys.modules)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            cli.main([command, str(path)])
+        gained = sorted(set(sys.modules) - before)
+        assert not gained, (command, path.name, gained)
+        runs += 1
+import scipy.linalg  # still imports as usual, and binds the same LAPACK routines
+from coopstab import stability
+assert scipy.linalg._flapack.dgetrf is stability.lu_factor
+print(runs)
+"""
+
+
+def test_cli_imports_nothing_heavy_and_nothing_during_an_op():
+    """A fresh `import coopstab.cli` leaves out scipy.linalg and the NumPy subpackages that its
+    import pulls in, and `analyze` and `steady-state` then import no module on any fixture, so
+    an op pays no import; a later `import scipy.linalg` works as usual. A subprocess, because
+    this process has imported all of them."""
+    src = Path(cli.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-W", "error", "-c", _IMPORT_PROBE, str(FIXTURES)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) == 2 * sum(p.is_file() for p in FIXTURES.iterdir())
 
 
 def test_oracle_generate_compartmental(capsys):

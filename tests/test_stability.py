@@ -932,3 +932,30 @@ def test_no_block_is_built_for_a_singleton(monkeypatch, tmp_path, capsys):
     assert not any(a.flags.writeable for a in columns)
     assert isinstance(spectra.phi, np.ndarray) and spectra.phi.shape == (system.n,)  # one column
     assert spectra.classification.tolist().count(BlockClass.CRITICAL) == 2
+
+
+def test_direct_lapack_binding_is_scipys_bit_for_bit():
+    """lu_factor and _GETRS, loaded from SciPy's LAPACK extension without the scipy.linalg
+    package import, factor and solve exactly as scipy.linalg's own float64 getrf and getrs,
+    on seeded Metzler blocks of size 2 to 8 and on one exactly singular block."""
+    import coopstab.stability as stability
+
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+    rng = np.random.default_rng(2021)
+    blocks = []
+    for _ in range(300):
+        d = int(rng.integers(2, 9))
+        b = np.where(rng.random((d, d)) < 0.5, rng.uniform(0.0, 2.0, (d, d)), 0.0)
+        np.fill_diagonal(b, -rng.uniform(0.0, 2.0 * d, d))
+        blocks.append(b)
+    blocks.append(np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.5, 0.5, -1.0]]))  # row 1 = -row 0
+    infos = set()
+    for b in blocks:
+        got, want = stability.lu_factor(b), getrf(b)
+        assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+        assert got[2] == want[2]
+        infos.add(got[2] > 0)
+        for rhs in (np.ones(len(b)), rng.uniform(-1.0, 1.0, len(b))):
+            x, y = stability._GETRS(*got[:2], rhs), getrs(*want[:2], rhs)
+            assert x[0].tobytes() == y[0].tobytes() and x[1] == y[1]
+    assert infos == {False, True}  # the singular block reports its zero pivot

@@ -26,19 +26,6 @@ from .errors import (
     ValidationError,
     ZeroWeightEdge,
 )
-from .oracle import (
-    DenseVerdict,
-    GeneratorSpec,
-    LimitCheckResult,
-    dense_verdict,
-    expm_limit_check,
-    generate,
-    generate_compartmental,
-    generate_marginally_stable,
-    generate_with_plan,
-    random_critical_matrix,
-    simulate,
-)
 from .spectral import (
     BlockClass,
     SpectralOptions,
@@ -71,3 +58,23 @@ from .system import (
     to_matrix_market,
     validate,
 )
+
+# The dense cross-checks and generators load on first use (PEP 562), so that importing the
+# pipeline does not compile and run the oracle module.
+_ORACLE_NAMES = frozenset({
+    "DenseVerdict", "GeneratorSpec", "LimitCheckResult", "dense_verdict", "expm_limit_check", "generate",
+    "generate_compartmental", "generate_marginally_stable", "generate_with_plan", "random_critical_matrix",
+    "simulate",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)

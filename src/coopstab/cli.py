@@ -28,17 +28,6 @@ from .errors import (
     SuperCriticalPresent,
     ValidationError,
 )
-from .oracle import (
-    GeneratorSpec,
-    _int_pair,
-    _spec_from_config,
-    dense_verdict,
-    expm_limit_check,
-    generate,
-    generate_compartmental,
-    generate_marginally_stable,
-    simulate,
-)
 from .spectral import DEFAULT_OPTIONS, BlockClass, SpectralOptions
 from .stability import (
     SteadyStateBasis,
@@ -310,6 +299,8 @@ def _numbers(tokens: list[str], source: str) -> list[float]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .oracle import simulate  # the dense routes load on use: analyze and steady-state never run them
+
     system = _load_system(args.input, args.format)
     times = _numbers([t for t in args.times.split(",") if t.strip()], "--times")
     if args.initial:
@@ -327,9 +318,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle
+
     if args.oracle_cmd == "dense-verdict":
         system = _load_system(args.input, args.format)
-        dv = dense_verdict(system)
+        dv = oracle.dense_verdict(system)
         print(_dumps({
             "dominant_real": dv.dominant_real,
             "algebraic_multiplicity_zero": dv.algebraic_multiplicity_zero,
@@ -342,7 +335,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         cond = condense(system)
         if not 0 <= args.block < cond.h:
             raise ValidationError(f"--block {args.block} outside [0,{cond.h})")
-        result = expm_limit_check(cond.matrix(args.block), block=args.block, opts=_spectral_options(args))
+        opts = _spectral_options(args)
+        result = oracle.expm_limit_check(cond.matrix(args.block), block=args.block, opts=opts)
         print(_dumps({
             "block": args.block,
             "residual": result.residual,
@@ -357,23 +351,23 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             raw = json.loads(_read_text(args.config, source))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{source}: {exc}") from None
-        spec = _spec_from_config(raw, source)
+        spec = oracle._spec_from_config(raw, source)
     else:
-        spec = GeneratorSpec(
+        spec = oracle.GeneratorSpec(
             topology=args.topology,
-            num_blocks=_int_pair(args.num_blocks, "--num-blocks"),
-            block_size=_int_pair(args.block_size, "--block-size"),
+            num_blocks=oracle._int_pair(args.num_blocks, "--num-blocks"),
+            block_size=oracle._int_pair(args.block_size, "--block-size"),
             classes=tuple(args.classes.split(",")),
             edge_density=args.density,
         )
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     if args.compartmental:
-        system = generate_compartmental(spec)
+        system = oracle.generate_compartmental(spec)
     elif args.marginal:
-        system = generate_marginally_stable(spec)
+        system = oracle.generate_marginally_stable(spec)
     else:
-        system = generate(spec)
+        system = oracle.generate(spec)
     if args.out_format == "json":
         print(to_edge_list_json(system))
     else:

@@ -24,7 +24,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .condensation import Condensation, condense
 from .errors import (
@@ -43,12 +42,19 @@ TINY_PIVOT_REL = 1e-13
 
 def _load_flapack():
     """SciPy's compiled LAPACK wrappers, `scipy.linalg._flapack`, loaded from their file without
-    the `scipy.linalg` package import, whose array-API shim imports numpy.f2py, numpy.testing
-    and numpy.ma. Its dgetrf and dgetrs are the objects `get_lapack_funcs` returns for float64."""
+    running the `scipy` or `scipy.linalg` package `__init__`: the latter's array-API shim imports
+    numpy.f2py, numpy.testing and numpy.ma. Its dgetrf and dgetrs are the objects
+    `get_lapack_funcs` returns for float64."""
+    if os.name == "nt":
+        import scipy  # noqa: F401  its __init__ puts the bundled OpenBLAS on the DLL search path
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy not found", name="scipy")
+    root = scipy_spec.submodule_search_locations[0]
     name = "scipy.linalg._flapack"
-    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(root, "linalg")])
     if spec is None:
-        raise ImportError(f"{name} not found under {scipy.__path__[0]}")
+        raise ImportError(f"{name} not found under {root}")
     registered = name in sys.modules
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -306,14 +306,25 @@ def load_matrix_market(text: str) -> CooperativeSystem:
     if start < len(text) and text.endswith("\n") and not _NOT_ENTRY.search(text, start - 1, len(text) - 1):
         entries = np.fromstring(text[start:], sep=" ").reshape(-1, 3)  # three numbers a line
         if len(entries) == nnz:
+            values = entries[:, 2]
+            if fld == "integer":
+                whole = np.isfinite(values) & (values == np.floor(values))
+                if not whole.all():
+                    k = int(np.argmin(whole))
+                    raise _not_whole(len(lines) + 1 + k, float(values[k]))
             i, j = (entries[:, c].astype(np.intp) - 1 for c in (0, 1))
-            return validate((i, j, entries[:, 2]), rows)
+            return validate((i, j, values), rows)
     lines += text[start:].splitlines()  # the head ends with a line break
-    return validate(_entries_by_line(data, nnz, len(lines)), rows)
+    return validate(_entries_by_line(data, nnz, len(lines), fld == "integer"), rows)
 
 
-def _entries_by_line(data, nnz: int, line_count: int) -> list[tuple[int, int, float]]:
-    """The 0-based (i, j, value) triples of the entry lines, one at a time."""
+def _not_whole(no: int, value: float) -> ParseError:
+    return ParseError(no, f"value {value} is not a whole number, as the 'integer' field requires")
+
+
+def _entries_by_line(data, nnz: int, line_count: int, integer: bool) -> list[tuple[int, int, float]]:
+    """The 0-based (i, j, value) triples of the entry lines, one at a time;
+    with `integer`, a value that is not a whole number is refused."""
     triples: list[tuple[int, int, float]] = []
     for no, ln in data:
         if len(triples) == nnz:
@@ -326,6 +337,8 @@ def _entries_by_line(data, nnz: int, line_count: int) -> list[tuple[int, int, fl
             v = float(parts[2])
         except ValueError:
             raise ParseError(no, f"malformed entry {ln!r}") from None
+        if integer and not v.is_integer():
+            raise _not_whole(no, v)
         triples.append((i - 1, j - 1, v))
     if len(triples) != nnz:
         raise ParseError(line_count, f"declared {nnz} entries, found {len(triples)}")

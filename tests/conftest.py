@@ -154,6 +154,8 @@ def reference_load_matrix_market(text: str):
             v = float(parts[2])
         except ValueError:
             raise ParseError(no, f"malformed entry {ln!r}") from None
+        if fld == "integer" and not (math.isfinite(v) and v == math.floor(v)):
+            raise ParseError(no, f"value {v} is not a whole number, as the 'integer' field requires")
         triples.append((i - 1, j - 1, v))
     if len(triples) != nnz:
         raise ParseError(len(lines), f"declared {nnz} entries, found {len(triples)}")

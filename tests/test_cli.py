@@ -122,6 +122,17 @@ def test_non_finite_input_exit_64(tmp_path, capsys, name, text, command):
     assert "not finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["analyze", "steady-state"])
+def test_fraction_under_the_integer_field_exit_64(tmp_path, capsys, command):
+    # once read as a real: exit 2, "block 1 is super-critical"
+    path = tmp_path / "integer.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 -1\n2 2 0.5\n")
+    assert main([command, str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 4: value 0.5 is not a whole number, as the 'integer' field requires\n"
+
+
 def _only_error_line(err: str) -> bool:
     return err.startswith("error: ") and err.count("\n") == 1
 
@@ -578,11 +589,14 @@ def test_oracle_generate_marginal_output_is_pinned(args, sha256, capsys):
 
 
 _IMPORT_PROBE = """
-import io, sys
+import io, os, sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 import coopstab.cli as cli
-heavy = [m for m in ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma") if m in sys.modules]
+unused = ["scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma", "coopstab.oracle"]
+if os.name != "nt":  # there the scipy package's __init__ runs first, for its DLL search path
+    unused.append("scipy")
+heavy = [m for m in unused if m in sys.modules]
 assert not heavy, heavy
 runs = 0
 for path in sorted(p for p in Path(sys.argv[1]).iterdir() if p.is_file()):
@@ -596,15 +610,29 @@ for path in sorted(p for p in Path(sys.argv[1]).iterdir() if p.is_file()):
 import scipy.linalg  # still imports as usual, and binds the same LAPACK routines
 from coopstab import stability
 assert scipy.linalg._flapack.dgetrf is stability.lu_factor
+import coopstab
+for name in ("DenseVerdict", "GeneratorSpec", "LimitCheckResult", "dense_verdict", "expm_limit_check",
+             "generate", "generate_compartmental", "generate_marginally_stable", "generate_with_plan",
+             "random_critical_matrix", "simulate"):
+    names = {}
+    exec(f"from coopstab import {name}", names)
+    assert names[name] is getattr(sys.modules["coopstab.oracle"], name), name
+try:
+    coopstab.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("coopstab.no_such_name resolved")
 print(runs)
 """
 
 
 def test_cli_imports_nothing_heavy_and_nothing_during_an_op():
-    """A fresh `import coopstab.cli` leaves out scipy.linalg and the NumPy subpackages that its
-    import pulls in, and `analyze` and `steady-state` then import no module on any fixture, so
-    an op pays no import; a later `import scipy.linalg` works as usual. A subprocess, because
-    this process has imported all of them."""
+    """A fresh `import coopstab.cli` leaves out the scipy package, scipy.linalg and the NumPy
+    subpackages that its import pulls in, and the oracle module, and `analyze` and `steady-state`
+    then import no module on any fixture, so an op pays no import; a later `import scipy.linalg`
+    works as usual, and the package's oracle names resolve on first use to the oracle module's
+    own objects. A subprocess, because this process has imported all of them."""
     src = Path(cli.__file__).resolve().parents[1]
     run = subprocess.run([sys.executable, "-W", "error", "-c", _IMPORT_PROBE, str(FIXTURES)],
                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})

@@ -959,3 +959,15 @@ def test_direct_lapack_binding_is_scipys_bit_for_bit():
             x, y = stability._GETRS(*got[:2], rhs), getrs(*want[:2], rhs)
             assert x[0].tobytes() == y[0].tobytes() and x[1] == y[1]
     assert infos == {False, True}  # the singular block reports its zero pivot
+
+
+def test_lapack_loader_names_scipy_when_it_is_missing(monkeypatch):
+    import importlib.util
+
+    import coopstab.stability as stability
+
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+    with pytest.raises(ImportError, match="scipy"):
+        stability._load_flapack()

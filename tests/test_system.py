@@ -175,7 +175,9 @@ MM_VALUES = ["+1", "007.5", "1_000", "\u0661", "nan", "-nan", "inf", "-inf", "1e
 MM_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.2250738585072014e-308,
              0.1, 1 / 3, 1e-5, 1e16, 123456789.125]
 MM_ANOMALIES = ["comment", "blank", "add-line", "line-end", "no-final-newline", "drop-line",
-                "repeat-line", "tab", "trailing", "index", "value", "drop-token", "add-token"]
+                "repeat-line", "tab", "trailing", "index", "value", "drop-token", "add-token",
+                "integer-field"]
+MM_INT_HEADER = "%%MatrixMarket matrix coordinate integer general"
 
 
 @st.composite
@@ -206,6 +208,8 @@ def mm_texts(draw):
             ends[at - 1] = draw(st.sampled_from(["\r\n", "\r"]))
         elif kind == "no-final-newline":
             ends[-1] = ""
+        elif kind == "integer-field":
+            lines[0] = MM_INT_HEADER
         elif k >= len(lines):
             continue
         elif kind == "drop-line":
@@ -243,6 +247,8 @@ def mm_texts(draw):
 @example(f"{MM_HEADER}\n2 2 2\n1 1 1.0\n2 2 1.0x\n")  # the last line's last character
 @example(f"{MM_HEADER}\n% c\r2 2 1\n1 1 1.0\n2 2 1.0\n")  # a lone "\r" hides the size line
 @example(f"{MM_HEADER}\n2 2 1\n1 \u0661 1.0\n")
+@example(f"{MM_INT_HEADER}\n2 2 2\n1 1 -1.0\n2 2 0.5\n")  # not whole, on both paths
+@example(f"{MM_INT_HEADER}\n2 2 2\n1 1 -1.0\n2 2 0.5 \n")
 @settings(max_examples=500, deadline=None)
 def test_mm_reader_matches_the_line_by_line_reference(text):
     assert _parsed(load_matrix_market, text) == _parsed(reference_load_matrix_market, text)
@@ -260,6 +266,32 @@ def test_canonical_mm_takes_the_vectorised_pass(monkeypatch):
     # One anomaly sends the whole text down the line loop.
     with pytest.raises(AssertionError, match="line-by-line"):
         load_matrix_market(text.replace("\n", " \n", 3))
+
+
+@pytest.mark.parametrize("by_line", [False, True])
+def test_mm_integer_field_takes_whole_values(by_line, monkeypatch):
+    text = f"{MM_INT_HEADER}\n3 3 4\n1 1 -2\n2 1 3.0\n2 2 -1e3\n3 3 -7\n"
+    if by_line:
+        text = text.replace("3.0\n", "3.0 \n")  # one non-canonical line sends the text down the line loop
+    else:
+        monkeypatch.setattr(system_module, "_entries_by_line", _no_line_loop)
+    assert entry_dict(load_matrix_market(text)) == {(0, 0): -2.0, (1, 0): 3.0, (1, 1): -1000.0, (2, 2): -7.0}
+
+
+@pytest.mark.parametrize("value", ["0.5", "1e-3", "1e400", "inf", "-nan"])
+def test_mm_integer_field_refuses_a_value_that_is_not_whole(value, monkeypatch):
+    """A fractional or non-finite value under the `integer` field is a ParseError naming its line,
+    the same on the vectorised pass (canonical values) and on the line loop."""
+    text = f"{MM_INT_HEADER}\n% c\n2 2 3\n1 1 -1\n2 1 2\n2 2 {value}\n"
+    with pytest.raises(ParseError) as by_line:
+        load_matrix_market(text.replace("-1\n", "-1 \n"))
+    if value not in ("inf", "-nan"):
+        monkeypatch.setattr(system_module, "_entries_by_line", _no_line_loop)
+    with pytest.raises(ParseError) as vectorised:
+        load_matrix_market(text)
+    assert vectorised.value.line == by_line.value.line == 6
+    assert str(vectorised.value) == str(by_line.value)
+    assert str(by_line.value).endswith("is not a whole number, as the 'integer' field requires")
 
 
 def test_mm_parse_peak_memory():

@@ -108,6 +108,8 @@ def _reason_dict(reason) -> dict | None:
 
 # Blocks per write of the streamed `analyze` report: only one chunk's text exists at a time.
 _REPORT_CHUNK = 1024
+# Labels, and a column's stored values, per write of the streamed `steady-state` JSON.
+_BASIS_CHUNK = 1024
 # A block's JSON text, after the ", " before it: key texts, with None where a field's text goes.
 _BLOCK = [", ", None, None, None, None, ', "labels": [', None, '], "mu": ', None, ', "nodes": [', None,
           '], "size": ', None, None]
@@ -145,7 +147,7 @@ def _write_report(system, cond, spectra, report, opts, out) -> None:
         bounds = cond.bounds[lo:lo + _REPORT_CHUNK + 1]
         nodes = cond.permutation[bounds[0]:bounds[-1]].tolist()
         node_text = list(map(int.__repr__, nodes))
-        label_text = list(map(encode_basestring_ascii, map(system.node_labels.__getitem__, nodes)))
+        label_text = list(map(encode_basestring_ascii, map(system.label_of, nodes)))
         sizes = np.diff(bounds).tolist()
         if len(nodes) > len(sizes):  # a multi-node block: join each block's items into one text
             ends = (bounds - bounds[0]).tolist()
@@ -210,41 +212,55 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_BY_VERDICT[report.verdict]
 
 
-def _column_texts(n: int, indptr: np.ndarray, nodes: np.ndarray, values: np.ndarray):
-    """Yield each CSC column's JSON list items as an n-vector: only stored values are formatted,
-    each after a repeated "0.0, " for the zeros before it, and a column is joined in one step."""
-    gap = np.diff(nodes, prepend=-1) - 1
-    top = indptr[:-1][np.diff(indptr) > 0]  # each column's first entry
-    gap[top] = nodes[top]
-    for a, b in zip(indptr.tolist(), indptr[1:].tolist()):
-        text = list(map(float.__repr__, values[a:b].tolist()))
-        for e in np.flatnonzero(gap[a:b]).tolist():
-            text[e] = "0.0, " * int(gap[a + e]) + text[e]
-        yield ", ".join(text) + ", 0.0" * (n - 1 - int(nodes[b - 1])) if text else ", ".join(["0.0"] * n)
+def _write_column(n: int, nodes: np.ndarray, values: np.ndarray, gap: np.ndarray, out) -> None:
+    """Write one CSC column's JSON list items as an n-vector from its stored `nodes` (ascending),
+    `values` and `gap`, the zeros before each: only stored values are formatted, `_BASIS_CHUNK`
+    at a time, each after a repeated "0.0, " for its zeros."""
+    if not len(nodes):
+        out.write("0.0" + ", 0.0" * (n - 1))
+        return
+    for lo in range(0, len(nodes), _BASIS_CHUNK):
+        text = list(map(float.__repr__, values[lo:lo + _BASIS_CHUNK].tolist()))
+        for e in np.flatnonzero(gap[lo:lo + _BASIS_CHUNK]).tolist():
+            text[e] = "0.0, " * int(gap[lo + e]) + text[e]
+        if lo:
+            text[0] = ", " + text[0]
+        out.write(", ".join(text))
+    out.write(", 0.0" * (n - 1 - int(nodes[-1])))
 
 
 def _write_basis(system, basis: SteadyStateBasis, opts, forced: bool, out) -> None:
-    """Write `_dumps` of the steady-state payload and a newline to `out` from the CSC columns,
-    without building the payload; a residual or value not finite fails before the first byte."""
+    """Write `_dumps` of the steady-state payload and a newline to `out` from the labels and the
+    CSC columns, without building the payload: labels and stored values go out in chunks of
+    `_BASIS_CHUNK`. A residual or value not finite fails before the first byte."""
     residuals = nullspace_residuals(system, basis.csc)
     if not (np.isfinite(residuals).all() and np.isfinite(basis.csc[2]).all()):
         raise NonFiniteResult("output contains a value that is not finite")
-    head = {"labels": list(system.node_labels), "n": system.n,
-            "tolerances": vars(opts)}
+    head = _dumps({"n": system.n, "tolerances": vars(opts)})
     tail = {"version": __version__}
     if forced:
         tail["warning"] = (
             "forced nullspace of an unstable system: these are zero-eigenvectors, "
             "not stable equilibria"
         )
-    # "vectors" sorts between "tolerances" and "version".
-    out.write(f'{_dumps(head)[:-1]}, "vectors": [')
-    for c, (name, k, residual, text) in enumerate(zip(
-            basis.free_parameters, basis.free_blocks, residuals.tolist(), _column_texts(system.n, *basis.csc))):
+    # "labels" sorts before "n", and "vectors" between "tolerances" and "version".
+    out.write('{"labels": [')
+    for lo in range(0, system.n, _BASIS_CHUNK):
+        labels = map(system.label_of, range(lo, min(lo + _BASIS_CHUNK, system.n)))
+        out.write(f'{", " if lo else ""}{", ".join(map(encode_basestring_ascii, labels))}')
+    out.write(f'], {head[1:-1]}, "vectors": [')
+    indptr, nodes, values = basis.csc
+    gap = np.diff(nodes, prepend=-1) - 1
+    top = indptr[:-1][np.diff(indptr) > 0]  # each column's first entry
+    gap[top] = nodes[top]
+    for c, (name, k, residual, a, b) in enumerate(zip(
+            basis.free_parameters, basis.free_blocks, residuals.tolist(), indptr.tolist(), indptr[1:].tolist())):
         out.write(
             f'{", " if c else ""}{{"alpha": {encode_basestring_ascii(name)}, "free_block": {k:d}, '
-            f'"residual_inf": {float.__repr__(residual)}, "values": [{text}]}}'
+            f'"residual_inf": {float.__repr__(residual)}, "values": ['
         )
+        _write_column(system.n, nodes[a:b], values[a:b], gap[a:b], out)
+        out.write("]}")
     out.write(f"], {_dumps(tail)[1:]}\n")
 
 

@@ -328,6 +328,7 @@ def steady_state_basis(
     edge = f * np.concatenate(([0], np.cumsum(np.bincount(cond.level[cond.node_to_block]))))
     base, step = place[target] * f + local[rows], size[target]
     levels = cond.level[target[ends[:-1]]]
+    del local, sub, by_level, target, rows  # each dropped after its last read, as the memory grows
     spans = zip(ends, ends[1:], edge[levels].tolist(), edge[levels + 1].tolist())
     failures: dict[int, Exception] = {}
     # An overflow here is reported by the finiteness check on the result.
@@ -368,17 +369,27 @@ def steady_state_basis(
                     buf = [np.concatenate((x[:used], np.empty(max(end, n), x.dtype))) for x in buf]
                 buf[0][used:end].reshape(m, p)[:], buf[1][used:end].reshape(m, p)[:] = col, sol.T
                 used = end
+    del cols, vals, base, step, place, block_at
     if failures:
         raise failures[min(failures)]
     at, of = _ranges(start[count > 0], count[count > 0])
-    node, col, val = np.flatnonzero(count)[of], buf[0][at], buf[1][at]
+    del start
+    node = np.flatnonzero(count)[of]
+    del count, of
+    col = buf[0][at]
+    val = buf[1][at]
+    del buf, at
     overflow = node[~np.isfinite(val)]
     if overflow.size:
         node = overflow.min()
         raise NonFiniteResult(
             f"steady-state entry for node {node} (block {cond.node_to_block[node]}) is not finite")
     order = _stable_order(col)  # the nodes ascend already
-    csc = (np.bincount(col + 1, minlength=f + 1).cumsum(), node[order], val[order])
+    indptr = np.bincount(col + 1, minlength=f + 1).cumsum()
+    del col
+    node = node[order]  # one gather at a time, so that each old array goes before the next new one
+    val = val[order]
+    csc = (indptr, node, val)
     for a in csc:
         a.setflags(write=False)
     return SteadyStateBasis(n=n, csc=csc, free_blocks=tuple(final.tolist()),

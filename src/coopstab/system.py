@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import operator
 import re
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,13 +46,19 @@ class CooperativeSystem:
 
     n: int
     coo: tuple[np.ndarray, np.ndarray, np.ndarray]
-    node_labels: tuple[str, ...]
+    node_labels: Sequence[str]
 
     @cached_property
     def by_column(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, order): column j's entries of `coo` are order[indptr[j]:indptr[j + 1]]."""
         cols = self.coo[1]
         return np.bincount(cols + 1, minlength=self.n + 1).cumsum(), np.argsort(cols, kind="stable")
+
+    @property
+    def label_of(self) -> Callable[[int], str]:
+        """Node i's label as label_of(i): `str` itself for the default labels, so that mapping
+        it over node indices runs no Python-level call per node."""
+        return str if isinstance(self.node_labels, DefaultLabels) else self.node_labels.__getitem__
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -63,6 +69,33 @@ class CooperativeSystem:
         """Max absolute row sum, computed without densifying."""
         rows, _, vals = self.coo
         return float(np.bincount(rows, np.abs(vals), self.n).max()) if self.n else 0.0
+
+
+class DefaultLabels(Sequence):
+    """The labels of a system given none, "0" to str(n - 1), as a read-only sequence that
+    builds each label when read: it equals, indexes, slices and iterates as tuple(map(str,
+    range(n))) does, without holding n strings."""
+
+    def __init__(self, n: int):
+        self._nodes = range(n)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(str, self._nodes[i]))
+        return str(self._nodes[i])
+
+    def __iter__(self):
+        return map(str, self._nodes)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (tuple, DefaultLabels)) and len(other) == len(self) and all(
+            map(operator.eq, other, self))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 def validate(
@@ -229,9 +262,9 @@ def state_vector(values: Iterable[float], n: int) -> np.ndarray:
     return v
 
 
-def _checked_labels(node_labels: Iterable[str] | None, n: int) -> tuple[str, ...]:
+def _checked_labels(node_labels: Iterable[str] | None, n: int) -> Sequence[str]:
     if node_labels is None:
-        return tuple(map(str, range(n)))
+        return DefaultLabels(n)
     labels = tuple(node_labels)
     if len(labels) != n:
         raise ValidationError(f"{len(labels)} labels for {n} nodes")
@@ -309,17 +342,17 @@ def load_matrix_market(text: str) -> CooperativeSystem:
             values = entries[:, 2]
             if fld == "integer":
                 whole = np.isfinite(values) & (values == np.floor(values))
-                if not whole.all():
+                if not whole.all():  # named by its text: 1e400 reads as inf
                     k = int(np.argmin(whole))
-                    raise _not_whole(len(lines) + 1 + k, float(values[k]))
+                    raise _not_whole(len(lines) + 1 + k, text[start:].split("\n", k + 1)[k].rsplit(" ", 1)[1])
             i, j = (entries[:, c].astype(np.intp) - 1 for c in (0, 1))
             return validate((i, j, values), rows)
     lines += text[start:].splitlines()  # the head ends with a line break
     return validate(_entries_by_line(data, nnz, len(lines), fld == "integer"), rows)
 
 
-def _not_whole(no: int, value: float) -> ParseError:
-    return ParseError(no, f"value {value} is not a whole number, as the 'integer' field requires")
+def _not_whole(no: int, token: str) -> ParseError:
+    return ParseError(no, f"value {token} is not a whole number, as the 'integer' field requires")
 
 
 def _entries_by_line(data, nnz: int, line_count: int, integer: bool) -> list[tuple[int, int, float]]:
@@ -338,7 +371,7 @@ def _entries_by_line(data, nnz: int, line_count: int, integer: bool) -> list[tup
         except ValueError:
             raise ParseError(no, f"malformed entry {ln!r}") from None
         if integer and not v.is_integer():
-            raise _not_whole(no, v)
+            raise _not_whole(no, parts[2])
         triples.append((i - 1, j - 1, v))
     if len(triples) != nnz:
         raise ParseError(line_count, f"declared {nnz} entries, found {len(triples)}")

@@ -155,7 +155,7 @@ def reference_load_matrix_market(text: str):
         except ValueError:
             raise ParseError(no, f"malformed entry {ln!r}") from None
         if fld == "integer" and not (math.isfinite(v) and v == math.floor(v)):
-            raise ParseError(no, f"value {v} is not a whole number, as the 'integer' field requires")
+            raise ParseError(no, f"value {parts[2]} is not a whole number, as the 'integer' field requires")
         triples.append((i - 1, j - 1, v))
     if len(triples) != nnz:
         raise ParseError(len(lines), f"declared {nnz} entries, found {len(triples)}")

@@ -700,6 +700,24 @@ def test_steady_state_golden_corpus(fixture, tag, extra, capsys):
     assert rc == int((FIXTURES / "golden" / f"{fixture}.{tag}.exit").read_text())
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize(
+    "fixture", sorted(p.name for p in FIXTURES.iterdir() if p.is_file())
+)
+def test_streamed_output_in_small_chunks_equals_the_goldens(fixture, chunk, monkeypatch, capsys):
+    """With 1, 2 or 3 blocks, labels or stored values of a column per write, the streamed
+    `analyze` and `steady-state` JSON split at every kind of boundary, byte-identical."""
+    monkeypatch.setattr(cli, "_REPORT_CHUNK", chunk)
+    monkeypatch.setattr(cli, "_BASIS_CHUNK", chunk)
+    runs = [(["analyze"], "report.json", "exit"), (["steady-state"], "steady.out", "steady.exit")]
+    if fixture == "critical_pair.mtx":
+        runs.append((["steady-state", "--force-nullspace"], "steady-forced.out", "steady-forced.exit"))
+    for command, out_tag, exit_tag in runs:
+        rc = main([*command, str(FIXTURES / fixture)])
+        assert capsys.readouterr().out == (FIXTURES / "golden" / f"{fixture}.{out_tag}").read_text()
+        assert rc == int((FIXTURES / "golden" / f"{fixture}.{exit_tag}").read_text())
+
+
 def test_batched_residuals_equal_the_one_vector_residual_on_every_fixture():
     """The residuals `steady-state` prints, from one pass over the basis, equal
     `nullspace_residual` of each column as a dense vector, forced bases included."""
@@ -1123,10 +1141,12 @@ def basis_cases(draw):
     return system, basis, draw(st.booleans())
 
 
-@given(basis_cases())
+@given(basis_cases(), st.integers(1, 4))
 @settings(max_examples=300, deadline=None)
-def test_basis_text_matches_json_dumps_of_the_reference_payload(case):
-    _assert_writer_matches_reference(*case)
+def test_basis_text_matches_json_dumps_of_the_reference_payload(case, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BASIS_CHUNK", chunk)  # most cases span several chunks
+        _assert_writer_matches_reference(*case)
 
 
 @pytest.mark.parametrize("bad", ["value", "residual"])

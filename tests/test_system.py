@@ -78,6 +78,47 @@ def _no_labels(node_labels, n):
     raise AssertionError(f"labels built for n = {n}")
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_default_labels_behave_as_the_tuple_of_node_numbers(n):
+    labels = validate({}, n).node_labels
+    expected = tuple(map(str, range(n)))
+    assert isinstance(labels, system_module.DefaultLabels)
+    assert len(labels) == n and list(labels) == list(expected) and tuple(labels) == expected
+    for i in range(-n, n):
+        assert labels[i] == expected[i]
+    for i in (n, -n - 1, 10**20):
+        with pytest.raises(IndexError):
+            labels[i]
+    with pytest.raises(TypeError):
+        labels[1.0]
+    for cut in (slice(None), slice(1, None), slice(-2, None), slice(None, None, -1), slice(1, n + 5, 2),
+                slice(n, None), slice(None, -n - 3), slice(-1, 0, -2)):
+        assert type(labels[cut]) is tuple and labels[cut] == expected[cut]
+    assert labels == expected and expected == labels
+    assert not (labels != expected or expected != labels)
+    for other in (expected[:-1], expected + ("x",), ("x",) + expected[1:], list(expected), (0,) * n):
+        assert labels != other and other != labels
+    assert labels == validate({}, n).node_labels and hash(labels) == hash(expected)
+    assert "0" in labels and str(n) not in labels and labels.index(str(n - 1)) == n - 1
+    # The writers map `label_of` over node indices: `str` itself here, a tuple's lookup otherwise.
+    assert validate({}, n).label_of is str
+    given = tuple(f"v{i}" for i in range(n))
+    assert validate({}, n, given).node_labels == given and validate({}, n, given).label_of(n - 1) == f"v{n - 1}"
+
+
+def test_validate_builds_no_default_labels():
+    """With no labels given, `validate` holds none of the n label strings: one entry at
+    n = 10**6 allocates well under 1 MB, where the strings alone take over 50 MB."""
+    tracemalloc.start()
+    try:
+        system = validate([(0, 0, -1.0)], 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert len(system.node_labels) == 10**6 and system.node_labels[-1] == "999999"
+
+
 @pytest.mark.parametrize("n", [system_module.MAX_NODES + 1, 2**32, 2**63])
 def test_dimension_above_the_key_bound_is_refused(n, monkeypatch):
     monkeypatch.setattr(system_module, "_checked_labels", _no_labels)
@@ -292,6 +333,22 @@ def test_mm_integer_field_refuses_a_value_that_is_not_whole(value, monkeypatch):
     assert vectorised.value.line == by_line.value.line == 6
     assert str(vectorised.value) == str(by_line.value)
     assert str(by_line.value).endswith("is not a whole number, as the 'integer' field requires")
+
+
+@pytest.mark.parametrize("token", ["1e400", "9" * 400], ids=["1e400", "400-digits"])
+@pytest.mark.parametrize("by_line", [False, True])
+def test_mm_integer_field_names_a_value_past_the_float_range_by_its_text(token, by_line, monkeypatch):
+    """Such a value reads as inf, which the file does not hold: on either path the error names
+    the file's own token, on its line."""
+    text = f"{MM_INT_HEADER}\n% c\n2 2 3\n1 1 -1\n2 1 {token}\n2 2 -1\n"
+    if by_line:
+        text = text.replace("1 1 -1\n", "1 1 -1 \n")  # one non-canonical line sends the text down the line loop
+    else:
+        monkeypatch.setattr(system_module, "_entries_by_line", _no_line_loop)
+    with pytest.raises(ParseError) as refused:
+        load_matrix_market(text)
+    assert refused.value.line == 5
+    assert str(refused.value) == f"line 5: value {token} is not a whole number, as the 'integer' field requires"
 
 
 def test_mm_parse_peak_memory():

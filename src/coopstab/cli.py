@@ -12,7 +12,6 @@ import argparse
 import json
 import locale  # noqa: F401  argparse's gettext imports it on the first parser; pay that at import
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -334,6 +333,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from . import oracle
 
     if args.oracle_cmd == "dense-verdict":

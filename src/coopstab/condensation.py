@@ -11,17 +11,15 @@ couplings are kept sparse. Everything is built from the system's coo arrays.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CondensationError
-from .system import CooperativeSystem
+from .system import CooperativeSystem, Record
 
 
-@dataclass(frozen=True, eq=False)
-class Condensation:
+class Condensation(Record):
     """Blocks in topological order plus the sparse cross-block structure.
 
     All arrays are read-only. Block k has the nodes
@@ -35,15 +33,10 @@ class Condensation:
     in order of first appearance in the input, cells sorted within a group.
     """
 
-    h: int
-    bounds: np.ndarray
-    matrices: np.ndarray
-    matrix_bounds: np.ndarray
-    dag: tuple[np.ndarray, np.ndarray]
-    level: np.ndarray
-    node_to_block: np.ndarray
-    permutation: np.ndarray
-    cross: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    def __init__(self, h: int, bounds: np.ndarray, matrices: np.ndarray, matrix_bounds: np.ndarray, dag: tuple,
+                 level: np.ndarray, node_to_block: np.ndarray, permutation: np.ndarray, cross: tuple):
+        vars(self).update(h=h, bounds=bounds, matrices=matrices, matrix_bounds=matrix_bounds, dag=dag,
+                          level=level, node_to_block=node_to_block, permutation=permutation, cross=cross)
 
     def matrix(self, k, d: int | None = None) -> np.ndarray:
         """Block k's dense matrix (d x d), or for an array k of blocks of d nodes each, their

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .condensation import Condensation
 from .errors import NoConvergence, NonFiniteResult, ValidationError
+from .system import Record
 
 
 class BlockClass(enum.Enum):
@@ -26,9 +26,8 @@ class BlockClass(enum.Enum):
     SUPER_CRITICAL = "super-critical"
 
 
-@dataclass(frozen=True)
-class SpectralOptions:
-    """Tolerances and limits; all surfaced as CLI flags.
+class SpectralOptions(Record):
+    """Tolerances and limits, all surfaced as CLI flags; read-only, compared and hashed by value.
 
     crit_tol_rel: criticality band, |mu| <= crit_tol_rel * max(1, ||B||_inf).
     eig_tol: eigenpair residual target, relative to max(1, ||B + sI||_inf).
@@ -42,31 +41,35 @@ class SpectralOptions:
     dense_cutoff: int = 64
     residual_tol: float = 1e-10
 
-    def __post_init__(self) -> None:
+    def __init__(self, crit_tol_rel: float = crit_tol_rel, eig_tol: float = eig_tol, max_iter: int = max_iter,
+                 dense_cutoff: int = dense_cutoff, residual_tol: float = residual_tol):
+        vars(self).update(crit_tol_rel=crit_tol_rel, eig_tol=eig_tol, max_iter=max_iter,
+                          dense_cutoff=dense_cutoff, residual_tol=residual_tol)
         for name in ("crit_tol_rel", "eig_tol", "residual_tol"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
+            if not 0.0 <= (value := vars(self)[name]) < math.inf:
                 raise ValidationError(f"{name} = {value!r} must be finite and non-negative")
         for name in ("max_iter", "dense_cutoff"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            if isinstance(value := vars(self)[name], bool) or not isinstance(value, int) or value < 0:
                 raise ValidationError(f"{name} = {value!r} must be a non-negative integer")
+
+    def __eq__(self, other) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
 
 DEFAULT_OPTIONS = SpectralOptions()
 
 
-@dataclass(frozen=True, eq=False)
-class Spectra:
+class Spectra(Record):
     """Read-only columns, one entry per block: the dominant eigenvalue `mu`,
     the criticality `tolerance` used and the `classification` (BlockClass
     members); and `phi`, one entry per node in the order of `cond.permutation`:
     block k's positive eigenvector of unit entry sum is phi[bounds[k]:bounds[k + 1]]."""
 
-    mu: np.ndarray
-    tolerance: np.ndarray
-    classification: np.ndarray
-    phi: np.ndarray
+    def __init__(self, mu: np.ndarray, tolerance: np.ndarray, classification: np.ndarray, phi: np.ndarray):
+        vars(self).update(mu=mu, tolerance=tolerance, classification=classification, phi=phi)
 
 
 def _inf_norm(m: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import importlib.util
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .spectral import DEFAULT_OPTIONS, BlockClass, SpectralOptions, Spectra, _inf_norm, analyze_all_blocks
-from .system import CooperativeSystem
+from .system import CooperativeSystem, Record
 
 TINY_PIVOT_REL = 1e-13
 
@@ -76,43 +76,38 @@ class Verdict(enum.Enum):
     UNSTABLE = "unstable"
 
 
-@dataclass(frozen=True)
-class SuperCriticalBlock:
+class SuperCriticalBlock(NamedTuple):
     block_index: int
 
 
-@dataclass(frozen=True)
-class CriticalPath:
+class CriticalPath(NamedTuple):
     upstream_block: int
     downstream_block: int
     path: tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class StabilityReport:
+class StabilityReport(Record):
     """The verdict and its evidence; read-only bool columns over the blocks
     flag the `trivial` ones and the `free` (final critical) ones."""
 
-    verdict: Verdict
-    unstable_reason: SuperCriticalBlock | CriticalPath | None
-    algebraic_multiplicity_zero: int
-    geometric_multiplicity_zero: int
-    trivial: np.ndarray
-    free: np.ndarray
+    def __init__(self, verdict: Verdict, unstable_reason: SuperCriticalBlock | CriticalPath | None,
+                 algebraic_multiplicity_zero: int, geometric_multiplicity_zero: int, trivial: np.ndarray,
+                 free: np.ndarray):
+        vars(self).update(verdict=verdict, unstable_reason=unstable_reason,
+                          algebraic_multiplicity_zero=algebraic_multiplicity_zero,
+                          geometric_multiplicity_zero=geometric_multiplicity_zero, trivial=trivial, free=free)
 
 
-@dataclass(frozen=True, eq=False)
-class SteadyStateBasis:
+class SteadyStateBasis(Record):
     """Non-negative nullspace basis, one column per free block, as read-only
     CSC arrays `csc` = (indptr, nodes, values): column c holds the values
     values[indptr[c]:indptr[c + 1]] at those nodes, ascending, and +0.0 at
     the other of the n nodes. `vectors` reads the columns as dense vectors;
     the general steady state is sum over c of alpha_c * vectors[c]."""
 
-    n: int
-    csc: tuple[np.ndarray, np.ndarray, np.ndarray]
-    free_blocks: tuple[int, ...]
-    free_parameters: tuple[str, ...]
+    def __init__(self, n: int, csc: tuple[np.ndarray, np.ndarray, np.ndarray], free_blocks: tuple[int, ...],
+                 free_parameters: tuple[str, ...]):
+        vars(self).update(n=n, csc=csc, free_blocks=free_blocks, free_parameters=free_parameters)
 
     @property
     def vectors(self) -> Sequence[np.ndarray]:

@@ -12,7 +12,6 @@ import json
 import operator
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,17 +35,26 @@ EDGE_LIST_FIELDS = ("n", "labels", "edges", "self")
 MAX_NODES = 3_037_000_498
 
 
-@dataclass(frozen=True, eq=False)
-class CooperativeSystem:
+class Record:
+    """Read-only fields, set once by `__init__` through `vars(self)`: any other assignment or
+    deletion raises AttributeError, as on a frozen dataclass. Equality is by identity."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CooperativeSystem(Record):
     """Validated Metzler matrix; immutable and safe to share across threads.
 
     `coo` is the stored form: read-only (rows, cols, vals) arrays in input
     order, explicit zeros dropped, each coordinate at most once.
     """
 
-    n: int
-    coo: tuple[np.ndarray, np.ndarray, np.ndarray]
-    node_labels: Sequence[str]
+    def __init__(self, n: int, coo: tuple[np.ndarray, np.ndarray, np.ndarray], node_labels: Sequence[str]):
+        vars(self).update(n=n, coo=coo, node_labels=node_labels)
 
     @cached_property
     def by_column(self) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,6 @@ import sys
 import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,8 @@ from coopstab import (
     CoopStabError,
     CriticalPath,
     NonFiniteResult,
+    Spectra,
+    StabilityReport,
     SuperCriticalBlock,
     Verdict,
     condense,
@@ -593,7 +594,7 @@ import io, os, sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 import coopstab.cli as cli
-unused = ["scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma", "coopstab.oracle"]
+unused = ["scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma", "coopstab.oracle", "dataclasses"]
 if os.name != "nt":  # there the scipy package's __init__ runs first, for its DLL search path
     unused.append("scipy")
 heavy = [m for m in unused if m in sys.modules]
@@ -629,7 +630,8 @@ print(runs)
 
 def test_cli_imports_nothing_heavy_and_nothing_during_an_op():
     """A fresh `import coopstab.cli` leaves out the scipy package, scipy.linalg and the NumPy
-    subpackages that its import pulls in, and the oracle module, and `analyze` and `steady-state`
+    subpackages that its import pulls in, the oracle module, and `dataclasses`, whose decorator
+    compiles generated methods for each class at import, and `analyze` and `steady-state`
     then import no module on any fixture, so an op pays no import; a later `import scipy.linalg`
     works as usual, and the package's oracle names resolve on first use to the oracle module's
     own objects. A subprocess, because this process has imported all of them."""
@@ -1193,7 +1195,7 @@ def report_cases(draw):
     cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n, unique=True))
     system = validate([(i, j, -0.5 if i == j else 0.25) for i, j in cells], n, labels)
-    cond, spectra, report = full_analysis(system)
+    cond, spectra, _ = full_analysis(system)
     h = cond.h
     value = st.sampled_from(EXTREME_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
     mu, tol = (np.array(draw(st.lists(value, min_size=h, max_size=h))) for _ in range(2))
@@ -1205,9 +1207,8 @@ def report_cases(draw):
     path = tuple(draw(st.lists(st.integers(0, h - 1), min_size=2, max_size=4)))
     reason = draw(st.sampled_from([None, SuperCriticalBlock(draw(st.integers(0, h - 1))),
                                    CriticalPath(path[0], path[-1], path)]))
-    spectra = replace(spectra, mu=mu, tolerance=tol, classification=classes)
-    report = replace(
-        report,
+    spectra = Spectra(mu=mu, tolerance=tol, classification=classes, phi=spectra.phi)
+    report = StabilityReport(
         verdict=draw(st.sampled_from(list(Verdict))),
         unstable_reason=reason,
         algebraic_multiplicity_zero=draw(st.integers(0, h)),
@@ -1237,7 +1238,7 @@ def test_report_of_multi_node_blocks_and_of_one_block():
 def test_report_with_a_nan_mu_writes_nothing(capsys):
     system = from_dense([[-1.0, 0.0], [1.0, -2.0]])
     cond, spectra, report = full_analysis(system)
-    spectra = replace(spectra, mu=np.array([np.nan, -2.0]))
+    spectra = Spectra(np.array([np.nan, -2.0]), spectra.tolerance, spectra.classification, spectra.phi)
     with pytest.raises(NonFiniteResult):
         _write_report(system, cond, spectra, report, DEFAULT_OPTIONS, sys.stdout)
     assert capsys.readouterr().out == ""

@@ -11,19 +11,30 @@ from hypothesis import strategies as st
 from conftest import (entry_dict, graph_edges, lexsort_validate, reference_entries,
                       reference_load_matrix_market)
 from coopstab import (
+    Condensation,
+    CooperativeSystem,
+    CriticalPath,
     DuplicateEntry,
     IndexOutOfRange,
     NegativeOffDiagonal,
     NonSquare,
     ParseError,
+    SpectralOptions,
+    Spectra,
+    StabilityReport,
+    SteadyStateBasis,
+    SuperCriticalBlock,
     UnknownLabel,
     ValidationError,
+    Verdict,
     ZeroWeightEdge,
     from_dense,
+    full_analysis,
     is_compartmental,
     load_edge_list_json,
     load_matrix_market,
     state_vector,
+    steady_state_basis,
     to_edge_list_json,
     to_matrix_market,
     validate,
@@ -638,3 +649,63 @@ def test_validate_matches_the_lexsort_reference(case):
 
     assert _outcome(lambda: coo_bits(validate(raw, n).coo)) == _outcome(
         lambda: coo_bits(lexsort_validate(rows, cols, vals, n)))
+
+
+# Each record's fields, in constructor order, under the names they have always had.
+RECORD_FIELDS = {
+    CooperativeSystem: ("n", "coo", "node_labels"),
+    Condensation: ("h", "bounds", "matrices", "matrix_bounds", "dag", "level", "node_to_block", "permutation",
+                   "cross"),
+    SpectralOptions: ("crit_tol_rel", "eig_tol", "max_iter", "dense_cutoff", "residual_tol"),
+    Spectra: ("mu", "tolerance", "classification", "phi"),
+    StabilityReport: ("verdict", "unstable_reason", "algebraic_multiplicity_zero", "geometric_multiplicity_zero",
+                      "trivial", "free"),
+    SteadyStateBasis: ("n", "csc", "free_blocks", "free_parameters"),
+    SuperCriticalBlock: ("block_index",),
+    CriticalPath: ("upstream_block", "downstream_block", "path"),
+}
+VALUE_RECORDS = (SpectralOptions, SuperCriticalBlock, CriticalPath)
+
+
+def _record_fields(cls) -> dict:
+    """One instance's fields, by name: the array-holding records from a run of the pipeline."""
+    if cls in VALUE_RECORDS:
+        record = {SpectralOptions: SpectralOptions(eig_tol=1e-8, dense_cutoff=3),
+                  SuperCriticalBlock: SuperCriticalBlock(2), CriticalPath: CriticalPath(0, 2, (0, 1, 2))}[cls]
+    else:
+        system = from_dense([[0.0, 0.0], [1.0, -1.0]])
+        cond, spectra, report = full_analysis(system)
+        record = {CooperativeSystem: system, Condensation: cond, Spectra: spectra, StabilityReport: report,
+                  SteadyStateBasis: steady_state_basis(cond, spectra, report)}[cls]
+    return {name: getattr(record, name) for name in RECORD_FIELDS[cls]}
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_records_are_read_only_and_keep_their_constructors(cls):
+    """Every record builds by keyword under its field names and refuses any assignment or
+    deletion. The three value records also build positionally, and equal ones compare equal
+    and hash alike; the others compare by identity."""
+    fields = _record_fields(cls)
+    record = cls(**fields)
+    for name in (*fields, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert all(getattr(record, name) is value for name, value in fields.items())
+    if cls in VALUE_RECORDS:
+        twin = cls(*fields.values())
+        assert all(getattr(twin, name) is value for name, value in fields.items())
+        assert record == twin and hash(record) == hash(twin)
+    else:
+        assert record == record and record != cls(**fields)
+    if cls is SpectralOptions:  # the JSON "tolerances" object is vars() of the options
+        assert list(vars(SpectralOptions()).items()) == [
+            ("crit_tol_rel", 1e-9), ("eig_tol", 1e-12), ("max_iter", 100_000), ("dense_cutoff", 64),
+            ("residual_tol", 1e-10)]
+        assert record != SpectralOptions() and SpectralOptions.max_iter == 100_000
+    if cls is CriticalPath:
+        assert repr(CriticalPath(0, 1, (0, 1))) == "CriticalPath(upstream_block=0, downstream_block=1, path=(0, 1))"
+    if cls is CooperativeSystem:  # a cached_property still caches in the instance dict
+        assert record.by_column is record.by_column is vars(record)["by_column"]

@@ -680,7 +680,7 @@ def test_analyze_pretty_golden_corpus(fixture, capsys):
     # (which counts the cases) changes
     [(p.name, "steady", []) for p in sorted(FIXTURES.iterdir())
      if p.is_file() and p.name not in ("large_scc.mtx", "grouped_levels.mtx", "singular_sub.mtx",
-                                       "fringe_core.mtx")]
+                                       "fringe_core.mtx", "cycle_core.mtx")]
     + [("critical_pair.mtx", "steady-forced", ["--force-nullspace"]),
        ("shared_cone.mtx", "steady-pretty", ["--pretty"]),
        ("critical_pair.mtx", "steady-pretty", ["--pretty", "--force-nullspace"]),
@@ -692,7 +692,8 @@ def test_analyze_pretty_golden_corpus(fixture, capsys):
        ("grouped_levels.mtx", "steady-pretty", ["--pretty"]),
        ("singular_sub.mtx", "steady", []),
        ("singular_sub.mtx", "steady-crit-tol-rel-0", ["--crit-tol-rel", "0"]),
-       ("fringe_core.mtx", "steady", [])],
+       ("fringe_core.mtx", "steady", []),
+       ("cycle_core.mtx", "steady", [])],
 )
 def test_steady_state_golden_corpus(fixture, tag, extra, capsys):
     """steady-state stdout and exit code are byte-identical to the stored golden."""

@@ -7,6 +7,9 @@ into a block k with l < k; permuting the node axis accordingly makes the
 matrix block lower-triangular. Block matrices are stored dense (SCCs are
 assumed small relative to n), as views of one flat buffer; cross-block
 couplings are kept sparse. Everything is built from the system's coo arrays.
+The components are found in whole-array steps where that pays: a peel of the
+acyclic part, then colouring passes on the cycle-heavy core left, with an
+iterative Tarjan search only on what neither settles (see `_components`).
 """
 from __future__ import annotations
 
@@ -50,55 +53,50 @@ class Condensation(Record):
 def _tarjan(n: int, indptr: np.ndarray, indices: np.ndarray) -> list[int]:
     """Iterative Tarjan SCC over an out-neighbour CSR; returns the component
     of every node. Explicit stack, no recursion, so graphs with very long
-    paths (n ~ 1e6) do not overflow the interpreter stack."""
+    paths (n ~ 1e6) do not overflow the interpreter stack. A visited node is
+    on Tarjan's stack until its component is set, so no flag marks it, and
+    `pos` keeps each node's next edge, so the call stack holds bare nodes."""
     ptr, nbrs = indptr.tolist(), indices.tolist()
+    pos = ptr[:-1]
     order = [-1] * n
     low = [0] * n
-    on_stack = bytearray(n)
-    stack: list[int] = []
     comp_of = [-1] * n
-    comps = 0
-    counter = 0
+    stack: list[int] = []
+    comps = counter = 0
 
     for root in range(n):
-        if order[root] != -1:
+        if order[root] >= 0:
             continue
-        work: list[tuple[int, int]] = [(root, -1)]
-        while work:
-            v, e = work[-1]
-            if e < 0:
-                order[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-                e = ptr[v]
-            descended = False
-            end = ptr[v + 1]
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        call = [root]
+        while call:
+            v = call[-1]
+            e, end = pos[v], ptr[v + 1]
             while e < end:
                 w = nbrs[e]
                 e += 1
-                if order[w] == -1:
-                    work[-1] = (v, e)
-                    work.append((w, -1))
-                    descended = True
+                if order[w] < 0:
+                    pos[v] = e
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    call.append(w)
                     break
-                if on_stack[w] and order[w] < low[v]:
+                if comp_of[w] < 0 and order[w] < low[v]:
                     low[v] = order[w]
-            if descended:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == order[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp_of[w] = comps
-                    if w == v:
-                        break
-                comps += 1
+            else:
+                call.pop()
+                if call and low[v] < low[call[-1]]:
+                    low[call[-1]] = low[v]
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp_of[w] = comps
+                        if w == v:
+                            break
+                    comps += 1
     return comp_of
 
 
@@ -106,13 +104,62 @@ def _tarjan(n: int, indptr: np.ndarray, indices: np.ndarray) -> list[int]:
 # its live nodes: a chain loses only its two ends per round, and a core only its last fringe.
 _PEEL_MIN = 32
 _PEEL_DIVISOR = 8
+# Colouring runs on a core of at least _COLOUR_MIN_CORE nodes. It leaves the nodes still live to
+# Tarjan when a sweep of a pass has not settled in _COLOUR_ROUNDS rounds (a long cycle takes one
+# round per node), or after a pass that labels fewer than live // _COLOUR_DIVISOR of its nodes.
+_COLOUR_MIN_CORE = 256
+_COLOUR_ROUNDS = 12
+_COLOUR_DIVISOR = 8
+
+
+def _colour(smallest: np.ndarray, core: np.ndarray, live: int, src: np.ndarray, dst: np.ndarray):
+    """Colouring passes (Orzan 2004; Slota, Rajamanickam & Madduri 2014) over the `live`
+    nodes in `core` and the edges src -> dst among them. A pass spreads the smallest node
+    id backward along the edges until no colour changes, so each node's colour is its
+    smallest descendant. A node whose colour is its own id is then the smallest node of its
+    SCC, and that SCC is the nodes of its colour that it reaches, which a forward sweep along
+    the edges inside one colour finds. The pass writes those SCCs into `smallest` and drops
+    them from `core`; the count and the edges left are returned. Spreading the smallest id
+    backward, rather than the largest forward, names each SCC by its smallest node directly,
+    and on ids that grow along the edges, the usual numbering from upstream, a colour moves
+    only where an edge runs back."""
+    while live >= _COLOUR_MIN_CORE:
+        colour = smallest.copy()  # a live node's entry is still its own id
+        for _ in range(_COLOUR_ROUNDS):
+            cs, cd = colour[src], colour[dst]
+            at = np.flatnonzero(cd < cs)
+            if not at.size:
+                break
+            np.minimum.at(colour, src[at], cd[at])
+        else:
+            break
+        inside = cs == cd
+        s, d = src[inside], dst[inside]
+        done = core & (colour == smallest)
+        for _ in range(_COLOUR_ROUNDS):
+            at = d[done[s] > done[d]]
+            if not at.size:
+                break
+            done[at] = True
+        else:
+            break
+        smallest[done] = colour[done]
+        core &= ~done
+        keep = core[src] & core[dst]
+        src, dst = src[keep], dst[keep]
+        labelled = int(np.count_nonzero(done))
+        live -= labelled
+        if labelled < (live + labelled) // _COLOUR_DIVISOR:
+            break
+    return live, src, dst
 
 
 def _components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarray]:
     """The number of SCCs over the edges src -> dst, and every node's SCC, numbered
-    by smallest node. A node with no live in-edge or no live out-edge lies on no
-    cycle, so it is a singleton: such nodes are peeled in rounds of array steps,
-    and Tarjan runs only on the core of nodes left when the peel stops."""
+    by smallest node, in three steps. A node with no live in-edge or no live out-edge
+    lies on no cycle, so it is a singleton: such nodes are peeled in rounds of array
+    steps. Colouring passes (`_colour`) then label the SCCs of the core left, and
+    Tarjan runs only on the nodes that colouring leaves."""
     core, live = np.ones(n, dtype=bool), n
     while live:
         has_out = np.zeros(n, dtype=bool)
@@ -126,6 +173,7 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarr
         if before - live < max(_PEEL_MIN, before // _PEEL_DIVISOR):
             break
     smallest = np.arange(n)
+    live, src, dst = _colour(smallest, core, live, src, dst)
     if live:
         nodes, at = np.flatnonzero(core), np.cumsum(core) - 1  # at: each core node's index in nodes
         src, dst = at[src], at[dst]

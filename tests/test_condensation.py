@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -17,9 +18,11 @@ from coopstab import (
     to_dot,
     validate,
 )
-from coopstab import condensation
+from coopstab import cli, condensation
 from coopstab.condensation import _topological_order
 from oracles import BadBlockOrder, extract_coupling, random_metzler
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_two_singletons_one_edge():
@@ -353,14 +356,21 @@ def test_block_order_cross_and_dag_match_the_references(system):
 
 
 # ---------------------------------------------------------------------------
-# The acyclic peel: the settings of its stop rule change only how much of the
-# graph Tarjan sees, never the condensation.
+# The acyclic peel and the colouring passes: the settings of their stop rules
+# change only how much of the graph Tarjan sees, never the condensation.
 # ---------------------------------------------------------------------------
 
 PEEL_SETTINGS = {  # (_PEEL_MIN, _PEEL_DIVISOR)
     "fixpoint": (1, sys.maxsize),  # stop after a round that peels nothing
     "one round": (sys.maxsize, 1),  # stop after the first round
     "default": (condensation._PEEL_MIN, condensation._PEEL_DIVISOR),
+}
+_ROUNDS, _DIVISOR = condensation._COLOUR_ROUNDS, condensation._COLOUR_DIVISOR
+COLOUR_SETTINGS = {  # (_COLOUR_MIN_CORE, _COLOUR_ROUNDS, _COLOUR_DIVISOR)
+    "tarjan only": (sys.maxsize, _ROUNDS, _DIVISOR),
+    "fixpoint": (1, sys.maxsize, sys.maxsize),  # colour until every node is labelled
+    "any core": (1, _ROUNDS, _DIVISOR),  # the default stop rules on cores of every size
+    "default": (condensation._COLOUR_MIN_CORE, _ROUNDS, _DIVISOR),
 }
 
 
@@ -379,20 +389,72 @@ def reference_peel(n: int, edges, minimum: int, divisor: int) -> tuple[int, set[
     return rounds, live
 
 
-def _condense_with(system, setting):
-    """condense under one stop-rule setting; also the node counts Tarjan was called on."""
+def reference_colouring(core: set[int], edges, min_core: int, rounds: int, divisor: int) -> set[int]:
+    """The nodes of the core that colouring leaves to Tarjan, over Python sets. Each pass
+    gives every live node its smallest descendant as colour, one edge step back per round,
+    then grows each node whose colour is its own id by the nodes of its colour one edge step
+    forward per round, and drops the nodes found. Colouring stops when a sweep has not
+    settled after `rounds` rounds (the pass is lost), after a pass that drops fewer than
+    live // divisor nodes, or at once if the core has fewer than min_core nodes."""
+    live = set(core)
+    edges = {(a, b) for a, b in edges if a in live and b in live}
+    while len(live) >= min_core:
+        colour = {v: v for v in live}
+        for _ in range(rounds):
+            spread = dict(colour)
+            for a, b in edges:
+                spread[a] = min(spread[a], colour[b])
+            if spread == colour:
+                break
+            colour = spread
+        else:
+            return live
+        found = {v for v in live if colour[v] == v}
+        for _ in range(rounds):
+            ahead = {b for a, b in edges if a in found and colour[a] == colour[b]} - found
+            if not ahead:
+                break
+            found |= ahead
+        else:
+            return live
+        live -= found
+        edges = {(a, b) for a, b in edges if a in live and b in live}
+        if len(found) < (len(live) + len(found)) // divisor:
+            break
+    return live
+
+
+def _condense_with(system, peel="default", colour="default"):
+    """condense under one setting of each stop rule; also every graph Tarjan was called
+    on, as its node count and its set of edges."""
     real_tarjan, calls = condensation._tarjan, []
 
     def tarjan(n, indptr, indices):
-        calls.append(n)
+        src = np.repeat(np.arange(n), np.diff(indptr))
+        calls.append((n, set(zip(src.tolist(), indices.tolist()))))
         return real_tarjan(n, indptr, indices)
 
-    minimum, divisor = PEEL_SETTINGS[setting]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(condensation, "_PEEL_MIN", minimum)
-        mp.setattr(condensation, "_PEEL_DIVISOR", divisor)
+        for name, value in zip(("_PEEL_MIN", "_PEEL_DIVISOR"), PEEL_SETTINGS[peel]):
+            mp.setattr(condensation, name, value)
+        for name, value in zip(("_COLOUR_MIN_CORE", "_COLOUR_ROUNDS", "_COLOUR_DIVISOR"), COLOUR_SETTINGS[colour]):
+            mp.setattr(condensation, name, value)
         mp.setattr(condensation, "_tarjan", tarjan)
         return condense(system), calls
+
+
+def _tarjan_left(system, peel="default", colour="default") -> list[int]:
+    """The nodes the reference peel and colouring leave to Tarjan, ascending."""
+    edges = _edges(system)
+    _, core = reference_peel(system.n, edges, *PEEL_SETTINGS[peel])
+    return sorted(reference_colouring(core, edges, *COLOUR_SETTINGS[colour]))
+
+
+def _tarjan_calls(system, left) -> list:
+    """The Tarjan calls expected on the nodes `left`: none if it is empty, else one on
+    those nodes numbered in order, with the edges among them."""
+    at = {v: i for i, v in enumerate(left)}
+    return [(len(left), {(at[a], at[b]) for a, b in _edges(system) if a in at and b in at})] if left else []
 
 
 def _all_bits(cond) -> list:
@@ -466,12 +528,11 @@ def fringed_systems(draw):
 @given(fringed_systems())
 @settings(max_examples=150, deadline=None)
 def test_every_peel_setting_gives_the_same_condensation(system):
-    runs = {setting: _condense_with(system, setting) for setting in PEEL_SETTINGS}
+    runs = {setting: _condense_with(system, peel=setting) for setting in PEEL_SETTINGS}
     bits = _all_bits(runs["default"][0])
     for setting, (cond, calls) in runs.items():
         assert _all_bits(cond) == bits, setting
-        rounds, core = reference_peel(system.n, _edges(system), *PEEL_SETTINGS[setting])
-        assert calls == ([len(core)] if core else [])  # Tarjan sees the core alone
+        assert calls == _tarjan_calls(system, _tarjan_left(system, peel=setting))  # Tarjan sees what is left
     assert set(map(frozenset, block_nodes(runs["default"][0]))) == mutual_reachability_blocks(system)
 
 
@@ -479,7 +540,139 @@ def test_fringe_core_fixture_is_peeled_in_rounds_around_a_core():
     path = Path(__file__).parent / "fixtures" / "fringe_core.mtx"
     system = load_matrix_market(path.read_text(encoding="utf-8"))
     rounds, core = reference_peel(system.n, _edges(system), *PEEL_SETTINGS["default"])
-    assert rounds >= 4 and 0 < len(core) < system.n // 4
-    cond, calls = _condense_with(system, "default")
-    assert calls == [len(core)]
+    assert rounds >= 4 and 0 < len(core) < condensation._COLOUR_MIN_CORE
+    cond, calls = _condense_with(system)
+    assert calls == _tarjan_calls(system, sorted(core))  # a core too small to colour
     assert set(map(frozenset, block_nodes(cond))) == mutual_reachability_blocks(system)
+
+
+def _colour_runs(system) -> dict:
+    """condense under every colouring setting, checked: bitwise one condensation, and
+    Tarjan called on exactly the nodes the reference colouring leaves."""
+    runs = {setting: _condense_with(system, colour=setting) for setting in COLOUR_SETTINGS}
+    bits = _all_bits(runs["default"][0])
+    for setting, (cond, calls) in runs.items():
+        assert _all_bits(cond) == bits, setting
+        assert calls == _tarjan_calls(system, _tarjan_left(system, colour=setting)), setting
+    assert runs["fixpoint"][1] == []
+    return runs
+
+
+@given(st.one_of(fringed_systems(), systems_with_multi_node_blocks()))
+@settings(max_examples=150, deadline=None)
+def test_every_colouring_setting_gives_the_same_condensation(system):
+    runs = _colour_runs(system)
+    assert set(map(frozenset, block_nodes(runs["default"][0]))) == mutual_reachability_blocks(system)
+
+
+def _shape(name: str) -> list[tuple[int, int]]:
+    """Edges on which colouring ends one way each and leaves 40 nodes to Tarjan."""
+    ring = [(v, (v + 1) % 40) for v in range(40)]
+    if name == "long cycle":  # the backward spread goes round it, one node per round
+        perm = np.random.default_rng(1).permutation(40).tolist()
+        return [(perm[a], perm[b]) for a, b in ring]
+    if name == "spokes into the smallest node":  # settled in one round; the sweep goes round
+        return ring + [(v, 0) for v in range(2, 40)]
+    # 20 2-cycles feed the 2-cycle {0, 1}, the smallest descendant of all: a pass labels it alone
+    return [(0, 1), (1, 0)] + [e for k in range(1, 21) for e in ((2 * k, 2 * k + 1), (2 * k + 1, 2 * k), (2 * k, 0))]
+
+
+@pytest.mark.parametrize("name", ["long cycle", "spokes into the smallest node", "a pass that labels too few"])
+def test_each_colouring_stop_rule_leaves_the_core_to_tarjan(name):
+    edges = _shape(name)
+    n = 1 + max(max(e) for e in edges)
+    runs = _colour_runs(validate({(b, a): 1.0 for a, b in edges}, n))
+    assert [k for k, _ in runs["any core"][1]] == [40]
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.iterdir() if p.is_file()))
+def test_every_colouring_setting_gives_the_same_condensation_on_the_fixtures(fixture):
+    _colour_runs(cli._load_system(str(FIXTURES / fixture), "auto"))
+
+
+def test_cycle_core_fixture_leaves_tarjan_only_what_colouring_cannot_settle():
+    """cycle_core.mtx is coloured at the default settings: three passes, the last of which
+    stalls on a 64-node cycle, which a forward sweep needs 63 rounds to go round."""
+    system = load_matrix_market((FIXTURES / "cycle_core.mtx").read_text(encoding="utf-8"))
+    _, core = reference_peel(system.n, _edges(system), *PEEL_SETTINGS["default"])
+    left = _tarjan_left(system)
+    assert len(core) >= condensation._COLOUR_MIN_CORE and len(left) < len(core) // 4
+    cond, calls = _condense_with(system)
+    assert calls == _tarjan_calls(system, left)
+    (long_cycle,) = [nodes for nodes in block_nodes(cond) if len(nodes) > condensation._COLOUR_ROUNDS]
+    assert len(long_cycle) == 64 and set(long_cycle) <= set(left)
+
+
+def _critical_antichain(seed: int, pairs: int = 250):
+    """The bench's `critical-antichain` workload, from bench/workloads.py."""
+    workloads = sys.modules.get("bench_workloads")
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location("bench_workloads", FIXTURES.parents[1] / "bench" / "workloads.py")
+        workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    return workloads.critical_antichain(seed, pairs=pairs)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_critical_antichain_is_coloured_without_tarjan(seed):
+    system = load_matrix_market(_critical_antichain(seed).text)
+    runs = _colour_runs(system)
+    assert runs["default"][1] == [] and len(runs["tarjan only"][1]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Differential check at n ~ 1e5: `_components` against SciPy's strongly
+# connected components (a test-only reference; the package does not use it).
+# ---------------------------------------------------------------------------
+
+def _csgraph_components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarray]:
+    """SciPy's strong components of the edges src -> dst, renumbered by smallest node."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    graph = sp.csr_array((np.ones(src.size), (src, dst)), shape=(n, n))
+    count, labels = connected_components(graph, directed=True, connection="strong")
+    least = np.full(count, n)
+    np.minimum.at(least, labels, np.arange(n))
+    rank = np.empty(count, dtype=np.intp)
+    rank[np.argsort(least)] = np.arange(count)
+    return count, rank[labels]
+
+
+def _giant_and_fringe(n: int, seed: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """A random digraph of mean degree 2 on half of the nodes, which has a giant SCC and
+    many small ones, and a DAG fringe on the other half: each fringe node has an edge from
+    a smaller node, so it lies on no cycle; ids shuffled."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    src = np.concatenate((rng.integers(0, half, size=2 * half), rng.integers(0, np.arange(half, n))))
+    dst = np.concatenate((rng.integers(0, half, size=2 * half), np.arange(half, n)))
+    key = np.unique(src[src != dst] * n + dst[src != dst])  # no self-loops or repeated edges
+    perm = rng.permutation(n)
+    return perm[key // n], perm[key % n]
+
+
+def _ring(n: int) -> tuple[np.ndarray, np.ndarray]:
+    perm = np.random.default_rng(3).permutation(n)
+    return perm, np.roll(perm, -1)
+
+
+@pytest.mark.parametrize("graph", ["critical-antichain", "ring", "giant and fringe"])
+def test_components_match_csgraph_at_1e5_nodes(graph):
+    if graph == "critical-antichain":
+        coo = _critical_antichain(1, pairs=12_500).matrix.tocoo()
+        n, off = coo.shape[0], coo.row != coo.col
+        src, dst = coo.col[off].astype(np.intp), coo.row[off].astype(np.intp)
+    else:
+        n = 100_000
+        src, dst = _ring(n) if graph == "ring" else _giant_and_fringe(n)
+    count, labels = _csgraph_components(n, src, dst)
+    assert n > 99_000 and (graph != "giant and fringe" or 20_000 < np.bincount(labels).max() < n // 2)
+    settings_ = ["default"] if graph == "ring" else ["default", "fixpoint"]
+    for setting in settings_:
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in zip(("_COLOUR_MIN_CORE", "_COLOUR_ROUNDS", "_COLOUR_DIVISOR"),
+                                   COLOUR_SETTINGS[setting]):
+                mp.setattr(condensation, name, value)
+            c, comp = condensation._components(n, src, dst)
+        assert c == count and np.array_equal(comp, labels), setting

@@ -39,6 +39,7 @@ from .stability import (
 )
 from .system import (
     CooperativeSystem,
+    DefaultLabels,
     load_edge_list_json,
     load_matrix_market,
     state_vector,
@@ -138,6 +139,9 @@ def _write_report(system, cond, spectra, report, opts, out) -> None:
     }).split('"blocks": null')
     out.write(f'{head}"blocks": [')
     step = len(_BLOCK)
+    labels = system.node_labels
+    default = isinstance(labels, DefaultLabels)  # a label's JSON text is then its node's text in quotes
+    block = _BLOCK[:5] + [', "labels": ["', None, '"], "mu": '] + _BLOCK[8:] if default else _BLOCK
     class_text = np.empty(cond.h, dtype=object)
     for cls, text in _CLASS.items():
         class_text[spectra.classification == cls] = text
@@ -146,13 +150,13 @@ def _write_report(system, cond, spectra, report, opts, out) -> None:
         bounds = cond.bounds[lo:lo + _REPORT_CHUNK + 1]
         nodes = cond.permutation[bounds[0]:bounds[-1]].tolist()
         node_text = list(map(int.__repr__, nodes))
-        label_text = list(map(encode_basestring_ascii, map(system.label_of, nodes)))
+        label_text = node_text if default else list(map(encode_basestring_ascii, map(labels.__getitem__, nodes)))
         sizes = np.diff(bounds).tolist()
         if len(nodes) > len(sizes):  # a multi-node block: join each block's items into one text
             ends = (bounds - bounds[0]).tolist()
-            node_text, label_text = ([", ".join(text[a:b]) for a, b in zip(ends, ends[1:])]
-                                     for text in (node_text, label_text))
-        pieces = _BLOCK * len(sizes)
+            node_text, label_text = ([sep.join(text[a:b]) for a, b in zip(ends, ends[1:])]
+                                     for text, sep in ((node_text, ", "), (label_text, '", "' if default else ", ")))
+        pieces = block * len(sizes)
         pieces[0] = ", " if lo else ""
         pieces[1::step] = class_text[chunk].tolist()
         pieces[2::step] = map(float.__repr__, spectra.tolerance[chunk].tolist())
@@ -244,9 +248,11 @@ def _write_basis(system, basis: SteadyStateBasis, opts, forced: bool, out) -> No
         )
     # "labels" sorts before "n", and "vectors" between "tolerances" and "version".
     out.write('{"labels": [')
+    default = isinstance(system.node_labels, DefaultLabels)  # whose JSON texts are their digits in quotes
     for lo in range(0, system.n, _BASIS_CHUNK):
-        labels = map(system.label_of, range(lo, min(lo + _BASIS_CHUNK, system.n)))
-        out.write(f'{", " if lo else ""}{", ".join(map(encode_basestring_ascii, labels))}')
+        labels = system.node_labels[lo:lo + _BASIS_CHUNK]
+        text = '"' + '", "'.join(labels) + '"' if default else ", ".join(map(encode_basestring_ascii, labels))
+        out.write(f'{", " if lo else ""}{text}')
     out.write(f'], {head[1:-1]}, "vectors": [')
     indptr, nodes, values = basis.csc
     gap = np.diff(nodes, prepend=-1) - 1

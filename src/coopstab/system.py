@@ -8,10 +8,12 @@ implied graph coincide exactly off the diagonal.
 """
 from __future__ import annotations
 
+import io
 import json
 import operator
 import re
-from collections.abc import Callable, Iterable, Mapping, Sequence
+import warnings
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 
 import numpy as np
@@ -61,12 +63,6 @@ class CooperativeSystem(Record):
         """(indptr, order): column j's entries of `coo` are order[indptr[j]:indptr[j + 1]]."""
         cols = self.coo[1]
         return np.bincount(cols + 1, minlength=self.n + 1).cumsum(), np.argsort(cols, kind="stable")
-
-    @property
-    def label_of(self) -> Callable[[int], str]:
-        """Node i's label as label_of(i): `str` itself for the default labels, so that mapping
-        it over node indices runs no Python-level call per node."""
-        return str if isinstance(self.node_labels, DefaultLabels) else self.node_labels.__getitem__
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -294,20 +290,14 @@ def _checked_labels(node_labels: Iterable[str] | None, n: int) -> Sequence[str]:
 
 # The banner, any blank or comment lines, and the size line, each ended by "\n".
 _HEAD = re.compile(r"[^\n]*\n(?:[^\S\n]*(?:%[^\n]*)?\n)*[^\S\n]*[^\s%][^\n]*\n")
-# A canonical entry line: 1-based indices of at most 15 digits (exact as
-# doubles) without leading zeros, and a plain decimal value, single spaces.
-_ENTRY = r"[1-9][0-9]{0,14} [1-9][0-9]{0,14} -?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
-# Matches at the line break before the first line that is not canonical. A
-# lookahead per line keeps no state across lines, as `(?:LINE\n)*` would for
-# every line, and the literal "\n" lets the search skip from break to break.
-_NOT_ENTRY = re.compile(rf"\n(?!{_ENTRY}$)", re.M)
+_ENTRY = np.dtype([("i", np.intp), ("j", np.intp), ("v", np.float64)])
 
 
 def load_matrix_market(text: str) -> CooperativeSystem:
-    """A system from Matrix Market text. When every entry line is canonical
-    (`i j value`, single spaces, each line ended by "\n"), the entries are
-    converted in one vectorised pass; any other text takes the line-by-line
-    path, with the same result or the same error."""
+    """A system from Matrix Market text. The entry lines are read at once by NumPy's C reader
+    when the text is ASCII and they break only at "\n", end with one, and number exactly the
+    declared entries; any other text, or one the reader refuses, takes the line-by-line path, with
+    the same result or the same error."""
     head = _HEAD.match(text)  # its lines, unless a line break in it is not "\n" or "\r\n"
     start = head.end() if head and len(head[0].splitlines()) == head[0].count("\n") else len(text)
     lines = text[:start].splitlines()
@@ -344,19 +334,39 @@ def load_matrix_market(text: str) -> CooperativeSystem:
     if rows != cols:
         raise NonSquare(size_no, rows, cols)
 
-    if start < len(text) and text.endswith("\n") and not _NOT_ENTRY.search(text, start - 1, len(text) - 1):
-        entries = np.fromstring(text[start:], sep=" ").reshape(-1, 3)  # three numbers a line
-        if len(entries) == nnz:
-            values = entries[:, 2]
-            if fld == "integer":
-                whole = np.isfinite(values) & (values == np.floor(values))
-                if not whole.all():  # named by its text: 1e400 reads as inf
-                    k = int(np.argmin(whole))
-                    raise _not_whole(len(lines) + 1 + k, text[start:].split("\n", k + 1)[k].rsplit(" ", 1)[1])
-            i, j = (entries[:, c].astype(np.intp) - 1 for c in (0, 1))
-            return validate((i, j, values), rows)
+    columns = _entries_at_once(text, start, nnz)
+    if columns is not None:
+        values = columns[2]
+        if fld == "integer":
+            whole = np.isfinite(values) & (values == np.floor(values))
+            if not whole.all():  # named by its text: 1e400 reads as inf
+                k = int(np.argmin(whole))
+                raise _not_whole(len(lines) + 1 + k, text[start:].split("\n", k + 1)[k].split()[2])
+        return validate(columns, rows)
     lines += text[start:].splitlines()  # the head ends with a line break
     return validate(_entries_by_line(data, nnz, len(lines), fld == "integer"), rows)
+
+
+def _entries_at_once(text: str, start: int, nnz: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The 0-based (i, j, value) columns of the entry lines from `start` on, read by NumPy's C reader,
+    or None where the line loop could read them otherwise: the reader strips from a field the line
+    breaks of `str.splitlines` other than "\n", skips empty lines, and warns of no data, or, in older
+    NumPy releases, of reading an index through float."""
+    if nnz < 1 or not (text.isascii() and text.endswith("\n")) or text.count("\n", start) != nnz or any(
+            text.find(c, start) >= 0 for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+        return None
+    body = io.BytesIO(text.encode("ascii"))  # freed on return, before `validate` allocates
+    body.seek(start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            entries = np.loadtxt(body, dtype=_ENTRY, delimiter=" ", comments=None, ndmin=1, encoding="ascii")
+        except (ValueError, Warning):
+            return None
+    i, j = entries["i"], entries["j"]
+    if len(entries) == nnz and min(i.min(), j.min()) >= 1:  # so that i - 1 cannot wrap
+        return i - 1, j - 1, entries["v"].copy()  # no view of the records, freed before `validate` runs
+    return None
 
 
 def _not_whole(no: int, token: str) -> ParseError:

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import math
 import operator
+import sys
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -38,6 +41,17 @@ from coopstab import (
 from coopstab.cli import _reason_dict
 from coopstab.stability import TINY_PIVOT_REL, _refuse_super_critical, nullspace_residual
 from coopstab.system import _index_column, _raise_for, _value_column
+
+
+def bench_workloads():
+    """The bench's bench/workloads.py, loaded by path once (the bench is not a package)."""
+    workloads = sys.modules.get("bench_workloads")
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", Path(__file__).parents[1] / "bench" / "workloads.py")
+        workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    return workloads
 
 
 def reference_entries(raw_entries, n: int) -> dict:

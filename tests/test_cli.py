@@ -1122,11 +1122,11 @@ def test_basis_text_keeps_sign_repr_and_ascii_escapes():
 
 @st.composite
 def basis_cases(draw):
-    """A small system with arbitrary labels and a basis of arbitrary vectors:
-    sparse or dense, with extreme values and now and then a non-finite one."""
+    """A small system with arbitrary labels, or now and then the default ones, and a basis of
+    arbitrary vectors: sparse or dense, with extreme values and now and then a non-finite one."""
     n = draw(st.integers(1, 12))
     text = st.text() | st.sampled_from(AWKWARD_TEXT)
-    labels = draw(st.lists(text, min_size=n, max_size=n, unique=True))
+    labels = draw(st.none() | st.lists(text, min_size=n, max_size=n, unique=True))
     cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=2 * n, unique=True))
     system = validate([(i, j, -0.5 if i == j else 0.25) for i, j in cells], n, labels)
@@ -1187,12 +1187,12 @@ def _assert_report_matches_reference(system, cond, spectra, report):
 
 @st.composite
 def report_cases(draw):
-    """A small system with arbitrary labels, its condensation, and arbitrary
-    block columns and report fields: extreme values, now and then one that is
-    not finite."""
+    """A small system with arbitrary labels, or now and then the default ones, its
+    condensation, and arbitrary block columns and report fields: extreme values, now and
+    then one that is not finite."""
     n = draw(st.integers(1, 12))
     text = st.text() | st.sampled_from(REPORT_TEXT)
-    labels = draw(st.lists(text, min_size=n, max_size=n, unique=True))
+    labels = draw(st.none() | st.lists(text, min_size=n, max_size=n, unique=True))
     cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n, unique=True))
     system = validate([(i, j, -0.5 if i == j else 0.25) for i, j in cells], n, labels)

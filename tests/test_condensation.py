@@ -1,4 +1,3 @@
-import importlib.util
 import sys
 from pathlib import Path
 
@@ -7,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bfs_reachable, block_nodes, dag_edges, entry_dict, lexsort_cross_and_dag, matrix_of,
-                      nodes_of, reference_topological_order, strongly_connected, upstream_reachability)
+from conftest import (bench_workloads, bfs_reachable, block_nodes, dag_edges, entry_dict, lexsort_cross_and_dag,
+                      matrix_of, nodes_of, reference_topological_order, strongly_connected, upstream_reachability)
 from coopstab import (
     CondensationError,
     condense,
@@ -605,12 +604,7 @@ def test_cycle_core_fixture_leaves_tarjan_only_what_colouring_cannot_settle():
 
 def _critical_antichain(seed: int, pairs: int = 250):
     """The bench's `critical-antichain` workload, from bench/workloads.py."""
-    workloads = sys.modules.get("bench_workloads")
-    if workloads is None:
-        spec = importlib.util.spec_from_file_location("bench_workloads", FIXTURES.parents[1] / "bench" / "workloads.py")
-        workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-    return workloads.critical_antichain(seed, pairs=pairs)
+    return bench_workloads().critical_antichain(seed, pairs=pairs)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

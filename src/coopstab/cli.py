@@ -111,7 +111,7 @@ _REPORT_CHUNK = 1024
 # Labels, and a column's stored values, per write of the streamed `steady-state` JSON.
 _BASIS_CHUNK = 1024
 # A block's JSON text, after the ", " before it: key texts, with None where a field's text goes.
-_BLOCK = [", ", None, None, None, None, ', "labels": [', None, '], "mu": ', None, ', "nodes": [', None,
+_BLOCK = [", ", None, None, None, None, ', "labels": ["', None, '"], "mu": ', None, ', "nodes": [', None,
           '], "size": ', None, None]
 _CLASS = {cls: f'{{"class": "{cls.value}", "criticality_tolerance": ' for cls in BlockClass}
 _FREE = tuple(f', "free": {flag}, "index": ' for flag in ("false", "true"))
@@ -140,8 +140,7 @@ def _write_report(system, cond, spectra, report, opts, out) -> None:
     out.write(f'{head}"blocks": [')
     step = len(_BLOCK)
     labels = system.node_labels
-    default = isinstance(labels, DefaultLabels)  # a label's JSON text is then its node's text in quotes
-    block = _BLOCK[:5] + [', "labels": ["', None, '"], "mu": '] + _BLOCK[8:] if default else _BLOCK
+    default = isinstance(labels, DefaultLabels)  # a label's escaped text is then its node's text
     class_text = np.empty(cond.h, dtype=object)
     for cls, text in _CLASS.items():
         class_text[spectra.classification == cls] = text
@@ -150,13 +149,13 @@ def _write_report(system, cond, spectra, report, opts, out) -> None:
         bounds = cond.bounds[lo:lo + _REPORT_CHUNK + 1]
         nodes = cond.permutation[bounds[0]:bounds[-1]].tolist()
         node_text = list(map(int.__repr__, nodes))
-        label_text = node_text if default else list(map(encode_basestring_ascii, map(labels.__getitem__, nodes)))
+        label_text = node_text if default else [encode_basestring_ascii(labels[i])[1:-1] for i in nodes]
         sizes = np.diff(bounds).tolist()
         if len(nodes) > len(sizes):  # a multi-node block: join each block's items into one text
             ends = (bounds - bounds[0]).tolist()
             node_text, label_text = ([sep.join(text[a:b]) for a, b in zip(ends, ends[1:])]
-                                     for text, sep in ((node_text, ", "), (label_text, '", "' if default else ", ")))
-        pieces = block * len(sizes)
+                                     for text, sep in ((node_text, ", "), (label_text, '", "')))
+        pieces = _BLOCK * len(sizes)
         pieces[0] = ", " if lo else ""
         pieces[1::step] = class_text[chunk].tolist()
         pieces[2::step] = map(float.__repr__, spectra.tolerance[chunk].tolist())
@@ -248,11 +247,11 @@ def _write_basis(system, basis: SteadyStateBasis, opts, forced: bool, out) -> No
         )
     # "labels" sorts before "n", and "vectors" between "tolerances" and "version".
     out.write('{"labels": [')
-    default = isinstance(system.node_labels, DefaultLabels)  # whose JSON texts are their digits in quotes
+    default = isinstance(system.node_labels, DefaultLabels)  # whose escaped texts are their digits
     for lo in range(0, system.n, _BASIS_CHUNK):
         labels = system.node_labels[lo:lo + _BASIS_CHUNK]
-        text = '"' + '", "'.join(labels) + '"' if default else ", ".join(map(encode_basestring_ascii, labels))
-        out.write(f'{", " if lo else ""}{text}')
+        text = '", "'.join(labels if default else [encode_basestring_ascii(s)[1:-1] for s in labels])
+        out.write(f'{", " if lo else ""}"{text}"')
     out.write(f'], {head[1:-1]}, "vectors": [')
     indptr, nodes, values = basis.csc
     gap = np.diff(nodes, prepend=-1) - 1

@@ -4,9 +4,9 @@ structure they induce on the system matrix.
 The dependence graph has an edge j -> i for every off-diagonal entry a_ij.
 Blocks are numbered 0..h-1 so that every cross-block entry couples a block l
 into a block k with l < k; permuting the node axis accordingly makes the
-matrix block lower-triangular. Block matrices are stored dense (SCCs are
-assumed small relative to n), as views of one flat buffer; cross-block
-couplings are kept sparse. Everything is built from the system's coo arrays.
+matrix block lower-triangular. The entries within each block and the
+cross-block couplings are both kept sparse; a block's dense matrix is built
+from its cells only when asked for. Everything comes from the system's coo arrays.
 The components are found in whole-array steps where that pays: a peel of the
 acyclic part, then colouring passes on the cycle-heavy core left, with an
 iterative Tarjan search only on what neither settles (see `_components`).
@@ -25,9 +25,10 @@ from .system import CooperativeSystem, Record
 class Condensation(Record):
     """Blocks in topological order plus the sparse cross-block structure.
 
-    All arrays are read-only. Block k has the nodes
-    permutation[bounds[k]:bounds[k + 1]] and its dense matrix, row-major, in
-    matrices[matrix_bounds[k]:matrix_bounds[k + 1]], which `matrix(k)` reads.
+    All arrays are read-only. Block k has the d nodes permutation[bounds[k]:bounds[k + 1]].
+    Its entries are kept sparse in `cells` = (indptr, place, value), in input order at
+    value[indptr[k]:indptr[k + 1]], each at place = li * d + lj of its row-major d x d
+    matrix (local row li, local column lj); `matrix(k)` scatters them.
     `dag` = (indptr, successors) is the block DAG as CSR sorted by source,
     then target; an edge l -> k, l < k, means some entry couples block l
     into block k. `level[k]` is the length of the longest DAG path into k.
@@ -36,18 +37,22 @@ class Condensation(Record):
     in order of first appearance in the input, cells sorted within a group.
     """
 
-    def __init__(self, h: int, bounds: np.ndarray, matrices: np.ndarray, matrix_bounds: np.ndarray, dag: tuple,
-                 level: np.ndarray, node_to_block: np.ndarray, permutation: np.ndarray, cross: tuple):
-        vars(self).update(h=h, bounds=bounds, matrices=matrices, matrix_bounds=matrix_bounds, dag=dag,
-                          level=level, node_to_block=node_to_block, permutation=permutation, cross=cross)
+    def __init__(self, h: int, bounds: np.ndarray, cells: tuple, dag: tuple, level: np.ndarray,
+                 node_to_block: np.ndarray, permutation: np.ndarray, cross: tuple):
+        vars(self).update(h=h, bounds=bounds, cells=cells, dag=dag, level=level, node_to_block=node_to_block,
+                          permutation=permutation, cross=cross)
 
     def matrix(self, k, d: int | None = None) -> np.ndarray:
         """Block k's dense matrix (d x d), or for an array k of blocks of d nodes each, their
-        stack (len(k) x d x d); a copy gathered from `matrices`."""
+        stack (len(k) x d x d); a new array, scattered from `cells` into zeros."""
         if d is None:
             k = range(self.h)[k]  # an IndexError outside [-h, h), as for a sequence
             d = int(self.bounds[k + 1] - self.bounds[k])
-        return self.matrices[self.matrix_bounds[k, None] + np.arange(d * d)].reshape(*np.shape(k), d, d)
+        ks, (indptr, place, value) = np.atleast_1d(k), self.cells
+        at, of = _ranges(indptr[ks], indptr[ks + 1] - indptr[ks])
+        stack = np.zeros((len(ks), d * d))
+        stack[of, place[at]] = value[at]
+        return stack.reshape(*np.shape(k), d, d)
 
 
 def _tarjan(n: int, indptr: np.ndarray, indices: np.ndarray) -> list[int]:
@@ -191,6 +196,18 @@ def _csr(src: np.ndarray, dst: np.ndarray, n: int, order=slice(None)) -> tuple[n
     return indptr, dst[order]
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges [starts[i], starts[i] + counts[i]) in turn, and the i of each item."""
+    of = np.repeat(np.arange(len(counts)), counts)
+    return np.arange(len(of)) + (starts - np.cumsum(counts) + counts)[of], of
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable") for non-negative integer keys, taken in the smallest
+    unsigned type that holds them: NumPy radix-sorts keys of up to 16 bits."""
+    return np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))), kind="stable")
+
+
 def _topological_order(c: int, src: np.ndarray, dst: np.ndarray) -> tuple[list, list]:
     """Kahn's algorithm on the DAG of components 0..c-1, always taking the ready
     component with the smallest number; also each component's longest-path depth.
@@ -243,13 +260,12 @@ def condense(system: CooperativeSystem) -> Condensation:
     local = np.empty(n, dtype=np.intp)
     local[permutation] = np.arange(n) - np.repeat(bounds[:-1], size)
 
-    # All block matrices live in one flat buffer, block k at matrix_bounds[k].
+    # Each block's own entries as cells, grouped by block in input order, at li * d + lj.
     k, l = node_block[rows], node_block[cols]
     li, lj = local[rows], local[cols]
-    inner = ~cross
-    matrix_bounds = np.concatenate(([0], np.cumsum(size * size)))
-    matrices = np.zeros(matrix_bounds[-1])
-    matrices[matrix_bounds[k[inner]] + li[inner] * size[k[inner]] + lj[inner]] = vals[inner]
+    own = k[~cross]
+    by_block = _stable_order(own)
+    cells = (*_csr(own, li[~cross] * size[own] + lj[~cross], c, by_block), vals[~cross][by_block])
 
     # Couplings grouped by (k, l) in order of first appearance, cells sorted: each group
     # (l -> k) owns size[k] * size[l] keys from its offset on, one per cell (li, lj).
@@ -265,11 +281,11 @@ def condense(system: CooperativeSystem) -> Condensation:
     del by_first, span, offset  # not held to the end, where the memory of condense peaks
     arrays = (k[order], rows[cross][order], cols[cross][order], vals[cross][order])
     dag, level = _csr(src, dst, c, np.argsort(src * c + dst)), np.array(depth)[topo]
-    for a in (*arrays, *dag, level, node_block, permutation, bounds, matrices, matrix_bounds):
+    for a in (*arrays, *cells, *dag, level, node_block, permutation, bounds):
         a.flags.writeable = False
 
-    return Condensation(h=c, bounds=bounds, matrices=matrices, matrix_bounds=matrix_bounds, dag=dag,
-                        level=level, node_to_block=node_block, permutation=permutation, cross=arrays)
+    return Condensation(h=c, bounds=bounds, cells=cells, dag=dag, level=level, node_to_block=node_block,
+                        permutation=permutation, cross=arrays)
 
 
 _CLASS_COLOR = {

@@ -120,8 +120,8 @@ def _perron(
     b: np.ndarray, index: np.ndarray, opts: SpectralOptions
 ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """Dominant eigenvalues and unit-sum positive eigenvectors of a stack b (N x d x d,
-    d > 1) of irreducible Metzler blocks numbered `index`, and each failure by number
-    (NoConvergence untagged). Above the dense cutoff, power iteration from the uniform
+    d > 1) of irreducible Metzler blocks numbered `index`, and each failure by number,
+    naming its block. Above the dense cutoff, power iteration from the uniform
     vector runs first; the rest take one dense eigensolve, polished by power steps."""
     n, d = b.shape[:2]
     shift = np.max(np.abs(np.diagonal(b, axis1=1, axis2=2)), axis=1) + 1.0
@@ -147,7 +147,7 @@ def _perron(
         lam, x, res = _refine(m, x / x.sum(axis=1, keepdims=True), tol, steps, 1)
         mu[rows], phi[rows] = lam - shift[rows], x
         failed = (res > tol) | (x.min(axis=1) <= 0.0)
-        failures.update((k, NoConvergence(iterations=iters + steps, last_residual=r))
+        failures.update((k, NoConvergence(iters + steps, r, k))
                         for k, r in zip(index[rows[failed]].tolist(), res[failed].tolist()))
     return mu, phi, failures
 
@@ -182,10 +182,11 @@ def classify(mu, scale, opts: SpectralOptions | None = None):
 def analyze_all_blocks(cond: Condensation, opts: SpectralOptions | None = None) -> Spectra:
     """The spectral columns of all blocks. A singleton's pair is (a_ii, [1])
     and its absolute row sum |a_ii|, all read in one array step. Multi-node
-    blocks go to `_perron` in stacks of one size gathered from `cond.matrices`,
+    blocks go to `_perron` in stacks of one size scattered by `cond.matrix`,
     one block each on the power-iteration route; the lowest failing block raises."""
     opts = opts or DEFAULT_OPTIONS
-    mu = cond.matrices[cond.matrix_bounds[:-1]]  # a singleton's only entry
+    indptr, _, value = cond.cells
+    mu = np.where(indptr[1:] > indptr[:-1], np.append(value, 0.0)[indptr[:-1]], 0.0)  # a singleton's only cell, or 0
     scale = np.abs(mu)
     phi = np.ones(len(cond.permutation))  # a singleton's eigenvector is [1]
     failures: dict[int, Exception] = {}
@@ -206,8 +207,7 @@ def analyze_all_blocks(cond: Condensation, opts: SpectralOptions | None = None) 
             phi[cond.bounds[ks, None] + np.arange(d)] = x
             failures.update(more)
     if failures:
-        exc = failures[k := min(failures)]
-        raise NoConvergence(exc.iterations, exc.last_residual, k) if isinstance(exc, NoConvergence) else exc
+        raise failures[min(failures)]
     classification = classify(mu, scale, opts)
     tolerance = opts.crit_tol_rel * np.maximum(1.0, scale)
     for a in (mu, tolerance, classification, phi):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .condensation import Condensation, condense
+from .condensation import Condensation, _ranges, _stable_order, condense
 from .errors import (
     NegativeSteadyStateEntry,
     NonFiniteResult,
@@ -219,18 +219,6 @@ def full_analysis(
     cond = condense(system)
     spectra = analyze_all_blocks(cond, opts)
     return cond, spectra, verdict(cond, spectra)
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ranges [starts[i], starts[i] + counts[i]) in turn, and the i of each item."""
-    of = np.repeat(np.arange(len(counts)), counts)
-    return np.arange(len(of)) + (starts - np.cumsum(counts) + counts)[of], of
-
-
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """np.argsort(keys, kind="stable") for non-negative integer keys, taken in the smallest
-    unsigned type that holds them: NumPy radix-sorts keys of up to 16 bits."""
-    return np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))), kind="stable")
 
 
 def _solve(cond: Condensation, spectra: Spectra, blk: np.ndarray, col: np.ndarray, rhs: np.ndarray,

@@ -517,9 +517,13 @@ def nodes_of(cond, k: int) -> np.ndarray:
 
 
 def matrix_of(cond, k: int) -> np.ndarray:
-    """Block k's dense matrix, a view of its slice of `cond.matrices`."""
+    """Block k's dense matrix, its cells in `cond.cells` written one by one into zeros."""
     d = int(cond.bounds[k + 1] - cond.bounds[k])
-    return cond.matrices[cond.matrix_bounds[k]:cond.matrix_bounds[k + 1]].reshape(d, d)
+    indptr, place, value = cond.cells
+    matrix = np.zeros(d * d)
+    for at in range(indptr[k], indptr[k + 1]):
+        matrix[place[at]] = value[at]
+    return matrix.reshape(d, d)
 
 
 def phi_of(cond, spectra, k: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (bench_workloads, bfs_reachable, block_nodes, dag_edges, entry_dict, lexsort_cross_and_dag,
@@ -49,16 +50,17 @@ def test_chain_into_two_cycle():
     assert dag_edges(cond) == [(0, 1)]
 
 
-def test_matrix_gathers_from_the_stored_arrays():
+def test_matrix_is_scattered_from_the_stored_cells():
     cond = condense(validate({(1, 0): 1.0, (2, 1): 1.0, (1, 2): 1.0, (2, 2): -3.0, (0, 0): -1.0}, 3))
     assert cond.bounds.tolist() == [0, 1, 3]
-    assert cond.matrix_bounds.tolist() == [0, 1, 5]
+    # block 0 holds (0, 0); block 1 holds (2, 1), (1, 2) and (2, 2) at li * 2 + lj, in input order
+    assert [a.tolist() for a in cond.cells] == [[0, 1, 4], [0, 2, 1, 3], [-1.0, 1.0, 1.0, -3.0]]
     assert cond.permutation[cond.bounds[1]:cond.bounds[2]].tolist() == [1, 2]
     np.testing.assert_array_equal(cond.matrix(1), [[0, 1], [1, -3]])
     np.testing.assert_array_equal(cond.matrix(0), [[-1]])
     matrix = cond.matrix(1)
-    assert not np.shares_memory(matrix, cond.matrices)
-    matrix[0, 0] = 7.0  # a copy: the stored matrices stay as they are
+    assert not any(np.shares_memory(matrix, a) for a in cond.cells)
+    matrix[0, 0] = 7.0  # a new array: the stored cells stay as they are
     np.testing.assert_array_equal(cond.matrix(1), [[0, 1], [1, -3]])
     np.testing.assert_array_equal(cond.matrix(-1), [[0, 1], [1, -3]])  # sequence indexing
     for k in (2, -3):
@@ -231,7 +233,7 @@ def test_condensation_invariants_random(seed):
         assert cond.level[k] == (1 + max(cond.level[preds[k]]) if preds[k] else 0)
 
     stored = (*cond.dag, cond.level, cond.node_to_block, cond.permutation,
-              cond.bounds, cond.matrices, cond.matrix_bounds)
+              cond.bounds, *cond.cells)
     assert not any(a.flags.writeable for a in stored)
     assert cond.node_to_block.dtype == cond.permutation.dtype == np.intp
 
@@ -354,6 +356,60 @@ def test_block_order_cross_and_dag_match_the_references(system):
     assert topo == list(range(cond.h)) and depth == cond.level.tolist()
 
 
+def _check_cells(system):
+    """`cond.cells` holds every entry within a block once, grouped by block with `indptr`
+    the running count, at a place inside the block's d x d matrix, all read-only; and the
+    stack `matrix(ks, d)` of each size group, and of none, is the dense submatrices bitwise."""
+    cond = condense(system)
+    rows, cols, vals = system.coo
+    block, size = cond.node_to_block, np.diff(cond.bounds)
+    indptr, place, value = cond.cells
+    inner = block[rows] == block[cols]
+    assert indptr.tolist() == [0, *np.cumsum(np.bincount(block[rows[inner]], minlength=cond.h)).tolist()]
+    of = np.repeat(np.arange(cond.h), np.diff(indptr))
+    assert ((0 <= place) & (place < size[of] ** 2)).all()
+    assert len(set(zip(of.tolist(), place.tolist()))) == len(place) == len(value)
+    assert not any(a.flags.writeable for a in cond.cells)
+    entries = dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
+    for d in sorted(set(size.tolist())):
+        ks = np.flatnonzero(size == d)
+        want = np.array([[[entries.get((i, j), 0.0) for j in nodes] for i in nodes]
+                         for nodes in (nodes_of(cond, k).tolist() for k in ks.tolist())])
+        got = cond.matrix(ks, d)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert cond.matrix(ks[:0], d).shape == (0, d, d)
+
+
+@given(systems_with_multi_node_blocks())
+@example(from_dense([[0.0, 0.0], [1.0, -1.0]]))  # node 0 is a singleton block with no diagonal entry
+@settings(max_examples=150, deadline=None)
+def test_cells_hold_each_block_entry_once(system):
+    _check_cells(system)
+
+
+@pytest.mark.parametrize("name", [*sorted(p.name for p in FIXTURES.iterdir() if p.is_file()),
+                                  "dag-singletons", "critical-antichain"])
+def test_cells_hold_each_block_entry_once_on_the_fixtures_and_bench_workloads(name):
+    if name in ("dag-singletons", "critical-antichain"):
+        system = load_matrix_market(getattr(bench_workloads(), name.replace("-", "_"))(1).text)
+    else:
+        system = cli._load_system(str(FIXTURES / name), "auto")
+    _check_cells(system)
+
+
+def test_condense_of_a_ring_holds_no_dense_block():
+    """One 2000-node block: its cells take O(d) memory, where a dense d x d matrix took 32 MB."""
+    n = 2000
+    system = validate({**{((i + 1) % n, i): 1.0 for i in range(n)}, **{(i, i): -2.0 for i in range(n)}}, n)
+    tracemalloc.start()
+    try:
+        cond = condense(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cond.h == 1 and peak < 2 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # The acyclic peel and the colouring passes: the settings of their stop rules
 # change only how much of the graph Tarjan sees, never the condensation.
@@ -457,7 +513,7 @@ def _tarjan_calls(system, left) -> list:
 
 
 def _all_bits(cond) -> list:
-    return [cond.h] + _bits((cond.bounds, cond.matrices, cond.matrix_bounds, *cond.dag, cond.level,
+    return [cond.h] + _bits((cond.bounds, *cond.cells, *cond.dag, cond.level,
                              cond.node_to_block, cond.permutation, *cond.cross))
 
 

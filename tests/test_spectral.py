@@ -247,6 +247,9 @@ def test_dominant_eigenpair_names_the_block_it_is_given():
         dominant_eigenpair(_block([[1e308, 1], [1, 0]]), block=4)
     with pytest.raises(NonFiniteResult, match=r"^block 0: shifted matrix overflows$"):
         dominant_eigenpair(_block([[1e308, 1], [1, 0]]))
+    with pytest.raises(NoConvergence, match=r"\(block 7\)") as exc:
+        dominant_eigenpair(_block([[-2, 1], [3, -1]]), SpectralOptions(eig_tol=0.0), block=7)
+    assert exc.value.block_index == 7
 
 
 def test_unreachable_tolerance_reports_no_convergence():

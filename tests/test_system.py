@@ -691,8 +691,7 @@ def test_validate_matches_the_lexsort_reference(case):
 # Each record's fields, in constructor order, under the names they have always had.
 RECORD_FIELDS = {
     CooperativeSystem: ("n", "coo", "node_labels"),
-    Condensation: ("h", "bounds", "matrices", "matrix_bounds", "dag", "level", "node_to_block", "permutation",
-                   "cross"),
+    Condensation: ("h", "bounds", "cells", "dag", "level", "node_to_block", "permutation", "cross"),
     SpectralOptions: ("crit_tol_rel", "eig_tol", "max_iter", "dense_cutoff", "residual_tol"),
     Spectra: ("mu", "tolerance", "classification", "phi"),
     StabilityReport: ("verdict", "unstable_reason", "algebraic_multiplicity_zero", "geometric_multiplicity_zero",

@@ -491,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except CoopStabError as exc:
+    except (CoopStabError, ImportError) as exc:  # ImportError: SciPy's LAPACK, loaded by the first solve
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     except (ArithmeticError, ValueError) as exc:  # numpy's LinAlgError is a ValueError

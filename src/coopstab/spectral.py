@@ -72,15 +72,20 @@ class Spectra(Record):
         vars(self).update(mu=mu, tolerance=tolerance, classification=classification, phi=phi)
 
 
-def _inf_norm(m: np.ndarray) -> np.ndarray:
-    """Max absolute row sum of each matrix in a stack; inf where it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.max(np.sum(np.abs(m), axis=2), axis=1)
-
-
 # Matrix entries per stack (8 MB of float64); a size group is solved in chunks of
 # it. Peak per chunk of 64-node blocks, by tracemalloc: 34 MB (stack, shift, eig).
 _CHUNK_ENTRIES = 1 << 20
+
+
+def _inf_norm(m: np.ndarray) -> np.ndarray:
+    """Max absolute row sum of each matrix in a stack; inf where it overflows. Summed in
+    slabs of rows of about _CHUNK_ENTRIES entries, so that |m| is never held whole."""
+    step = max(1, _CHUNK_ENTRIES // max(1, m.shape[0] * m.shape[2]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.max(np.sum(np.abs(m[:, :step]), axis=2), axis=1)
+        for i in range(step, m.shape[1], step):
+            np.maximum(norm, np.max(np.sum(np.abs(m[:, i:i + step]), axis=2), axis=1), out=norm)
+    return norm
 
 
 def _refine(
@@ -126,7 +131,8 @@ def _perron(
     n, d = b.shape[:2]
     shift = np.max(np.abs(np.diagonal(b, axis1=1, axis2=2)), axis=1) + 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # inf entries, and 0 * inf, fail below
-        m = b + shift[:, None, None] * np.eye(d)
+        m = b.copy()  # shifted on its diagonal in place: one d x d copy per block
+        m.reshape(n, d * d)[:, ::d + 1] += shift[:, None]
         tol = opts.eig_tol * np.maximum(1.0, _inf_norm(m))
     finite = np.isfinite(tol)
     failures = {k: NonFiniteResult(f"block {k}: shifted matrix overflows") for k in index[~finite].tolist()}

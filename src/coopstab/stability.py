@@ -20,6 +20,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -65,9 +66,29 @@ def _load_flapack():
     return module.dgetrf, module.dgetrs
 
 
-# LAPACK's dgetrf and dgetrs, called directly: `_solve` checks the pivots and the finiteness
-# itself. The factorization keeps the name lu_factor, the boundary that tracing wraps.
-lu_factor, _GETRS = _load_flapack()
+# LAPACK's dgetrf and dgetrs, loaded by the first solve of a multi-node block, so that `analyze`
+# never maps SciPy's OpenBLAS or starts its threads. The lock keeps two first calls from running
+# the loader, and its sys.modules clean-up, at once.
+_lapack: tuple | None = None
+_lapack_lock = threading.Lock()
+
+
+def _routines() -> tuple:
+    global _lapack
+    if _lapack is None:
+        with _lapack_lock:
+            if _lapack is None:
+                _lapack = _load_flapack()
+    return _lapack
+
+
+def lu_factor(b: np.ndarray):
+    """dgetrf: (lu, piv, info). `_solve` checks the pivots and finiteness; tracing wraps this name."""
+    return _routines()[0](b)
+
+
+def _GETRS(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray):
+    return _routines()[1](lu, piv, rhs)  # dgetrs: (x, info)
 
 
 class Verdict(enum.Enum):
@@ -348,8 +369,9 @@ def steady_state_basis(
                 nodes = cond.permutation[cond.bounds[blk[first], None] + np.arange(m)]
                 start[nodes] = used + first[:, None] + np.arange(m) * p
                 count[nodes] = (np.append(first[1:], p) - first)[:, None]
-                if end > len(buf[0]):
-                    buf = [np.concatenate((x[:used], np.empty(max(end, n), x.dtype))) for x in buf]
+                if end > len(buf[0]):  # grown in place: no view of a buffer outlives a level
+                    for x in buf:
+                        x.resize(used + max(end, n), refcheck=False)
                 buf[0][used:end].reshape(m, p)[:], buf[1][used:end].reshape(m, p)[:] = col, sol.T
                 used = end
     del cols, vals, base, step, place, block_at

@@ -590,17 +590,30 @@ def test_oracle_generate_marginal_output_is_pinned(args, sha256, capsys):
 
 
 _IMPORT_PROBE = """
-import io, os, sys
+import importlib.util, io, os, sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 import coopstab.cli as cli
+from coopstab import stability
 unused = ["scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma", "coopstab.oracle", "dataclasses"]
 if os.name != "nt":  # there the scipy package's __init__ runs first, for its DLL search path
     unused.append("scipy")
 heavy = [m for m in unused if m in sys.modules]
 assert not heavy, heavy
+loads, load = [], stability._load_flapack
+stability._load_flapack = lambda: loads.append(1) or load()
+fixtures = sorted(p for p in Path(sys.argv[1]).iterdir() if p.is_file())
+for path in fixtures:  # analyze solves no block, so SciPy's LAPACK and its OpenBLAS stay unloaded
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        cli.main(["analyze", str(path)])
+assert stability._lapack is None and not loads, loads
+if os.path.exists("/proc/self/maps"):
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]  # also a prefix of scipy.libs
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        mapped = sorted({line.split()[-1] for line in maps if scipy_dir in line})
+    assert not mapped, mapped
 runs = 0
-for path in sorted(p for p in Path(sys.argv[1]).iterdir() if p.is_file()):
+for path in fixtures:
     for command in ("analyze", "steady-state"):
         before = set(sys.modules)
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
@@ -608,9 +621,9 @@ for path in sorted(p for p in Path(sys.argv[1]).iterdir() if p.is_file()):
         gained = sorted(set(sys.modules) - before)
         assert not gained, (command, path.name, gained)
         runs += 1
+assert len(loads) == 1, loads  # by the first solve of a multi-node block, and by no later one
 import scipy.linalg  # still imports as usual, and binds the same LAPACK routines
-from coopstab import stability
-assert scipy.linalg._flapack.dgetrf is stability.lu_factor
+assert scipy.linalg._flapack.dgetrf is stability._lapack[0]
 import coopstab
 for name in ("DenseVerdict", "GeneratorSpec", "LimitCheckResult", "dense_verdict", "expm_limit_check",
              "generate", "generate_compartmental", "generate_marginally_stable", "generate_with_plan",
@@ -631,10 +644,11 @@ print(runs)
 def test_cli_imports_nothing_heavy_and_nothing_during_an_op():
     """A fresh `import coopstab.cli` leaves out the scipy package, scipy.linalg and the NumPy
     subpackages that its import pulls in, the oracle module, and `dataclasses`, whose decorator
-    compiles generated methods for each class at import, and `analyze` and `steady-state`
-    then import no module on any fixture, so an op pays no import; a later `import scipy.linalg`
-    works as usual, and the package's oracle names resolve on first use to the oracle module's
-    own objects. A subprocess, because this process has imported all of them."""
+    compiles generated methods for each class at import; `analyze` on every fixture leaves SciPy's
+    LAPACK unloaded (on Linux, no file of SciPy's is mapped), the first multi-node solve of
+    `steady-state` loads it once, and no op imports a module; a later `import scipy.linalg`
+    works as usual and binds the same dgetrf, and the package's oracle names resolve on first use
+    to the oracle module's own objects. A subprocess, because this process has imported all of them."""
     src = Path(cli.__file__).resolve().parents[1]
     run = subprocess.run([sys.executable, "-W", "error", "-c", _IMPORT_PROBE, str(FIXTURES)],
                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})

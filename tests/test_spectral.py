@@ -242,6 +242,24 @@ def test_chunks_of_one_matrix_change_no_bit(monkeypatch):
     assert _spectra_outcome(_stacked, cond, opts) == whole
 
 
+def test_inf_norm_in_row_slabs_is_the_whole_sum_bitwise(monkeypatch):
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((6, 7, 7)) * 10.0 ** rng.integers(-300, 300, (6, 7, 7))
+    m[0, 2, 3], m[1, 4, 4], m[2, 6, 0], m[3, 5] = np.nan, np.inf, -np.inf, 1e308  # row 5 of 3 overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = np.max(np.sum(np.abs(m), axis=2), axis=1)
+    for entries in (1, 84, 126, 294, 1 << 20):  # slabs of 1, 2, 3 and 7 rows, then the whole stack
+        monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", entries)
+        assert spectral._inf_norm(m).tobytes() == whole.tobytes(), entries
+
+
+@pytest.mark.parametrize("diagonal", [np.inf, -np.inf, np.nan, 1e308])
+def test_an_infinite_shift_fails_as_an_overflow(diagonal):
+    """The shift is added on a copy's diagonal in place; an infinite one must still fail."""
+    with pytest.raises(NonFiniteResult, match=r"^block 0: shifted matrix overflows$"):
+        dominant_eigenpair(_block([[diagonal, 1], [1, 0]]))
+
+
 def test_dominant_eigenpair_names_the_block_it_is_given():
     with pytest.raises(NonFiniteResult, match=r"^block 4: shifted matrix overflows$"):
         dominant_eigenpair(_block([[1e308, 1], [1, 0]]), block=4)

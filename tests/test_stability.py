@@ -971,3 +971,66 @@ def test_lapack_loader_names_scipy_when_it_is_missing(monkeypatch):
                         lambda name, *args: None if name == "scipy" else find_spec(name, *args))
     with pytest.raises(ImportError, match="scipy"):
         stability._load_flapack()
+
+
+def test_steady_state_prints_one_error_line_when_lapack_cannot_load(monkeypatch, capsys):
+    """SciPy's LAPACK is loaded by the first multi-node solve; when that load fails, steady-state
+    ends in one `error:` line and exit 70, and the next solve tries the load again."""
+    import importlib.util
+    from pathlib import Path
+
+    import coopstab.stability as stability
+    from coopstab.cli import main
+
+    fixture = str(Path(__file__).parent / "fixtures" / "shared_cone.mtx")  # solves a multi-node block
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+    monkeypatch.setattr(stability, "_lapack", None)  # as in a fresh process
+    assert main(["steady-state", fixture]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scipy not found\n"
+    assert stability._lapack is None
+    monkeypatch.setattr(importlib.util, "find_spec", find_spec)
+    assert main(["steady-state", fixture]) == 0
+    assert stability._lapack is not None
+
+
+def test_lapack_loads_once_under_concurrent_first_solves(monkeypatch):
+    """Threads that factor their first block at once run the loader once, and all get its routines."""
+    import sys
+    import threading
+    import time
+
+    import coopstab.stability as stability
+
+    loads, load = [], stability._load_flapack
+
+    def slow_load():
+        loads.append(1)
+        time.sleep(0.05)  # a window for a second caller to start another load
+        return load()
+
+    monkeypatch.setattr(stability, "_load_flapack", slow_load)
+    monkeypatch.setattr(stability, "_lapack", None)
+    b = np.array([[-2.0, 1.0], [1.0, -3.0]])
+    start, results = threading.Barrier(8), []
+
+    def first_solve():
+        start.wait(timeout=30)
+        results.append(stability.lu_factor(b)[0].tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=first_solve) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert loads == [1]
+    assert results == [scipy.linalg.lu_factor(b, check_finite=False)[0].tobytes()] * 8

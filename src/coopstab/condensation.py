@@ -263,9 +263,10 @@ def condense(system: CooperativeSystem) -> Condensation:
     # Each block's own entries as cells, grouped by block in input order, at li * d + lj.
     k, l = node_block[rows], node_block[cols]
     li, lj = local[rows], local[cols]
-    own = k[~cross]
+    inner = ~cross
+    own = k[inner]
     by_block = _stable_order(own)
-    cells = (*_csr(own, li[~cross] * size[own] + lj[~cross], c, by_block), vals[~cross][by_block])
+    cells = (*_csr(own, li[inner] * size[own] + lj[inner], c, by_block), vals[inner][by_block])
 
     # Couplings grouped by (k, l) in order of first appearance, cells sorted: each group
     # (l -> k) owns size[k] * size[l] keys from its offset on, one per cell (li, lj).
@@ -278,7 +279,7 @@ def condense(system: CooperativeSystem) -> Condensation:
     offset = np.empty_like(span)
     offset[by_first] = np.cumsum(span) - span
     order = np.argsort(offset[group] + li * size[l] + lj)  # unique keys: any sort will do
-    del by_first, span, offset  # not held to the end, where the memory of condense peaks
+    del inner, by_first, span, offset  # not held to the end, where the memory of condense peaks
     arrays = (k[order], rows[cross][order], cols[cross][order], vals[cross][order])
     dag, level = _csr(src, dst, c, np.argsort(src * c + dst)), np.array(depth)[topo]
     for a in (*arrays, *cells, *dag, level, node_block, permutation, bounds):

@@ -134,14 +134,7 @@ def expm_limit_check(matrix, *, block: int = 0, opts: SpectralOptions | None = N
     klass = classify(dominant_eigenpair(b, opts, block)[0], scale, opts)
     if klass is not BlockClass.CRITICAL:
         raise ValidationError(f"block {block} is {klass.value}; the limit check needs a critical block")
-    if len(b) == 1:
-        t_big = 1.0
-        l = expm(b * t_big)
-        u = np.ones(1)
-        res = float(np.max(np.abs(u @ l - u)))
-        return LimitCheckResult(residual=res, t_big=t_big, gap=gap)
-
-    t_big = min(50.0 / gap, HORIZON_CAP)
+    t_big = min(50.0 / gap, HORIZON_CAP) if len(b) > 1 else 1.0  # a 1x1 block has no other mode
     l = expm(b * t_big)
     _, u = dominant_eigenpair(b.T.copy(), opts, block)
     res = float(np.max(np.abs(u @ l - u))) / float(np.max(np.abs(u)))
@@ -277,8 +270,8 @@ def _nonneg_irreducible(d: int, rng: np.random.Generator, wlo: float, whi: float
     """Random non-negative matrix with zero diagonal whose graph is strongly
     connected: a full directed cycle plus random extra links."""
     m = np.zeros((d, d))
-    for j in range(d):
-        m[(j + 1) % d, j] = rng.uniform(wlo, whi)
+    ring = np.arange(d)
+    m[(ring + 1) % d, ring] = rng.uniform(wlo, whi, d)
     extra = rng.random((d, d)) < 0.3
     np.fill_diagonal(extra, False)
     m[extra] += rng.uniform(wlo, whi, size=int(extra.sum()))
@@ -314,34 +307,24 @@ def _make_block(klass: str, d: int, rng: np.random.Generator, spec: GeneratorSpe
     return m - shift * np.eye(d)
 
 
-def _planted_edges(topology: str, h: int, density: float, rng: np.random.Generator) -> set[tuple[int, int]]:
-    edges: set[tuple[int, int]] = set()
-    if h < 2:
-        return edges
-    if topology == "chain":
-        edges = {(k, k + 1) for k in range(h - 1)}
+def _planted_edges(topology: str, h: int, density: float, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """The block DAG's edges (l, k), each with l < k, sorted."""
+    if topology == "chain" or (topology == "diamond" and h < 3):
+        edges = [(k, k + 1) for k in range(h - 1)]
     elif topology == "diamond":
-        if h < 3:
-            edges = {(k, k + 1) for k in range(h - 1)}
-        else:
-            for mid in range(1, h - 1):
-                edges.add((0, mid))
-                edges.add((mid, h - 1))
+        edges = [(0, mid) for mid in range(1, h - 1)] + [(mid, h - 1) for mid in range(1, h - 1)]
     elif topology == "forest":
-        for k in range(1, h):
-            if rng.random() < density:
-                edges.add((int(rng.integers(0, k)), k))
-    else:  # random-dag
-        for l in range(h):
-            for k in range(l + 1, h):
-                if rng.random() < density:
-                    edges.add((l, k))
-    return edges
+        edges = [(int(rng.integers(0, k)), k) for k in range(1, h) if rng.random() < density]
+    else:  # random-dag: one draw per pair, in row-major order
+        l, k = np.triu_indices(h, 1)
+        keep = rng.random(len(l)) < density
+        edges = list(zip(l[keep].tolist(), k[keep].tolist()))
+    return sorted(edges)
 
 
 def _assemble(
     plan: list[tuple[int, str]],
-    dag: set[tuple[int, int]],
+    dag: list[tuple[int, int]],
     rng: np.random.Generator,
     spec: GeneratorSpec,
 ) -> CooperativeSystem:
@@ -353,12 +336,9 @@ def _assemble(
     triples: list[tuple[int, int, float]] = []
     for k, (d, klass) in enumerate(plan):
         mat = _make_block(klass, d, rng, spec)
-        base = int(offsets[k])
-        for i in range(d):
-            for j in range(d):
-                if mat[i, j] != 0.0:
-                    triples.append((base + i, base + j, float(mat[i, j])))
-    for l, k in sorted(dag):
+        i, j = np.nonzero(mat)
+        triples += zip((offsets[k] + i).tolist(), (offsets[k] + j).tolist(), mat[i, j].tolist())
+    for l, k in dag:
         dl, dk = sizes[l], sizes[k]
         cells = rng.random((dk, dl)) < 0.4
         if not cells.any():
@@ -412,29 +392,25 @@ def generate_marginally_stable(spec: GeneratorSpec) -> CooperativeSystem:
     h = len(plan)
     dag = _planted_edges(spec.topology, h, spec.edge_density, rng)
 
-    succ: list[list[int]] = [[] for _ in range(h)]
-    for a, b in dag:
-        succ[a].append(b)
+    succ = np.zeros((h, h), dtype=bool)
+    src, dst = np.array(dag, dtype=np.intp).reshape(-1, 2).T
+    succ[src, dst] = True
     reach = np.zeros((h, h), dtype=bool)
     for l in reversed(range(h)):  # every edge goes from a lower to a higher block
-        for b in succ[l]:
-            reach[l, b] = True
-            reach[l] |= reach[b]
+        reach[l] = succ[l] | reach[succ[l]].any(axis=0)
 
-    kept: list[int] = []
+    related = np.zeros(h, dtype=bool)  # kept critical, or joined to one by a path
     for k in range(h):
         if plan[k][1] != "critical":
             continue
-        if any(reach[k, c] or reach[c, k] for c in kept):
+        if related[k]:
             plan[k] = (plan[k][0], "sub-critical")
         else:
-            kept.append(k)
-    if not kept:
+            related |= reach[k] | reach[:, k]
+            related[k] = True
+    if not related.any():  # then no block is critical, so the one chosen joins none
         k = int(rng.integers(0, h))
         plan[k] = (plan[k][0], "critical")
-        for c in range(h):
-            if c != k and plan[c][1] == "critical" and (reach[k, c] or reach[c, k]):
-                plan[c] = (plan[c][0], "sub-critical")
 
     return _assemble(plan, dag, rng, spec)
 
@@ -463,25 +439,20 @@ def generate_compartmental(spec: GeneratorSpec) -> CooperativeSystem:
         base = offsets[k]
         if d > 1:
             a[base : base + d, base : base + d] = _nonneg_irreducible(d, rng, wlo, whi)
-    dag = _planted_edges("random-dag", h, spec.edge_density, rng)
-    dag = {(l, k) for (l, k) in dag if l != h - 1}  # the trap keeps no outgoing links
-    for l, k in sorted(dag):
+    # Every edge runs to a later block, so the trap, last, has no outgoing links.
+    for l, k in _planted_edges("random-dag", h, spec.edge_density, rng):
         i = int(rng.integers(0, sizes[k]))
         j = int(rng.integers(0, sizes[l]))
         a[offsets[k] + i, offsets[l] + j] = rng.uniform(wlo, whi)
 
-    # Every column pays its outflow on the diagonal; non-trap blocks leak on
-    # one node so they cannot themselves be traps.
-    for j in range(n):
-        a[j, j] = -(a[:, j].sum() - a[j, j])
+    # Every column pays its outflow on the diagonal, summed pairwise as a row of the transposed
+    # copy; non-trap blocks leak on one node so they cannot themselves be traps.
+    np.fill_diagonal(a, -np.ascontiguousarray(a.T).sum(axis=1))
     for k in range(h - 1):
         leak_node = offsets[k] + int(rng.integers(0, sizes[k]))
         a[leak_node, leak_node] -= rng.uniform(0.2, 1.0)
 
     perm = rng.permutation(n)
-    triples = [
-        (int(perm[i]), int(perm[j]), float(a[i, j]))
-        for i, j in zip(*np.nonzero(a))
-    ]
-    return validate(triples, n)
+    i, j = np.nonzero(a)
+    return validate((perm[i], perm[j], a[i, j]), n)
 

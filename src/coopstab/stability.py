@@ -179,13 +179,6 @@ def _block_dag(cond: Condensation, crit: list[bool]) -> tuple[np.ndarray, np.nda
     return np.array(up, dtype=bool), np.array(near, dtype=np.intp), hop
 
 
-def _refuse_super_critical(report: StabilityReport) -> None:
-    if isinstance(report.unstable_reason, SuperCriticalBlock):
-        raise SuperCriticalPresent(
-            f"block {report.unstable_reason.block_index} is super-critical"
-        )
-
-
 def verdict(cond: Condensation, spectra: Spectra) -> StabilityReport:
     """Apply the graph-theoretic criterion and report the evidence.
 
@@ -297,7 +290,8 @@ def steady_state_basis(
     """
     if report is None:
         report = verdict(cond, spectra)
-    _refuse_super_critical(report)
+    if isinstance(report.unstable_reason, SuperCriticalBlock):
+        raise SuperCriticalPresent(f"block {report.unstable_reason.block_index} is super-critical")
     if report.verdict is Verdict.ASYMPTOTICALLY_STABLE:
         raise NotMarginallyStable(
             "all blocks are sub-critical; the only fixed point is zero"

@@ -32,6 +32,7 @@ from coopstab import (
     StabilityReport,
     SteadyStateBasis,
     SuperCriticalBlock,
+    SuperCriticalPresent,
     ValidationError,
     Verdict,
     classify,
@@ -39,7 +40,7 @@ from coopstab import (
     verdict,
 )
 from coopstab.cli import _reason_dict
-from coopstab.stability import TINY_PIVOT_REL, _refuse_super_critical, nullspace_residual
+from coopstab.stability import TINY_PIVOT_REL, nullspace_residual
 from coopstab.system import _index_column, _raise_for, _value_column
 
 
@@ -568,7 +569,8 @@ def reference_steady_state_basis(
     classes = list(spectra.classification)
     if report is None:
         report = verdict(cond, spectra)
-    _refuse_super_critical(report)
+    if isinstance(report.unstable_reason, SuperCriticalBlock):
+        raise SuperCriticalPresent(f"block {report.unstable_reason.block_index} is super-critical")
     if report.verdict is Verdict.ASYMPTOTICALLY_STABLE:
         raise NotMarginallyStable(
             "all blocks are sub-critical; the only fixed point is zero"

@@ -589,6 +589,29 @@ def test_oracle_generate_marginal_output_is_pinned(args, sha256, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("args, sha256", [
+    pytest.param("--num-blocks 40,60 --block-size 1,6 --seed 3",
+                 "301d7680200e0b1f0abf14de2a55a9ed85674f1c4ce6cc4e38eebb9dffd84613", id="random-dag"),
+    pytest.param("--topology forest --num-blocks 30,40 --block-size 1,4 --seed 11",
+                 "64c6d21d572329f5354a70ac14d0698312b3c89b83b310281e46604800d11df5", id="forest"),
+    pytest.param("--compartmental --num-blocks 5,12 --block-size 1,5 --seed 2",
+                 "f4c89ac09657c430966de7c0034df54b6d1c5afad5cfac6e05e3bc539c4998d3", id="compartmental"),
+    pytest.param("--config {config}",
+                 "2655b7886e3a3b63e54da41a5a16718f55c212d0b7a5e6193a47b0bbd3f68864", id="planted-config"),
+])
+def test_oracle_generate_output_is_pinned(args, sha256, tmp_path, capsys):
+    """The plain and compartmental generators' output, hashed as written when the random DAG
+    drew its pairs, and the compartmental diagonal summed its columns, one at a time."""
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({
+        "planted": [[3, "critical"], [1, "sub-critical"], [2, "super-critical"], [4, "critical"],
+                    [1, "critical"]],
+        "topology": "diamond", "shuffle_nodes": False, "seed": 7,
+    }), encoding="utf-8")
+    assert main(["oracle", "generate", *args.format(config=config).split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 _IMPORT_PROBE = """
 import importlib.util, io, os, sys
 from contextlib import redirect_stderr, redirect_stdout
